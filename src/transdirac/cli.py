@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,14 +29,6 @@ from transdirac.torus_model import TorusGeometry, spectrum_DL, spectrum_DQ_band
 from transdirac.verification import SUITES, run_suite
 
 SCHEMA_VERSION = 1
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    params: dict = field(default_factory=dict)
-    out: str = None
-    fmt: str = "json"
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +279,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         report = {"schema_version": SCHEMA_VERSION, "error": str(exc)}
         sys.stderr.write(render_json(report))
         return 1

@@ -7,8 +7,6 @@ the pole and estimates the exponents from log-log slopes.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,13 +93,6 @@ class IndexTable:
         return entry["dim_ker_plus"] + entry["dim_ker_minus"]
 
 
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("TRANSDIRAC_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
 def build_index_table(n_range, m_range, method: str = "closed",
                       eps: float = 1e-3, steps: int = 10000) -> IndexTable:
     """Index table over finite ranges; method 'closed', 'numeric' or 'both'
@@ -121,23 +112,15 @@ def build_index_table(n_range, m_range, method: str = "closed",
         res = index_numerical(n, m, eps=eps, steps=steps)
         return {"dim_ker_plus": res["d_plus"], "dim_ker_minus": res["d_minus"], "index": res["index"]}
 
-    def entry(key):
-        n, m = key
+    def entry(n, m):
         if method == "closed":
-            return key, closed_entry(n, m)
+            return closed_entry(n, m)
         if method == "numeric":
-            return key, numeric_entry(n, m)
+            return numeric_entry(n, m)
         closed = closed_entry(n, m)
         numeric = numeric_entry(n, m)
         if closed != numeric:
             raise IndexError_("route disagreement at (%d, %d): %s vs %s" % (n, m, closed, numeric))
-        return key, closed
+        return closed
 
-    keys = [(n, m) for n in n_values for m in m_values]
-    workers = _worker_count()
-    if workers > 1 and method != "closed":
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = dict(pool.map(entry, keys))
-    else:
-        results = dict(entry(key) for key in keys)
-    return IndexTable(entries={key: results[key] for key in keys})
+    return IndexTable(entries={(n, m): entry(n, m) for n in n_values for m in m_values})

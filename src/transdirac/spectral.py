@@ -1,19 +1,15 @@
 """Dense numerical kernel: spectral differentiation, Hermitian eigensolver,
 log-ODE integration and indicial-exponent fitting.
 
-The eigensolver is a Householder tridiagonalization followed by implicit
-QL with Wilkinson shifts; matrices here stay small (<= a few hundred), so
-dense arithmetic is sufficient.
+The eigensolver and the singular values are LAPACK's, called through
+numpy.linalg; the matrices here are dense and at most a few thousand rows.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-_EPS = np.finfo(float).eps
 
 
 class SpectralError(ValueError):
@@ -91,112 +87,36 @@ def hermitian_defect(m: np.ndarray) -> float:
     return float(0.5 * np.max(np.abs(m - m.conj().T)))
 
 
-def _householder_tridiagonalize(m: np.ndarray):
-    a = np.array(m, dtype=complex)
-    n = a.shape[0]
-    q = np.eye(n, dtype=complex)
-    for k in range(n - 2):
-        x = a[k + 1:, k]
-        nx = np.linalg.norm(x)
-        if nx < 1e-300:
-            continue
-        phase = x[0] / abs(x[0]) if abs(x[0]) > 0 else 1.0
-        v = x.copy()
-        v[0] += phase * nx
-        nv = np.linalg.norm(v)
-        if nv < 1e-300:
-            continue
-        v /= nv
-        w = v.conj() @ a[k + 1:, :]
-        a[k + 1:, :] -= 2.0 * np.outer(v, w)
-        w2 = a[:, k + 1:] @ v
-        a[:, k + 1:] -= 2.0 * np.outer(w2, v.conj())
-        qv = q[:, k + 1:] @ v
-        q[:, k + 1:] -= 2.0 * np.outer(qv, v.conj())
-    d = np.real(np.diag(a)).copy()
-    sub = np.diag(a, -1).copy() if n > 1 else np.zeros(0, dtype=complex)
-    # phase-scale columns so the subdiagonal becomes real nonnegative
-    scale = np.ones(n, dtype=complex)
-    e = np.zeros(max(n - 1, 0))
-    for k in range(n - 1):
-        r = abs(sub[k])
-        e[k] = r
-        scale[k + 1] = scale[k] * (sub[k] / r) if r > 1e-300 else scale[k]
-    q *= scale[None, :]
-    return d, e, q
-
-
-def _tqli(d: np.ndarray, e: np.ndarray, z: np.ndarray, max_sweeps: int = 60):
-    """Implicit QL with Wilkinson-style shifts on a real symmetric
-    tridiagonal (d, e); rotations are accumulated into the columns of z."""
-    n = len(d)
-    e = np.append(e.copy(), 0.0)
-    for l in range(n):
-        for sweep in range(max_sweeps):
-            m = l
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= _EPS * dd:
-                    break
-                m += 1
-            if m == l:
-                break
-            if sweep == max_sweeps - 1:
-                raise SpectralError("QL iteration failed to converge")
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                col = z[:, i + 1].copy()
-                z[:, i + 1] = s * z[:, i] + c * col
-                z[:, i] = c * z[:, i] - s * col
-            if underflow:
-                continue
-            d[l] -= p
-            e[l] = g
-            e[m] = 0.0
-    return d, z
-
-
-def hermitian_eigensolve(m: np.ndarray) -> HermitianSpectrum:
-    """Full spectrum of a Hermitian matrix, eigenvalues ascending."""
+def check_hermitian(m: np.ndarray) -> np.ndarray:
+    """Return m as a complex array after checking that it is finite and
+    Hermitian to 1e-8 max|m|; raises SpectralError otherwise."""
     m = np.asarray(m, dtype=complex)
+    if not np.all(np.isfinite(m)):
+        raise SpectralError(
+            "matrix has non-finite entries (overflow or underflow, e.g. of the warping e^g)"
+        )
     scale = max(float(np.max(np.abs(m))), 1e-300)
     defect = hermitian_defect(m)
     if defect > 1e-8 * scale:
         raise SpectralError("matrix is not Hermitian (defect %.3e)" % defect)
-    m = 0.5 * (m + m.conj().T)
-    d, e, q = _householder_tridiagonalize(m)
-    d, q = _tqli(d, e, q)
-    order = np.argsort(d, kind="stable")
-    return HermitianSpectrum(eigenvalues=d[order], eigenvectors=q[:, order])
+    return m
+
+
+def hermitian_eigensolve(m: np.ndarray) -> HermitianSpectrum:
+    """Full spectrum of a Hermitian matrix, eigenvalues ascending.
+
+    The matrix is checked by check_hermitian, symmetrised, and handed to
+    LAPACK through numpy.linalg.eigh.
+    """
+    m = check_hermitian(m)
+    eigenvalues, eigenvectors = np.linalg.eigh(0.5 * (m + m.conj().T))
+    return HermitianSpectrum(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
 def smallest_singular_value(m: np.ndarray) -> float:
-    """Smallest singular value via the Hermitian spectrum of m^dagger m."""
-    m = np.asarray(m, dtype=complex)
-    gram = m.conj().T @ m
-    lam = hermitian_eigensolve(gram).eigenvalues[0]
-    return math.sqrt(max(float(lam), 0.0))
+    """Smallest singular value, from LAPACK's SVD of m itself (not of m^H m,
+    which would square the condition number)."""
+    return float(np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)[-1])
 
 
 def integrate_log_ode(r, phi_start: float, phi_end: float, steps: int):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from transdirac.clifford import build_standard_module
-from transdirac.spectral import hermitian_eigensolve, periodic_grid
+from transdirac.spectral import check_hermitian, hermitian_eigensolve, periodic_grid
 from transdirac.transverse_operator import (
     FirstOrderOperator,
     FrameField,
@@ -139,14 +139,20 @@ def mode_grid(geom: TorusGeometry, n_points: int):
 
 def spectrum_DL(geom: TorusGeometry, x_mode: int, n_points: int) -> np.ndarray:
     """Eigenvalues of D_L on the x-mode subspace; independent of the mode."""
-    int(x_mode)  # the 1D reduction carries no mode dependence
     grid = mode_grid(geom, n_points)
     mat = discretize_hermitian(dl_mode_operator(geom), grid)
     return hermitian_eigensolve(mat).eigenvalues
 
 
 def spectrum_DQ_band(geom: TorusGeometry, x_mode: int, n_points: int) -> np.ndarray:
-    """Eigenvalues of D_Q on the x-mode subspace: the diagonal n e^{-g(y_j)}."""
+    """Eigenvalues of D_Q on the x-mode subspace: the diagonal n e^{-g(y_j)}.
+
+    The mode operator has no derivative part, so its discretization is
+    diagonal and its eigenvalues are read off without an eigensolve.
+    """
     grid = mode_grid(geom, n_points)
-    mat = discretize_hermitian(dq_mode_operator(geom, x_mode), grid)
-    return hermitian_eigensolve(mat).eigenvalues
+    mat = check_hermitian(discretize_hermitian(dq_mode_operator(geom, x_mode), grid))
+    diagonal = np.diag(mat)
+    if np.count_nonzero(mat) != np.count_nonzero(diagonal):
+        raise TorusError("D_Q mode matrix is not diagonal")
+    return np.sort(diagonal.real)

@@ -108,6 +108,26 @@ def test_invalid_parameters_exit_one(capsys):
     assert code == 1
 
 
+def test_non_finite_warping_exits_one(capsys):
+    # e^{+-400} overflows the discretized log-weight derivative to NaN
+    for op in ("DQ", "DL"):
+        code = main(["torus-spectrum", "--op", op, "--g", "400sin", "--mode", "3", "--N", "64"])
+        captured = capsys.readouterr()
+        assert code == 1, op
+        assert captured.out == ""
+        assert "non-finite" in json.loads(captured.err)["error"]
+
+
+def test_unwritable_out_exits_one(tmp_path, capsys):
+    out_file = tmp_path / "missing" / "x.json"
+    code = main(["torus-spectrum", "--op", "DL", "--N", "32", "--out", str(out_file)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "No such file" in json.loads(captured.err)["error"]
+    assert not out_file.exists()
+
+
 def test_deterministic_output(capsys):
     argv = ["verify", "--suite", "connection", "--trials", "30", "--seed", "11"]
     _, first = run_cli(capsys, *argv)

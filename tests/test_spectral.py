@@ -123,6 +123,14 @@ def test_eigensolve_rejects_non_hermitian():
         hermitian_eigensolve(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_eigensolve_rejects_non_finite():
+    # NaN compares False against any tolerance, so the Hermitian check alone
+    # would let these through
+    for bad in (np.nan, np.inf):
+        with pytest.raises(SpectralError, match="non-finite"):
+            hermitian_eigensolve(np.array([[1.0, 0.0], [0.0, bad]]))
+
+
 def test_hermitian_defect_measures_antihermitian_part():
     m = np.array([[0.0, 0.3j], [0.3j, 0.0]])
     assert abs(hermitian_defect(m) - 0.3) < 1e-14
@@ -133,6 +141,19 @@ def test_smallest_singular_value():
     m = np.diag([3.0, 1e-3, 2.0]).astype(complex)
     assert abs(smallest_singular_value(m) - 1e-3) < 1e-12
     assert smallest_singular_value(np.zeros((2, 2))) < 1e-12
+
+
+def test_smallest_singular_value_non_diagonal():
+    # sqrt(lambda_min(m^H m)) loses about half the digits here: lambda_min = 1e-14
+    # sits near the rounding level of ||m||^2 = 9
+    rng = np.random.default_rng(12)
+
+    def random_unitary():
+        z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        return np.linalg.qr(z)[0]
+
+    m = random_unitary() @ np.diag([3.0, 1e-7, 2.0]) @ random_unitary().conj().T
+    assert abs(smallest_singular_value(m) - 1e-7) < 1e-6 * 1e-7
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,20 @@ def test_dl_spectrum_mode_independent():
         assert np.max(np.abs(spectrum_DL(geom, k, 64) - base)) < 1e-6
 
 
+def test_dl_spectrum_integers_at_n512():
+    geom = TorusGeometry(sin_coeffs=(0.4,), cos_coeffs=(0.0, 0.2))
+    ev = spectrum_DL(geom, 5, 512)
+    assert np.max(np.abs(ev - np.arange(-255, 257))) < 1e-8
+
+
+def test_dq_band_is_sorted_diagonal_at_n1024():
+    geom = TorusGeometry(sin_coeffs=(0.5,), cos_coeffs=(0.2,))
+    ev = spectrum_DQ_band(geom, 3, 1024)
+    y = mode_grid(geom, 1024).points
+    expected = np.sort(3.0 * np.exp(-geom.g(y)))
+    assert np.max(np.abs(ev - expected) / expected) < 1e-12
+
+
 def test_dq_band_containment_and_endpoints():
     geom = TorusGeometry(sin_coeffs=(0.3,))
     ev = spectrum_DQ_band(geom, 2, 128)
