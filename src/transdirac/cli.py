@@ -11,6 +11,7 @@ failure report is still emitted), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -20,9 +21,9 @@ from transdirac.sphere_model import (
     CHARTS,
     CHIRALITIES,
     SphereBlock,
-    compare_block_reductions,
     pde_residual,
     reduce_block,
+    reduction_gaps,
     theta_weight,
 )
 from transdirac.torus_model import TorusGeometry, spectrum_DL, spectrum_DQ_band
@@ -189,13 +190,9 @@ def cmd_sphere_kernel(args) -> int:
 
 
 def cmd_compare_quotient(args) -> int:
-    blocks = []
-    worst = 0.0
-    for n in range(-args.n_max, args.n_max + 1):
-        for m in range(-args.m_max, args.m_max + 1):
-            gap = float(compare_block_reductions(n, m))
-            worst = max(worst, gap)
-            blocks.append({"n": n, "m": m, "discrepancy": gap})
+    gaps = reduction_gaps(args.n_max, args.m_max)
+    blocks = [{"n": n, "m": m, "discrepancy": gap} for (n, m), gap in gaps.items()]
+    worst = max(gaps.values())
     report = {
         "schema_version": SCHEMA_VERSION,
         "tol": args.tol,
@@ -274,9 +271,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _shared_parser() -> argparse.ArgumentParser:
+    # built once per process: a parser is a web of reference cycles, and
+    # one per call would pile up until a rare full garbage collection
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -40,24 +40,6 @@ class LocalFrameData:
         return self.p + self.q
 
 
-@dataclass(frozen=True)
-class ProjectionSplit:
-    """Coordinate projection onto the Q-block (pi) or the L-block (1-pi)."""
-
-    q: int
-    p: int
-
-    def project_Q(self, v) -> np.ndarray:
-        out = np.array(v, dtype=complex)
-        out[self.q:] = 0.0
-        return out
-
-    def project_L(self, v) -> np.ndarray:
-        out = np.array(v, dtype=complex)
-        out[: self.q] = 0.0
-        return out
-
-
 def _check_module(data: LocalFrameData, mod: CliffordModule):
     if mod.q != data.rank:
         raise FrameDataError("Clifford module rank %d does not match frame rank %d" % (mod.q, data.rank))
@@ -66,22 +48,22 @@ def _check_module(data: LocalFrameData, mod: CliffordModule):
 def compute_BX_Lframe(data: LocalFrameData, mod: CliffordModule, x_index: int) -> np.ndarray:
     """Connection correction B_X = 1/2 sum_m c(pi nabla_X e_m) c(e_m)."""
     _check_module(data, mod)
-    split = ProjectionSplit(q=data.q, p=data.p)
+    nabla_e = data.conn[x_index, data.q:].copy()  # row m is nabla_X e_m
+    nabla_e[:, data.q:] = 0.0  # pi keeps the Q-block
     b = np.zeros((mod.fiber_dim, mod.fiber_dim), dtype=complex)
     for m in range(data.p):
-        dm = split.project_Q(data.conn[x_index, data.q + m])
-        b += 0.5 * clifford_matrix(mod, dm) @ mod.generators[data.q + m]
+        b += 0.5 * clifford_matrix(mod, nabla_e[m]) @ mod.generators[data.q + m]
     return b
 
 
 def compute_BX_Qframe(data: LocalFrameData, mod: CliffordModule, x_index: int) -> np.ndarray:
     """Equivalent form B_X = 1/2 sum_j c((1-pi) nabla_X f_j) c(f_j)."""
     _check_module(data, mod)
-    split = ProjectionSplit(q=data.q, p=data.p)
+    nabla_f = data.conn[x_index, : data.q].copy()  # row j is nabla_X f_j
+    nabla_f[:, : data.q] = 0.0  # 1 - pi keeps the L-block
     b = np.zeros((mod.fiber_dim, mod.fiber_dim), dtype=complex)
     for j in range(data.q):
-        dj = split.project_L(data.conn[x_index, j])
-        b += 0.5 * clifford_matrix(mod, dj) @ mod.generators[j]
+        b += 0.5 * clifford_matrix(mod, nabla_f[j]) @ mod.generators[j]
     return b
 
 
@@ -91,9 +73,9 @@ def verify_compatibility(data: LocalFrameData, mod: CliffordModule, x_index: int
     y = np.asarray(y, dtype=float)
     if y.shape != (data.rank,) or np.max(np.abs(y[data.q:])) > 0:
         raise FrameDataError("Y must be given in full frame coordinates with zero L-block")
-    split = ProjectionSplit(q=data.q, p=data.p)
     nabla_y = np.tensordot(y, data.conn[x_index], axes=(0, 0))
-    lhs = clifford_matrix(mod, split.project_L(nabla_y))
+    nabla_y[: data.q] = 0.0  # 1 - pi keeps the L-block
+    lhs = clifford_matrix(mod, nabla_y)
     bx = compute_BX_Lframe(data, mod, x_index)
     cy = clifford_matrix(mod, y)
     rhs = cy @ bx - bx @ cy
@@ -136,13 +118,13 @@ def compute_BX_rotated_eframe(data: LocalFrameData, mod: CliffordModule,
         raise FrameDataError("rotation must be p x p")
     if np.max(np.abs(rotation @ rotation.T - np.eye(data.p))) > 1e-10:
         raise FrameDataError("rotation must be orthogonal")
-    split = ProjectionSplit(q=data.q, p=data.p)
     b = np.zeros((mod.fiber_dim, mod.fiber_dim), dtype=complex)
     for m in range(data.p):
         nabla = rotation[m] @ data.conn[x_index, data.q:, :]
+        nabla[data.q:] = 0.0  # pi keeps the Q-block
         e_coords = np.zeros(data.rank)
         e_coords[data.q:] = rotation[m]
-        b += 0.5 * clifford_matrix(mod, split.project_Q(nabla)) @ clifford_matrix(mod, e_coords)
+        b += 0.5 * clifford_matrix(mod, nabla) @ clifford_matrix(mod, e_coords)
     return b
 
 

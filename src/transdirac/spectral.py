@@ -55,7 +55,12 @@ def fourier_diff_matrix(n: int) -> np.ndarray:
     if n < 4 or n % 2:
         raise SpectralError("need an even grid size >= 4")
     k = np.fft.fftfreq(n, d=1.0 / n)
-    return np.fft.ifft(1j * k[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0)
+    # D is circulant, D[j, l] = col[(j - l) mod n] with col = ifft(i k);
+    # antisymmetrising col[m] against conj(col[-m]) makes D + D^H vanish exactly
+    col = np.fft.ifft(1j * k)
+    col = 0.5 * (col - np.conj(col[-np.arange(n)]))
+    idx = np.arange(n)
+    return col[(idx[:, None] - idx[None, :]) % n]
 
 
 def centered_diff_matrix(points: np.ndarray) -> np.ndarray:

@@ -10,7 +10,6 @@ d_phi psi = r(phi) psi on (0, pi/2].
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -63,36 +62,57 @@ class RadialODE:
 
 # ---------------------------------------------------------------------------
 # charts of SO(3) and pushforward of the invariant fields
+#
+# Angles may be scalars or broadcastable arrays; matrices come back as
+# (..., 3, 3) stacks over the broadcast shape.
 
 
-def _rz(t: float) -> np.ndarray:
-    c, s = math.cos(t), math.sin(t)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+def _stack_last(entries) -> np.ndarray:
+    """Broadcast real entries against each other and stack them on a new last axis."""
+    out = np.empty(np.broadcast_shapes(*[np.shape(v) for v in entries]) + (len(entries),))
+    for i, v in enumerate(entries):
+        out[..., i] = v
+    return out
 
 
-def _drz(t: float) -> np.ndarray:
-    c, s = math.cos(t), math.sin(t)
-    return np.array([[-s, -c, 0.0], [c, -s, 0.0], [0.0, 0.0, 0.0]])
+def _mat3(rows) -> np.ndarray:
+    """Stack a 3x3 nested list of broadcastable entries into (..., 3, 3)."""
+    flat = _stack_last([v for row in rows for v in row])
+    return flat.reshape(flat.shape[:-1] + (3, 3))
 
 
-def _ry(t: float) -> np.ndarray:
-    c, s = math.cos(t), math.sin(t)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+def _t(m: np.ndarray) -> np.ndarray:
+    return np.swapaxes(m, -1, -2)
 
 
-def _dry(t: float) -> np.ndarray:
-    c, s = math.cos(t), math.sin(t)
-    return np.array([[-s, 0.0, c], [0.0, 0.0, 0.0], [-c, 0.0, -s]])
+def _rz(t) -> np.ndarray:
+    c, s = np.cos(t), np.sin(t)
+    return _mat3([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def _lmat(a: float) -> np.ndarray:
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]])
+def _drz(t) -> np.ndarray:
+    c, s = np.cos(t), np.sin(t)
+    return _mat3([[-s, -c, 0.0], [c, -s, 0.0], [0.0, 0.0, 0.0]])
 
 
-def _dlmat(a: float) -> np.ndarray:
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[0.0, 0.0, 0.0], [0.0, -s, c], [0.0, -c, -s]])
+def _ry(t) -> np.ndarray:
+    c, s = np.cos(t), np.sin(t)
+    return _mat3([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+
+
+def _dry(t) -> np.ndarray:
+    c, s = np.cos(t), np.sin(t)
+    return _mat3([[-s, 0.0, c], [0.0, 0.0, 0.0], [-c, 0.0, -s]])
+
+
+def _lmat(a) -> np.ndarray:
+    c, s = np.cos(a), np.sin(a)
+    return _mat3([[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]])
+
+
+def _dlmat(a) -> np.ndarray:
+    c, s = np.cos(a), np.sin(a)
+    return _mat3([[0.0, 0.0, 0.0], [0.0, -s, c], [0.0, -c, -s]])
 
 
 # columns (e3, e1, e2): parallel transport of these gives the rows
@@ -102,70 +122,76 @@ _BASIS_LOWER = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
 _FLIP = np.diag([1.0, 1.0, -1.0])
 
 
-def _transport(theta: float, phi: float) -> np.ndarray:
+def _transport(theta, phi) -> np.ndarray:
     return _rz(theta) @ _ry(phi) @ _rz(-theta)
 
 
-def _transport_dtheta(theta: float, phi: float) -> np.ndarray:
+def _transport_dtheta(theta, phi) -> np.ndarray:
     return _drz(theta) @ _ry(phi) @ _rz(-theta) - _rz(theta) @ _ry(phi) @ _drz(-theta)
 
 
-def _transport_dphi(theta: float, phi: float) -> np.ndarray:
+def _transport_dphi(theta, phi) -> np.ndarray:
     return _rz(theta) @ _dry(phi) @ _rz(-theta)
 
 
-def chart_matrix(chart: str, theta: float, phi: float, alpha: float = 0.0) -> np.ndarray:
+def chart_matrix(chart: str, theta, phi, alpha=0.0) -> np.ndarray:
     """The SO(3) element of the hemisphere chart at (theta, phi, alpha)."""
     _check_chart(chart)
     p = _transport(theta, phi)
     if chart == UPPER:
-        return _lmat(alpha) @ (p @ _BASIS_UPPER).T
-    return _lmat(alpha) @ (p @ _BASIS_LOWER).T @ _FLIP
+        return _lmat(alpha) @ _t(p @ _BASIS_UPPER)
+    return _lmat(alpha) @ _t(p @ _BASIS_LOWER) @ _FLIP
 
 
-def _chart_partials(chart: str, theta: float, phi: float, alpha: float):
+def _chart_partials(chart: str, theta, phi, alpha):
     basis = _BASIS_UPPER if chart == UPPER else _BASIS_LOWER
     post = np.eye(3) if chart == UPPER else _FLIP
-    p = _transport(theta, phi)
-    m = (p @ basis).T @ post
+    m = _t(_transport(theta, phi) @ basis) @ post
     la = _lmat(alpha)
     d_alpha = _dlmat(alpha) @ m
-    d_theta = la @ (_transport_dtheta(theta, phi) @ basis).T @ post
-    d_phi = la @ (_transport_dphi(theta, phi) @ basis).T @ post
+    d_theta = la @ _t(_transport_dtheta(theta, phi) @ basis) @ post
+    d_phi = la @ _t(_transport_dphi(theta, phi) @ basis) @ post
     return la @ m, (d_alpha, d_theta, d_phi)
 
 
 def _vec_skew(w: np.ndarray) -> np.ndarray:
-    return np.array([w[0, 1], w[0, 2], w[1, 2]])
+    return np.stack([w[..., 0, 1], w[..., 0, 2], w[..., 1, 2]], axis=-1)
 
 
-def pushforward_components(chart: str, theta: float, phi: float, generator: np.ndarray,
-                           alpha: float = 0.0) -> np.ndarray:
+def pushforward_components(chart: str, theta, phi, generator: np.ndarray,
+                           alpha=0.0) -> np.ndarray:
     """Components of the left-invariant field A -> A*generator in the chart
-    coordinate basis (d_alpha, d_theta, d_phi)."""
+    coordinate basis (d_alpha, d_theta, d_phi), shape (..., 3) over the
+    broadcast shape of the angles; one batched solve of the (..., 3, 3)
+    pushforward systems."""
     _check_chart(chart)
     u, partials = _chart_partials(chart, theta, phi, alpha)
-    cols = np.column_stack([_vec_skew(u.T @ d) for d in partials])
+    cols = np.stack([_vec_skew(_t(u) @ d) for d in partials], axis=-1)
+    rhs = np.broadcast_to(_vec_skew(generator), cols.shape[:-1])
     try:
-        return np.linalg.solve(cols, _vec_skew(generator))
+        return np.linalg.solve(cols, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as err:
-        raise SingularPointError("chart degenerate at phi=%g" % phi) from err
+        worst = np.argmin(np.abs(np.linalg.det(cols)).ravel())
+        bad_phi = np.broadcast_to(phi, cols.shape[:-2]).ravel()[worst]
+        raise SingularPointError("chart degenerate at phi=%g" % bad_phi) from err
 
 
-def lifted_vector_fields(chart: str, theta: float, phi: float):
-    """Component triples of V_1, V_2 in (d_alpha, d_theta, d_phi).
+def lifted_vector_fields(chart: str, theta, phi):
+    """Component triples of V_1, V_2 in (d_alpha, d_theta, d_phi), each of
+    shape (..., 3) over the broadcast shape of theta and phi.
 
     The upper-chart components are in closed form; the lower chart is
     derived from the chart definition by solving the pushforward system.
     """
     _check_chart(chart)
-    if abs(math.sin(phi)) < 1e-12:
-        raise SingularPointError("coordinate pole at phi=%g" % phi)
+    sp = np.sin(phi)
+    pole = np.abs(sp) < 1e-12
+    if np.any(pole):
+        raise SingularPointError("coordinate pole at phi=%g" % np.asarray(phi, dtype=float)[pole][0])
     if chart == UPPER:
-        st, ct = math.sin(theta), math.cos(theta)
-        sp, cp = math.sin(phi), math.cos(phi)
-        v1 = np.array([st * (cp - 1.0) / sp, st * cp / sp, -ct])
-        v2 = np.array([ct * (1.0 - cp) / sp, -ct * cp / sp, -st])
+        st, ct, cp = np.sin(theta), np.cos(theta), np.cos(phi)
+        v1 = _stack_last([st * (cp - 1.0) / sp, st * cp / sp, -ct])
+        v2 = _stack_last([ct * (1.0 - cp) / sp, -ct * cp / sp, -st])
         return v1, v2
     return (
         pushforward_components(chart, theta, phi, E1),
@@ -173,7 +199,7 @@ def lifted_vector_fields(chart: str, theta: float, phi: float):
     )
 
 
-def orbit_field_components(chart: str, theta: float, phi: float) -> np.ndarray:
+def orbit_field_components(chart: str, theta, phi) -> np.ndarray:
     return pushforward_components(chart, theta, phi, ET)
 
 
@@ -224,18 +250,20 @@ def closed_form_kernel_section(block: SphereBlock, chart: str) -> Callable:
 # full chartwise operator and residual diagnostics
 
 
-def _w_plus(chart: str, theta: float, phi: float) -> np.ndarray:
+def _w_plus(chart: str, theta, phi) -> np.ndarray:
     v1, v2 = lifted_vector_fields(chart, theta, phi)
     return v1 + 1j * v2
 
 
 def apply_chart_operator(n: int, chart: str, chirality: str, section: Callable,
-                         theta: float, phi: float, step: float = 1e-4) -> complex:
-    """Apply the chartwise kernel operator to a weight-n section.
+                         theta, phi, step: float = 1e-4):
+    """Apply the chartwise kernel operator to a weight-n section at the
+    broadcast (theta, phi) points.
 
     Chirality '+' applies V_1 + i V_2, chirality '-' applies
     -conj(V_1 + i V_2); d_alpha acts as multiplication by -i n and the
-    remaining derivatives are 4th-order finite differences.
+    remaining derivatives are 4th-order finite differences. The section
+    must accept array arguments.
     """
     w = _w_plus(chart, theta, phi)
     if chirality == "-":
@@ -248,25 +276,26 @@ def apply_chart_operator(n: int, chart: str, chirality: str, section: Callable,
 
     d_theta = d4(lambda t: section(t, phi), theta, step)
     d_phi = d4(lambda p: section(theta, p), phi, step)
-    return w[0] * (-1j * n) * section(theta, phi) + w[1] * d_theta + w[2] * d_phi
+    return w[..., 0] * (-1j * n) * section(theta, phi) + w[..., 1] * d_theta + w[..., 2] * d_phi
 
 
 def pde_residual(block: SphereBlock, chart: str, phi_values, theta_values=None) -> float:
     """Max relative residual of the closed-form section under the full
-    chartwise operator on a grid away from the poles."""
+    chartwise operator on a (theta, phi) mesh away from the poles."""
     phi_values = np.atleast_1d(np.asarray(phi_values, dtype=float))
     if np.min(phi_values) < POLE_EPS:
         raise SphereModelError("grid touches the coordinate pole")
     if theta_values is None:
         theta_values = np.linspace(0.0, 2.0 * np.pi, 7)[:-1]
+    theta = np.atleast_1d(np.asarray(theta_values, dtype=float))[:, None]
+    phi = phi_values[None, :]
     section = closed_form_kernel_section(block, chart)
-    worst = 0.0
-    for phi in phi_values:
-        for theta in np.atleast_1d(theta_values):
-            value = section(theta, phi)
-            out = apply_chart_operator(block.n, chart, block.chirality, section, theta, phi)
-            worst = max(worst, abs(out) / max(abs(value), 1e-300))
-    return worst
+    out = apply_chart_operator(block.n, chart, block.chirality, section, theta, phi)
+    residual = np.abs(out) / np.maximum(np.abs(section(theta, phi)), 1e-300)
+    if not np.all(np.isfinite(residual)):
+        raise SphereModelError("non-finite PDE residual: the closed-form section overflows "
+                               "on the grid for block (%d, %d)" % (block.n, block.m))
+    return float(np.max(residual))
 
 
 def clutching_check(n: int, psi_upper: Callable, psi_lower: Callable,
@@ -274,12 +303,10 @@ def clutching_check(n: int, psi_upper: Callable, psi_lower: Callable,
     """Equator matching psi1(theta, pi/2) = e^{2 i n theta} psi2(theta, pi/2)."""
     if thetas is None:
         thetas = np.linspace(0.0, 2.0 * np.pi, 17)[:-1]
-    half_pi = 0.5 * np.pi
-    scale = max(max(abs(psi_upper(t, half_pi)) for t in thetas), 1e-300)
-    for t in thetas:
-        if abs(psi_upper(t, half_pi) - np.exp(2j * n * t) * psi_lower(t, half_pi)) > tol * scale:
-            return False
-    return True
+    thetas = np.asarray(thetas, dtype=float)
+    upper = psi_upper(thetas, 0.5 * np.pi)
+    gap = np.abs(upper - np.exp(2j * n * thetas) * psi_lower(thetas, 0.5 * np.pi))
+    return bool(np.all(gap <= tol * max(np.max(np.abs(upper)), 1e-300)))
 
 
 def matched_global_section(block: SphereBlock):
@@ -295,37 +322,34 @@ def matched_global_section(block: SphereBlock):
 # reduced 2x2 operators on the hemisphere
 
 
-def _entry_ops(w_fn):
-    """Package the chiral pair (w, -conj(w)) into 2x2 coefficient builders."""
-
-    def pair(x, index):
-        w = w_fn(x)
-        return np.array([[0.0, -np.conj(w[index])], [w[index], 0.0]], dtype=complex)
-
-    return pair
+def _chiral_pair(upper, lower) -> np.ndarray:
+    """(npts, 2, 2) stack with zero diagonal and the given off-diagonal entries."""
+    out = np.zeros((len(lower), 2, 2), dtype=complex)
+    out[:, 0, 1] = upper
+    out[:, 1, 0] = lower
+    return out
 
 
 def sigma_reduced_operator(n: int) -> FirstOrderOperator:
     """The weight-n reduction of the sphere operator on the upper chart:
     a 2x2 first-order operator in (theta, phi) with d_alpha -> -i n."""
 
-    def w_at(x):
-        return _w_plus(UPPER, x[0], x[1])
+    def w_at(pts):
+        return _w_plus(UPPER, pts[:, 0], pts[:, 1])
 
-    pair = _entry_ops(w_at)
+    def coeff(index):
+        def pair(pts):
+            w = w_at(pts)[:, index]
+            return _chiral_pair(-np.conj(w), w)
 
-    def zeroth(x):
-        w = w_at(x)
-        return np.array(
-            [[0.0, 1j * n * np.conj(w[0])], [-1j * n * w[0], 0.0]], dtype=complex
-        )
+        return pair
+
+    def zeroth(pts):
+        w = w_at(pts)[:, 0]
+        return _chiral_pair(1j * n * np.conj(w), -1j * n * w)
 
     return FirstOrderOperator(
-        chart="sphere-upper",
-        dim=2,
-        fiber_dim=2,
-        coeff=(lambda x: pair(x, 1), lambda x: pair(x, 2)),
-        zeroth=zeroth,
+        chart="sphere-upper", dim=2, fiber_dim=2, coeff=(coeff(1), coeff(2)), zeroth=zeroth
     )
 
 
@@ -333,22 +357,21 @@ def quotient_reduced_operator(m: int) -> FirstOrderOperator:
     """The weight-m operator on the quotient hemisphere, obtained from the
     substitution d_alpha -> -d_theta - i m."""
 
-    def a_theta(x):
-        theta, phi = x
+    def a_theta(pts):
+        theta, phi = pts[:, 0], pts[:, 1]
         val = -1j * np.exp(1j * theta) / np.sin(phi)
-        return np.array([[0.0, -np.conj(val)], [val, 0.0]], dtype=complex)
+        return _chiral_pair(-np.conj(val), val)
 
-    def a_phi(x):
-        theta = x[0]
-        val = -np.exp(1j * theta)
-        return np.array([[0.0, -np.conj(val)], [val, 0.0]], dtype=complex)
+    def a_phi(pts):
+        val = -np.exp(1j * pts[:, 0])
+        return _chiral_pair(-np.conj(val), val)
 
-    def zeroth(x):
-        theta, phi = x
+    def zeroth(pts):
+        theta, phi = pts[:, 0], pts[:, 1]
         val = -m * np.exp(1j * theta) * (1.0 / np.tan(phi) - 1.0 / np.sin(phi))
         # the (1,2) entry picks up conj(val), not -conj(val): the d_alpha
         # substitution happens after the chiral conjugation
-        return np.array([[0.0, np.conj(val)], [val, 0.0]], dtype=complex)
+        return _chiral_pair(np.conj(val), val)
 
     return FirstOrderOperator(
         chart="quotient-upper", dim=2, fiber_dim=2, coeff=(a_theta, a_phi), zeroth=zeroth
@@ -361,20 +384,28 @@ def compare_block_reductions(n: int, m: int, phi_values=None) -> float:
     Route 1 restricts the quotient operator to frame weight n; route 2 is
     the radial table from the sphere-side reduction. Returns the sup over
     the phi grid of the coefficient discrepancy, across both chiralities.
+    The operator is evaluated once on the whole grid.
     """
     if phi_values is None:
         phi_values = np.linspace(0.05, 0.5 * np.pi, 201)
+    phis = np.atleast_1d(np.asarray(phi_values, dtype=float))
     op = quotient_reduced_operator(m)
-    theta = 0.3
+    pts = np.column_stack([np.full_like(phis, 0.3), phis])
+    a_theta, a_phi = op.coefficients_at(pts)
+    b0 = op.zeroth_at(pts)
     k = n - m  # theta weight of sigma_n sections on the upper chart
     worst = 0.0
     for chirality, (row, col) in (("+", (1, 0)), ("-", (0, 1))):
         table_r = reduce_block(SphereBlock(n=n, m=m, chirality=chirality), UPPER).r
-        for phi in np.atleast_1d(phi_values):
-            x = np.array([theta, phi])
-            mats = op.coefficients_at(x)
-            b0 = op.zeroth_at(x)
-            a_phi = mats[1][row, col]
-            r1 = -(mats[0][row, col] * 1j * k + b0[row, col]) / a_phi
-            worst = max(worst, abs(r1 - table_r(phi)))
+        r1 = -(a_theta[:, row, col] * 1j * k + b0[:, row, col]) / a_phi[:, row, col]
+        worst = max(worst, float(np.max(np.abs(r1 - table_r(phis)))))
     return worst
+
+
+def reduction_gaps(n_max: int, m_max: int) -> dict:
+    """compare_block_reductions over the blocks |n| <= n_max, |m| <= m_max,
+    keyed by (n, m) in row-major order; an empty range is an error."""
+    if n_max < 0 or m_max < 0:
+        raise SphereModelError("empty block range: n_max and m_max must be >= 0")
+    return {(n, m): compare_block_reductions(n, m)
+            for n in range(-n_max, n_max + 1) for m in range(-m_max, m_max + 1)}

@@ -23,6 +23,7 @@ from transdirac.transverse_operator import (
 )
 
 MIN_GRID = 16
+MAX_ABS_G = -np.log(np.finfo(float).tiny)  # about 708.4
 
 
 class TorusError(ValueError):
@@ -64,15 +65,19 @@ def full_chart_frames(geom: TorusGeometry, along: str = "Q") -> FrameField:
     if along not in ("Q", "L"):
         raise TorusError("along must be 'Q' or 'L'")
 
-    def components(pt):
-        y = pt[1]
+    def components(pts):
+        out = np.zeros((len(pts), 1, 2))
         if along == "Q":
-            return np.array([[np.exp(-geom.g(y)), 0.0]])
-        return np.array([[0.0, 1.0]])
+            out[:, 0, 0] = np.exp(-geom.g(pts[:, 1]))
+        else:
+            out[:, 0, 1] = 1.0
+        return out
 
-    def metric(pt):
-        y = pt[1]
-        return np.diag([np.exp(2.0 * geom.g(y)), 1.0])
+    def metric(pts):
+        out = np.zeros((len(pts), 2, 2))
+        out[:, 0, 0] = np.exp(2.0 * geom.g(pts[:, 1]))
+        out[:, 1, 1] = 1.0
+        return out
 
     samples = [np.array([0.3, y]) for y in np.linspace(0.0, 2.0 * np.pi, 7)]
     return FrameField(chart="torus", dim=2, q=1, components=components, metric=metric, samples=samples)
@@ -89,10 +94,15 @@ def operator_D_full(geom: TorusGeometry, along: str = "Q") -> FirstOrderOperator
     mod = build_standard_module(1)
     frames = full_chart_frames(geom, along)
     if along == "Q":
-        mean_curvature = lambda pt: np.array([0.0])
+        mean_curvature = lambda pts: np.zeros((len(pts), 1))
     else:
-        mean_curvature = lambda pt: np.array([-geom.g_prime(pt[1])])
+        mean_curvature = lambda pts: -geom.g_prime(pts[:, 1:])
     return assemble_DQ(frames, mod, mean_curvature)
+
+
+def _scalar_stack(values) -> np.ndarray:
+    """(npts,) values as the (npts, 1, 1) stack of a rank-one fiber."""
+    return np.asarray(values, dtype=complex)[:, None, None]
 
 
 def dl_mode_operator(geom: TorusGeometry) -> FirstOrderOperator:
@@ -101,8 +111,8 @@ def dl_mode_operator(geom: TorusGeometry) -> FirstOrderOperator:
         chart="torus-y",
         dim=1,
         fiber_dim=1,
-        coeff=(lambda pt: np.array([[1j]]),),
-        zeroth=lambda pt: np.array([[0.5j * geom.g_prime(pt[0])]]),
+        coeff=(lambda pts: np.full((len(pts), 1, 1), 1j),),
+        zeroth=lambda pts: _scalar_stack(0.5j * geom.g_prime(pts[:, 0])),
     )
 
 
@@ -112,8 +122,8 @@ def al_mode_operator(geom: TorusGeometry) -> FirstOrderOperator:
         chart="torus-y",
         dim=1,
         fiber_dim=1,
-        coeff=(lambda pt: np.array([[1j]]),),
-        zeroth=lambda pt: np.array([[0.0j]]),
+        coeff=(lambda pts: np.full((len(pts), 1, 1), 1j),),
+        zeroth=lambda pts: np.zeros((len(pts), 1, 1), dtype=complex),
     )
 
 
@@ -123,8 +133,8 @@ def dq_mode_operator(geom: TorusGeometry, n: int) -> FirstOrderOperator:
         chart="torus-y",
         dim=1,
         fiber_dim=1,
-        coeff=(lambda pt: np.array([[0.0j]]),),
-        zeroth=lambda pt: np.array([[complex(n * np.exp(-geom.g(pt[0])))]]),
+        coeff=(lambda pts: np.zeros((len(pts), 1, 1), dtype=complex),),
+        zeroth=lambda pts: _scalar_stack(n * np.exp(-geom.g(pts[:, 0]))),
     )
 
 
@@ -133,7 +143,16 @@ def mode_grid(geom: TorusGeometry, n_points: int):
     if n_points < MIN_GRID or n_points % 2:
         raise TorusError("grid size must be even and >= %d" % MIN_GRID)
     base = periodic_grid(n_points)
-    weights = (2.0 * np.pi / n_points) * np.exp(geom.g(base.points))
+    g = geom.g(base.points)
+    if not np.all(np.isfinite(g)):
+        raise TorusError("warping g is not finite on the grid")
+    # both e^{g} (the weight) and e^{-g} (the D_Q band) must be normal floats
+    if np.max(np.abs(g)) > MAX_ABS_G:
+        raise TorusError(
+            "warping e^{+-g} overflows or underflows float64: max |g| on the grid is %.6g, "
+            "the limit is %.6g" % (np.max(np.abs(g)), MAX_ABS_G)
+        )
+    weights = (2.0 * np.pi / n_points) * np.exp(g)
     return periodic_grid(n_points, weights=weights)
 
 

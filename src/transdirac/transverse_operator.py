@@ -33,8 +33,12 @@ class SingularPointError(OperatorError):
 class FirstOrderOperator:
     """Coefficient description sum_k A^k(x) d_k + B0(x) on one chart.
 
-    Each coefficient function maps a point (array of length dim) to a
-    complex (fiber_dim, fiber_dim) matrix.
+    Array contract: each coefficient callable and zeroth take an
+    (npts, dim) real array of chart points and return the complex
+    (npts, fiber_dim, fiber_dim) stack of matrices at those points.
+    coefficients_at and zeroth_at accept one point (shape (dim,)) or a
+    stack of points (shape (npts, dim)) and return the matching stack
+    shape, with the leading npts axis dropped for a single point.
     """
 
     chart: str
@@ -47,44 +51,68 @@ class FirstOrderOperator:
         if len(self.coeff) != self.dim:
             raise OperatorError("expected %d derivative coefficients" % self.dim)
 
-    def coefficients_at(self, x) -> list:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        mats = [np.asarray(a(x), dtype=complex) for a in self.coeff]
+    def _evaluate(self, fns, x, what: str) -> np.ndarray:
+        """(len(fns), ...) stack of fn(points), checked for shape and finiteness."""
+        x = np.asarray(x, dtype=float)
+        pts = np.atleast_2d(x)
+        if pts.ndim != 2 or pts.shape[1] != self.dim:
+            raise OperatorError("points must have shape (%d,) or (npts, %d)" % (self.dim, self.dim))
+        shape = (len(pts), self.fiber_dim, self.fiber_dim)
+        mats = [np.asarray(fn(pts), dtype=complex) for fn in fns]
         for mat in mats:
-            if not np.all(np.isfinite(mat)):
-                raise SingularPointError("coefficient singular at %s" % x)
-        return mats
+            if mat.shape != shape:
+                raise OperatorError("%s returned shape %s, expected %s" % (what, mat.shape, shape))
+        mats = np.stack(mats)
+        finite = np.all(np.isfinite(mats), axis=(0, 2, 3))
+        if not np.all(finite):
+            raise SingularPointError("%s singular at %s" % (what, pts[np.argmin(finite)]))
+        return mats if x.ndim == 2 else mats[:, 0]
+
+    def coefficients_at(self, x) -> np.ndarray:
+        """The dim derivative coefficients at x: shape (dim, [npts,] d, d)."""
+        return self._evaluate(self.coeff, x, "coefficient")
 
     def zeroth_at(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        mat = np.asarray(self.zeroth(x), dtype=complex)
-        if not np.all(np.isfinite(mat)):
-            raise SingularPointError("zeroth-order term singular at %s" % x)
-        return mat
+        """The zeroth-order term at x: shape ([npts,] d, d)."""
+        return self._evaluate((self.zeroth,), x, "zeroth-order term")[0]
 
 
 @dataclass(frozen=True)
 class FrameField:
     """Chartwise orthonormal Q-frame: coordinate components of f_1..f_q,
-    the chart metric, and an optional Cl(Q)-connection term for the bundle."""
+    the chart metric, and an optional Cl(Q)-connection term for the bundle.
+
+    Each callable takes an (npts, dim) array of chart points, like the
+    FirstOrderOperator coefficients, and returns an array broadcastable to
+    the stack shape noted below; a constant field may return one matrix.
+    """
 
     chart: str
     dim: int
     q: int
-    components: Callable  # x -> (q, dim) real array, rows are f_j
-    metric: Callable  # x -> (dim, dim) real array
+    components: Callable  # -> (npts, q, dim) real, rows are f_j
+    metric: Callable  # -> (npts, dim, dim) real
     samples: Sequence  # points where orthonormality is validated
-    connection_term: Optional[Callable] = None  # x -> (fiber, fiber) matrix
+    connection_term: Optional[Callable] = None  # -> (npts, fiber, fiber)
+
+
+def _field_stack(fn: Callable, pts: np.ndarray, shape: tuple, dtype=float) -> np.ndarray:
+    """fn(pts) broadcast to the (npts,) + shape stack."""
+    return np.broadcast_to(np.asarray(fn(pts), dtype=dtype), (len(pts),) + shape)
 
 
 def _validate_frame(frames: FrameField):
-    for x in frames.samples:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        f = np.asarray(frames.components(x), dtype=float)
-        g = np.asarray(frames.metric(x), dtype=float)
-        gram = f @ g @ f.T
-        if np.max(np.abs(gram - np.eye(frames.q))) > GRAM_TOL:
-            raise OperatorError("frame not orthonormal at %s" % x)
+    pts = np.asarray(frames.samples, dtype=float).reshape(-1, frames.dim)
+    f = _field_stack(frames.components, pts, (frames.q, frames.dim))
+    g = _field_stack(frames.metric, pts, (frames.dim, frames.dim))
+    gram_gap = np.max(np.abs(f @ g @ np.swapaxes(f, 1, 2) - np.eye(frames.q)), axis=(1, 2))
+    if np.any(gram_gap > GRAM_TOL):
+        raise OperatorError("frame not orthonormal at %s" % pts[np.argmax(gram_gap > GRAM_TOL)])
+
+
+def _clifford_stack(mod: CliffordModule, vectors) -> np.ndarray:
+    """c(v) for each row of an (npts, q) array of frame coordinates."""
+    return np.tensordot(np.asarray(vectors, dtype=complex), np.stack(mod.generators), axes=(1, 0))
 
 
 def assemble_AQ(frames: FrameField, mod: CliffordModule) -> FirstOrderOperator:
@@ -93,20 +121,16 @@ def assemble_AQ(frames: FrameField, mod: CliffordModule) -> FirstOrderOperator:
         raise OperatorError("module rank does not match frame count")
     _validate_frame(frames)
 
+    fiber = (mod.fiber_dim, mod.fiber_dim)
+
     def make_coeff(k):
-        def coeff(x):
-            f = np.asarray(frames.components(x), dtype=complex)
-            out = np.zeros((mod.fiber_dim, mod.fiber_dim), dtype=complex)
-            for j in range(frames.q):
-                out += f[j, k] * mod.generators[j]
-            return out
+        return lambda pts: _clifford_stack(
+            mod, _field_stack(frames.components, pts, (frames.q, frames.dim))[:, :, k])
 
-        return coeff
-
-    def zeroth(x):
+    def zeroth(pts):
         if frames.connection_term is None:
-            return np.zeros((mod.fiber_dim, mod.fiber_dim), dtype=complex)
-        return np.asarray(frames.connection_term(x), dtype=complex)
+            return np.zeros((len(pts),) + fiber, dtype=complex)
+        return _field_stack(frames.connection_term, pts, fiber, dtype=complex)
 
     return FirstOrderOperator(
         chart=frames.chart,
@@ -120,16 +144,13 @@ def assemble_AQ(frames: FrameField, mod: CliffordModule) -> FirstOrderOperator:
 def assemble_DQ(frames: FrameField, mod: CliffordModule, mean_curvature: Callable) -> FirstOrderOperator:
     """Self-adjoint correction D_Q = A_Q - c(H^L)/2.
 
-    mean_curvature maps a chart point to the f-frame coordinates of H^L.
+    mean_curvature maps an (npts, dim) array of chart points to the
+    (npts, q) f-frame coordinates of H^L.
     """
     aq = assemble_AQ(frames, mod)
 
-    def zeroth(x):
-        h = np.asarray(mean_curvature(x), dtype=complex)
-        correction = np.zeros((mod.fiber_dim, mod.fiber_dim), dtype=complex)
-        for j in range(frames.q):
-            correction += h[j] * mod.generators[j]
-        return aq.zeroth_at(x) - 0.5 * correction
+    def zeroth(pts):
+        return aq.zeroth(pts) - 0.5 * _clifford_stack(mod, mean_curvature(pts))
 
     return FirstOrderOperator(
         chart=aq.chart, dim=aq.dim, fiber_dim=aq.fiber_dim, coeff=aq.coeff, zeroth=zeroth
@@ -137,15 +158,11 @@ def assemble_DQ(frames: FrameField, mod: CliffordModule, mean_curvature: Callabl
 
 
 def principal_symbol(op: FirstOrderOperator, x, xi) -> np.ndarray:
-    """Symbol sum_k A^k(x) xi_k (no factor of i)."""
+    """Symbol sum_k A^k(x) xi_k (no factor of i) at one point or a stack."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if len(xi) != op.dim:
         raise OperatorError("covector length mismatch")
-    mats = op.coefficients_at(x)
-    out = np.zeros((op.fiber_dim, op.fiber_dim), dtype=complex)
-    for mat, comp in zip(mats, xi):
-        out += comp * mat
-    return out
+    return np.tensordot(xi, op.coefficients_at(x), axes=(0, 0))
 
 
 def symbol_smallest_singular_value(op: FirstOrderOperator, x, xi) -> float:
@@ -168,10 +185,17 @@ def discretize_hermitian(op: FirstOrderOperator, grid: Grid1D) -> np.ndarray:
         raise OperatorError("only 1D discretization is provided")
     n, d = grid.n, op.fiber_dim
     diff = fourier_diff_matrix(n) if grid.periodic else centered_diff_matrix(grid.points)
-    avals = np.stack([op.coefficients_at([x])[0] for x in grid.points])  # (n, d, d)
-    bvals = np.stack([op.zeroth_at([x]) for x in grid.points])  # (n, d, d)
+    pts = grid.points[:, None]
+    avals = op.coefficients_at(pts)[0]  # (n, d, d)
+    bvals = op.zeroth_at(pts)  # (n, d, d)
     a_prime = np.tensordot(diff, avals, axes=(1, 0))  # d/dy of the coefficient
-    log_w_prime = (diff @ grid.weights) / grid.weights
+    # an under-resolved weight sends the spectral w'/w past the float range
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_w_prime = (diff @ grid.weights) / grid.weights
+    if not np.all(np.isfinite(log_w_prime)):
+        raise OperatorError(
+            "non-finite log-weight derivative w'/w (overflow: the weight is under-resolved)"
+        )
     rem = bvals - 0.5 * a_prime - 0.5 * log_w_prime[:, None, None] * avals
     full = 0.5 * (
         avals[:, None, :, :] * diff[:, :, None, None]

@@ -30,9 +30,9 @@ from transdirac.sphere_model import (
     SphereBlock,
     chart_matrix,
     clutching_check,
-    compare_block_reductions,
     matched_global_section,
     pde_residual,
+    reduction_gaps,
 )
 
 SUITES = ("clifford", "connection", "clutching", "residual", "quotient")
@@ -113,14 +113,10 @@ def suite_connection(trials: int = 100, seed: int = 7, tol: float = 1e-10) -> di
 
 def suite_clutching(tol: float = 1e-10) -> dict:
     checks = []
-    thetas = np.linspace(0.0, 2.0 * np.pi, 13)[:-1]
-    worst = 0.0
-    for theta in thetas:
-        for alpha in (0.0, 0.4, 1.7):
-            gap = np.max(np.abs(
-                chart_matrix(UPPER, theta, 0.5 * np.pi, alpha)
-                - chart_matrix(LOWER, theta, 0.5 * np.pi, alpha - 2.0 * theta)))
-            worst = max(worst, gap)
+    thetas = np.linspace(0.0, 2.0 * np.pi, 13)[:-1, None]
+    alphas = np.array([0.0, 0.4, 1.7])
+    worst = np.max(np.abs(chart_matrix(UPPER, thetas, 0.5 * np.pi, alphas)
+                          - chart_matrix(LOWER, thetas, 0.5 * np.pi, alphas - 2.0 * thetas)))
     checks.append(_check("chart equator matching", worst, 1e-12))
     for n, m in ((0, 0), (1, 1), (2, 3), (2, -3), (3, -3)):
         ok = True
@@ -146,17 +142,17 @@ def suite_residual(tol: float = 1e-6) -> dict:
 
 
 def suite_quotient(n_max: int = 4, m_max: int = 4, tol: float = 1e-12) -> dict:
-    worst = 0.0
-    for n in range(-n_max, n_max + 1):
-        for m in range(-m_max, m_max + 1):
-            worst = max(worst, compare_block_reductions(n, m))
+    worst = max(reduction_gaps(n_max, m_max).values())
     checks = [_check("reduced-operator coefficient gap (|n|<=%d, |m|<=%d)" % (n_max, m_max),
                      worst, tol)]
     return _report("quotient", checks)
 
 
 def run_suite(name: str, trials: int = 100, seed: int = 7, tol: float = None) -> dict:
-    """Run one named suite (or 'all'); tol overrides the pass threshold."""
+    """Run one named suite (or 'all'); tol overrides the pass threshold.
+    trials must be positive, so that no randomized check passes vacuously."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1, got %d" % trials)
     kwargs = {} if tol is None else {"tol": tol}
     if name == "clifford":
         return suite_clifford(trials=min(trials, 100), seed=seed, **kwargs)

@@ -47,14 +47,9 @@ from transdirac.transverse_operator import (
     hermitian_discretization_defect,
     symbol_smallest_singular_value,
 )
-from transdirac.verification import run_suite
+from transdirac.verification import BRANCH_BLOCKS, run_suite
 
 SWEEP = [(n, m) for n in range(-5, 6) for m in range(-6, 7)]
-
-BRANCH_BLOCKS = [
-    (0, 0), (2, 3), (3, 1), (1, 1), (1, -1),
-    (2, -3), (0, 2), (0, -2), (2, 2), (3, -3),
-]
 
 
 def reference_index(n, m):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -116,6 +117,40 @@ def test_non_finite_warping_exits_one(capsys):
         assert code == 1, op
         assert captured.out == ""
         assert "non-finite" in json.loads(captured.err)["error"]
+
+
+def test_extreme_warping_errors_without_warnings(capsys):
+    # warnings are errors here: main would let one escape as an exception
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for op in ("DQ", "DL"):
+            code = main(["torus-spectrum", "--op", op, "--g", "400sin", "--N", "64"])
+            captured = capsys.readouterr()
+            assert code == 1, op
+            assert captured.out == ""
+            assert "non-finite" in json.loads(captured.err)["error"]
+            # e^{800} overflows and e^{-800} underflows: rejected before the grid
+            code = main(["torus-spectrum", "--op", op, "--g", "800sin", "--N", "64"])
+            captured = capsys.readouterr()
+            error = json.loads(captured.err)["error"]
+            assert code == 1, op
+            assert "overflows or underflows" in error and "quadrature" not in error
+            code = main(["torus-spectrum", "--op", op, "--g", "nansin", "--N", "64"])
+            captured = capsys.readouterr()
+            assert code == 1, op
+            assert "not finite" in json.loads(captured.err)["error"]
+
+
+def test_vacuous_checks_exit_one(capsys):
+    for argv in (["verify", "--suite", "all", "--trials", "0"],
+                 ["verify", "--suite", "connection", "--trials", "-3"],
+                 ["compare-quotient", "--n-max", "-1"],
+                 ["compare-quotient", "--m-max", "-1"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1, argv
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"], argv
 
 
 def test_unwritable_out_exits_one(tmp_path, capsys):

@@ -67,6 +67,17 @@ def test_fourier_diff_antihermitian():
     assert np.max(np.abs(d + d.conj().T)) < 1e-12
 
 
+def test_fourier_diff_circulant_matches_fft_construction():
+    # the circulant build equals F^-1 diag(ik) F applied to the identity, and
+    # is anti-Hermitian to the last bit
+    for n in (4, 16, 64, 256):
+        k = np.fft.fftfreq(n, d=1.0 / n)
+        reference = np.fft.ifft(1j * k[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0)
+        d = fourier_diff_matrix(n)
+        assert np.max(np.abs(d - reference)) < 1e-12 * n
+        assert np.max(np.abs(d + d.conj().T)) == 0.0
+
+
 def test_fourier_diff_rejects_odd():
     with pytest.raises(SpectralError):
         fourier_diff_matrix(15)

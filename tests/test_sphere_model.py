@@ -20,6 +20,7 @@ from transdirac.sphere_model import (
     pushforward_components,
     quotient_reduced_operator,
     reduce_block,
+    reduction_gaps,
     sigma_reduced_operator,
     theta_weight,
 )
@@ -90,6 +91,35 @@ def test_fields_agree_with_pushforward():
             v1, v2 = lifted_vector_fields(chart, theta, phi)
             assert np.max(np.abs(v1 - pushforward_components(chart, theta, phi, E1))) < 1e-10
             assert np.max(np.abs(v2 - pushforward_components(chart, theta, phi, E2))) < 1e-10
+
+
+def test_batched_fields_match_per_point():
+    rng = np.random.default_rng(4)
+    theta = rng.uniform(0, 2 * np.pi, size=(5, 8))
+    phi = rng.uniform(0.05, np.pi / 2, size=(5, 8))
+    for chart in CHARTS:
+        v1, v2 = lifted_vector_fields(chart, theta, phi)
+        pushed = pushforward_components(chart, theta, phi, E1)
+        assert v1.shape == v2.shape == pushed.shape == (5, 8, 3)
+        for i, j in np.ndindex(theta.shape):
+            p1, p2 = lifted_vector_fields(chart, theta[i, j], phi[i, j])
+            assert np.max(np.abs(v1[i, j] - p1)) < 1e-12
+            assert np.max(np.abs(v2[i, j] - p2)) < 1e-12
+            single = pushforward_components(chart, theta[i, j], phi[i, j], E1)
+            assert np.max(np.abs(pushed[i, j] - single)) < 1e-12
+
+
+def test_batched_chart_operator_matches_per_point():
+    block = SphereBlock(n=2, m=-3, chirality="-")
+    thetas = np.linspace(0.0, 2 * np.pi, 5)[:-1]
+    phis = np.array([0.3, 0.9, 1.4])
+    for chart in CHARTS:
+        section = closed_form_kernel_section(block, chart)
+        mesh = apply_chart_operator(2, chart, "-", section, thetas[:, None], phis[None, :])
+        assert mesh.shape == (4, 3)
+        for i, j in np.ndindex(mesh.shape):
+            single = apply_chart_operator(2, chart, "-", section, thetas[i], phis[j])
+            assert abs(mesh[i, j] - single) < 1e-12 * max(abs(single), 1.0)
 
 
 def test_fields_singular_at_pole():
@@ -185,6 +215,13 @@ def test_mode_reduction_consistency():
             assert abs(radial - expect) < 1e-8 * max(abs(expect), 1.0)
 
 
+def test_residual_rejects_overflowing_section():
+    # sin(phi)^{-403} overflows near the pole: no point of the mesh may be skipped
+    block = SphereBlock(n=400, m=3, chirality="+")
+    with np.errstate(all="ignore"), pytest.raises(SphereModelError, match="non-finite"):
+        pde_residual(block, LOWER, np.linspace(0.05, np.pi / 2, 25))
+
+
 def test_residual_grid_must_avoid_pole():
     block = SphereBlock(n=1, m=1, chirality="+")
     with pytest.raises(SphereModelError):
@@ -237,6 +274,14 @@ def test_quotient_operator_elliptic_inside_hemisphere():
 
 
 def test_reductions_agree_blockwise():
-    for n in range(-4, 5):
-        for m in range(-4, 5):
+    for n in range(-6, 7):
+        for m in range(-6, 7):
             assert compare_block_reductions(n, m) < 1e-12
+
+
+def test_reduction_gaps_reject_empty_range():
+    gaps = reduction_gaps(1, 2)
+    assert list(gaps) == [(n, m) for n in range(-1, 2) for m in range(-2, 3)]
+    for n_max, m_max in ((-1, 0), (0, -1)):
+        with pytest.raises(SphereModelError):
+            reduction_gaps(n_max, m_max)

@@ -11,6 +11,7 @@ from transdirac.torus_model import (
     full_chart_frames,
     mode_grid,
     operator_AQ_full,
+    operator_D_full,
 )
 from transdirac.transverse_operator import (
     FirstOrderOperator,
@@ -113,13 +114,67 @@ def test_discretization_consistent_on_smooth_mode():
 
 
 def test_singular_coefficient_raises():
+    def inverse(x):
+        out = np.full((len(x), 1, 1), np.inf)
+        nonzero = x[:, 0] != 0.0
+        out[nonzero, 0, 0] = 1.0 / x[nonzero, 0]
+        return out
+
     op = FirstOrderOperator(
         chart="test", dim=1, fiber_dim=1,
-        coeff=(lambda x: np.array([[np.inf if x[0] == 0.0 else 1.0 / x[0]]]),),
-        zeroth=lambda x: np.zeros((1, 1)),
+        coeff=(inverse,),
+        zeroth=lambda x: np.zeros((len(x), 1, 1)),
     )
     with pytest.raises(SingularPointError):
         op.coefficients_at([0.0])
+
+
+def test_singular_point_named_in_a_stack():
+    op = FirstOrderOperator(
+        chart="test", dim=1, fiber_dim=1,
+        coeff=(lambda x: np.where(x < 0.0, np.inf, 1.0)[:, :, None],),
+        zeroth=lambda x: np.zeros((len(x), 1, 1)),
+    )
+    stack = np.array([[0.5], [2.0], [-1.0], [-3.0]])
+    assert op.coefficients_at(stack[:2]).shape == (1, 2, 1, 1)
+    with pytest.raises(SingularPointError, match=r"coefficient singular at \[-1\.\]"):
+        op.coefficients_at(stack)
+
+
+def test_coefficients_on_a_stack_match_single_points():
+    geom = TorusGeometry(sin_coeffs=(0.3,), cos_coeffs=(-0.2,))
+    op = operator_D_full(geom, along="L")
+    pts = np.column_stack([np.linspace(0.0, 1.0, 6), np.linspace(0.0, 6.0, 6)])
+    coeffs, zeroth = op.coefficients_at(pts), op.zeroth_at(pts)
+    assert coeffs.shape == (2, 6, 1, 1) and zeroth.shape == (6, 1, 1)
+    for i, x in enumerate(pts):
+        assert np.array_equal(coeffs[:, i], op.coefficients_at(x))
+        assert np.array_equal(zeroth[i], op.zeroth_at(x))
+
+
+def test_coefficient_shape_contract_enforced():
+    op = FirstOrderOperator(chart="test", dim=1, fiber_dim=1,
+                            coeff=(lambda x: np.ones((1, 1)),),
+                            zeroth=lambda x: np.zeros((len(x), 1, 1)))
+    with pytest.raises(OperatorError):
+        op.coefficients_at(np.zeros((3, 1)))
+    with pytest.raises(OperatorError):
+        op.zeroth_at(np.zeros((3, 2)))
+
+
+def test_discretization_evaluates_each_coefficient_once_per_grid():
+    geom = TorusGeometry(sin_coeffs=(0.3,))
+    base = dl_mode_operator(geom)
+    calls = []
+
+    def counted(fn):
+        return lambda pts: calls.append(len(pts)) or fn(pts)
+
+    op = FirstOrderOperator(chart=base.chart, dim=1, fiber_dim=1,
+                            coeff=(counted(base.coeff[0]),), zeroth=counted(base.zeroth))
+    grid = mode_grid(geom, 32)
+    assert np.array_equal(discretize_hermitian(op, grid), discretize_hermitian(base, grid))
+    assert calls == [32, 32]
 
 
 def test_dimension_mismatch_rejected():
