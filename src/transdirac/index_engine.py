@@ -7,11 +7,12 @@ the pole and estimates the exponents from log-log slopes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from transdirac.spectral import fit_exponent, integrate_log_ode
+from transdirac.spectral import fit_exponent, integrate_log_ode, simpson_abscissas
 from transdirac.sphere_model import CHARTS, CHIRALITIES, SphereBlock, reduce_block
 
 
@@ -36,41 +37,64 @@ def index_closed_form(n: int, m: int) -> int:
     return d_plus - d_minus
 
 
-def _estimate_exponent(block: SphereBlock, chart: str, eps: float, steps: int) -> int:
+@functools.lru_cache(maxsize=1)
+def _oracle_grid(eps: float, steps: int):
+    """csc and cot on the Simpson abscissas of [pi/4, eps], the fit window
+    phi <= 10 eps on the nodes, and log sin on the window nodes; read-only,
+    shared by every block integrated with the same (eps, steps)."""
+    points = simpson_abscissas(0.25 * np.pi, eps, steps)
+    sin = np.sin(points)
+    csc = 1.0 / sin
+    cot = np.cos(points) / sin
+    window = points[0::2] <= 10.0 * eps
+    log_sin = np.log(sin[0::2][window])
+    for array in (csc, cot, window, log_sin):
+        array.flags.writeable = False
+    return csc, cot, window, log_sin
+
+
+def _estimate_exponent(block: SphereBlock, chart: str, eps: float, steps: int):
+    """(snapped exponent, raw log-log slope) of the radial solution,
+    integrated toward the pole with r sampled as p csc - q cot on the
+    shared grid."""
     ode = reduce_block(block, chart)
-    phis, log_psi = integrate_log_ode(ode.r, 0.25 * np.pi, eps, steps)
-    window = phis <= 10.0 * eps
-    slope = fit_exponent(np.log(np.sin(phis[window])), log_psi[window])
+    csc, cot, window, log_sin = _oracle_grid(eps, steps)
+    _, log_psi = integrate_log_ode(ode.p * csc - ode.q * cot, 0.25 * np.pi, eps, steps)
+    slope = fit_exponent(log_sin, log_psi[window])
     snapped = round(slope)
     if abs(slope - snapped) > 0.1:
         raise ExponentFitError(
             "slope %.4f too far from an integer for block (%d, %d)" % (slope, block.n, block.m)
         )
-    return int(snapped)
+    return int(snapped), slope
 
 
 def index_numerical(n: int, m: int, eps: float = 1e-3, steps: int = 10000) -> dict:
     """ODE oracle for one block: integrate each radial equation toward the
     pole, snap the log-log slope to an integer exponent, and count a kernel
-    dimension for a chirality iff it is regular in both charts."""
+    dimension for a chirality iff it is regular in both charts. The raw
+    slopes are returned alongside the snapped exponents."""
     if not (1e-4 <= eps <= 1e-2):
         raise IndexError_("eps must lie in [1e-4, 1e-2]")
     if steps < 10000:
         raise IndexError_("need at least 1e4 integration steps")
     exponents = {}
+    slopes = {}
     dims = {}
     for chirality in CHIRALITIES:
         regular = True
         for chart in CHARTS:
-            k = _estimate_exponent(SphereBlock(n=n, m=m, chirality=chirality), chart, eps, steps)
-            exponents[(chart, chirality)] = k
-            regular = regular and k >= 0
+            key = (chart, chirality)
+            exponents[key], slopes[key] = _estimate_exponent(
+                SphereBlock(n=n, m=m, chirality=chirality), chart, eps, steps)
+            regular = regular and exponents[key] >= 0
         dims[chirality] = 1 if regular else 0
     return {
         "d_plus": dims["+"],
         "d_minus": dims["-"],
         "index": dims["+"] - dims["-"],
         "estimated_exponents": exponents,
+        "slopes": slopes,
     }
 
 

@@ -124,26 +124,43 @@ def smallest_singular_value(m: np.ndarray) -> float:
     return float(np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)[-1])
 
 
+def simpson_abscissas(phi_start: float, phi_end: float, steps: int) -> np.ndarray:
+    """The 2*steps + 1 abscissas of Simpson's rule on [phi_start, phi_end]:
+    the steps + 1 equispaced nodes at even indices, the midpoints between
+    them at odd indices."""
+    if steps < 1:
+        raise SpectralError("need at least one step")
+    nodes = np.linspace(phi_start, phi_end, steps + 1)
+    points = np.empty(2 * steps + 1)
+    points[0::2] = nodes
+    points[1::2] = 0.5 * (nodes[:-1] + nodes[1:])
+    return points
+
+
 def integrate_log_ode(r, phi_start: float, phi_end: float, steps: int):
     """RK4 integration of d(log psi)/dphi = r(phi) from phi_start to phi_end.
 
     Since the right-hand side depends on phi only, the classical RK4 step
-    collapses to Simpson's rule; r is evaluated vectorized on all nodes and
-    midpoints. Returns (phi nodes, log|psi| samples) with log|psi| = 0 at
-    phi_start.
+    collapses to Simpson's rule. r is either a callable, evaluated once on
+    the array simpson_abscissas(phi_start, phi_end, steps), or r already
+    sampled on those 2*steps + 1 points. Returns (phi nodes, log|psi|
+    samples) with log|psi| = 0 at phi_start.
     """
     if steps < 1:
         raise SpectralError("need at least one step")
-    phis = np.linspace(phi_start, phi_end, steps + 1)
-    h = (phi_end - phi_start) / steps
-    mids = 0.5 * (phis[:-1] + phis[1:])
-    r_nodes = np.asarray(r(phis), dtype=float)
-    r_mids = np.asarray(r(mids), dtype=float)
-    if not (np.all(np.isfinite(r_nodes)) and np.all(np.isfinite(r_mids))):
+    if callable(r):
+        r = r(simpson_abscissas(phi_start, phi_end, steps))
+    samples = np.asarray(r, dtype=float)
+    if samples.shape != (2 * steps + 1,):
+        raise SpectralError("r must be sampled on the %d Simpson abscissas, got shape %s"
+                            % (2 * steps + 1, samples.shape))
+    if not np.all(np.isfinite(samples)):
         raise SpectralError("singular coefficient encountered on the integration span")
-    increments = (h / 6.0) * (r_nodes[:-1] + 4.0 * r_mids + r_nodes[1:])
-    log_psi = np.concatenate([[0.0], np.cumsum(increments)])
-    return phis, log_psi
+    h = (phi_end - phi_start) / steps
+    increments = (h / 6.0) * (samples[:-2:2] + 4.0 * samples[1::2] + samples[2::2])
+    log_psi = np.zeros(steps + 1)
+    np.cumsum(increments, out=log_psi[1:])
+    return np.linspace(phi_start, phi_end, steps + 1), log_psi
 
 
 def fit_exponent(log_abscissas, log_samples) -> float:

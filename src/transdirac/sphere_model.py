@@ -54,10 +54,17 @@ class SphereBlock:
 
 @dataclass(frozen=True)
 class RadialODE:
+    """d_phi psi = r(phi) psi with r(phi) = (p - q cos phi) / sin phi; the
+    indicial exponent at the pole phi = 0 is p - q."""
+
     block: SphereBlock
     chart: str
-    r: Callable
+    p: int
+    q: int
     exponent: int
+
+    def r(self, phi):
+        return (self.p - self.q * np.cos(phi)) / np.sin(phi)
 
 
 # ---------------------------------------------------------------------------
@@ -221,13 +228,9 @@ def reduce_block(block: SphereBlock, chart: str) -> RadialODE:
     """Radial reduction d_phi psi = r(phi) psi of the kernel equation."""
     _check_chart(chart)
     ne, m = _n_eff(block.n, chart), block.m
-    if block.chirality == "+":
-        r = lambda phi: (ne - m * np.cos(phi)) / np.sin(phi)
-        exponent = ne - m
-    else:
-        r = lambda phi: (m * np.cos(phi) - ne) / np.sin(phi)
-        exponent = m - ne
-    return RadialODE(block=block, chart=chart, r=r, exponent=exponent)
+    sign = 1 if block.chirality == "+" else -1
+    return RadialODE(block=block, chart=chart, p=sign * ne, q=sign * m,
+                     exponent=sign * (ne - m))
 
 
 def closed_form_kernel_section(block: SphereBlock, chart: str) -> Callable:
@@ -290,8 +293,10 @@ def pde_residual(block: SphereBlock, chart: str, phi_values, theta_values=None) 
     theta = np.atleast_1d(np.asarray(theta_values, dtype=float))[:, None]
     phi = phi_values[None, :]
     section = closed_form_kernel_section(block, chart)
-    out = apply_chart_operator(block.n, chart, block.chirality, section, theta, phi)
-    residual = np.abs(out) / np.maximum(np.abs(section(theta, phi)), 1e-300)
+    # an overflowing section is reported by the finiteness check below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out = apply_chart_operator(block.n, chart, block.chirality, section, theta, phi)
+        residual = np.abs(out) / np.maximum(np.abs(section(theta, phi)), 1e-300)
     if not np.all(np.isfinite(residual)):
         raise SphereModelError("non-finite PDE residual: the closed-form section overflows "
                                "on the grid for block (%d, %d)" % (block.n, block.m))

@@ -141,6 +141,17 @@ def test_extreme_warping_errors_without_warnings(capsys):
             assert "not finite" in json.loads(captured.err)["error"]
 
 
+def test_overflowing_kernel_section_errors_without_warnings(capsys):
+    # sin(phi)^{-403} overflows on the residual mesh; warnings are errors here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["sphere-kernel", "--n", "400", "--m", "3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "non-finite PDE residual" in json.loads(captured.err)["error"]
+
+
 def test_vacuous_checks_exit_one(capsys):
     for argv in (["verify", "--suite", "all", "--trials", "0"],
                  ["verify", "--suite", "connection", "--trials", "-3"],

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from transdirac import index_engine
 from transdirac.index_engine import (
     IndexError_,
     IndexTable,
@@ -9,6 +12,9 @@ from transdirac.index_engine import (
     index_numerical,
     kernel_dims_closed_form,
 )
+from transdirac.spectral import fit_exponent, integrate_log_ode
+from transdirac.sphere_model import CHARTS, CHIRALITIES, SphereBlock, reduce_block
+from transdirac.verification import BRANCH_BLOCKS
 
 
 def reference_index(n, m):
@@ -72,6 +78,41 @@ def test_numerical_route_matches_closed_form_sweep():
             assert (res["d_plus"], res["d_minus"]) == kernel_dims_closed_form(n, m)
 
 
+def test_oracle_never_reads_the_closed_form(monkeypatch):
+    expected = {(n, m): index_numerical(n, m)["estimated_exponents"] for n, m in BRANCH_BLOCKS}
+    reduced = []
+
+    def wrong_exponent(block, chart):
+        reduced.append((block, chart))
+        ode = reduce_block(block, chart)
+        return dataclasses.replace(ode, exponent=ode.exponent + 7)
+
+    def closed_form_forbidden(n, m):
+        raise AssertionError("the oracle consulted the closed form")
+
+    monkeypatch.setattr(index_engine, "reduce_block", wrong_exponent)
+    monkeypatch.setattr(index_engine, "kernel_dims_closed_form", closed_form_forbidden)
+    for n, m in BRANCH_BLOCKS:
+        assert index_numerical(n, m)["estimated_exponents"] == expected[(n, m)]
+    assert len(reduced) == 4 * len(BRANCH_BLOCKS)
+
+
+def test_shared_grid_slopes_match_callable_integration():
+    # reference: each ODE's r(phi) evaluated as a callable over the full span
+    eps, steps = 1e-3, 10000
+    blocks = BRANCH_BLOCKS + ((40, 7), (40, -7), (-40, 7), (-40, -7))
+    for n, m in blocks:
+        slopes = index_numerical(n, m, eps=eps, steps=steps)["slopes"]
+        for chart in CHARTS:
+            for chirality in CHIRALITIES:
+                ode = reduce_block(SphereBlock(n=n, m=m, chirality=chirality), chart)
+                phis, log_psi = integrate_log_ode(ode.r, 0.25 * np.pi, eps, steps)
+                window = phis <= 10.0 * eps
+                reference = fit_exponent(np.log(np.sin(phis[window])), log_psi[window])
+                assert abs(slopes[(chart, chirality)] - reference) <= 1e-9, (n, m, chart)
+                assert abs(reference - ode.exponent) < 0.1
+
+
 def test_numerical_parameter_validation():
     with pytest.raises(IndexError_):
         index_numerical(1, 1, eps=1e-5)
@@ -133,8 +174,7 @@ def test_table_invariant_validation():
         build_index_table(range(0, 1), range(0, 1), method="fancy")
 
 
-def test_worker_env_override(monkeypatch):
-    monkeypatch.setenv("TRANSDIRAC_WORKERS", "4")
+def test_numeric_table_matches_closed_form_small_blocks():
     table = build_index_table(range(-1, 2), range(-1, 2), method="numeric")
     for n in range(-1, 2):
         for m in range(-1, 2):

@@ -9,6 +9,7 @@ from transdirac.spectral import (
     hermitian_eigensolve,
     integrate_log_ode,
     periodic_grid,
+    simpson_abscissas,
     smallest_singular_value,
 )
 
@@ -203,6 +204,35 @@ def test_integrate_log_ode_fourth_order():
 def test_integrate_log_ode_propagates_nan():
     with pytest.raises(SpectralError):
         integrate_log_ode(lambda p: np.full_like(p, np.nan), 1.0, 0.1, 100)
+
+
+def test_simpson_abscissas_interleave_nodes_and_midpoints():
+    points = simpson_abscissas(1.0, 0.1, 100)
+    nodes = np.linspace(1.0, 0.1, 101)
+    assert points.shape == (201,)
+    assert np.array_equal(points[0::2], nodes)
+    assert np.array_equal(points[1::2], 0.5 * (nodes[:-1] + nodes[1:]))
+
+
+def test_integrate_log_ode_evaluates_callable_once():
+    seen = []
+
+    def r(p):
+        seen.append(p.copy())
+        return np.cos(p) / np.sin(p)
+
+    phis, log_psi = integrate_log_ode(r, np.pi / 4, 0.2, 40)
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], simpson_abscissas(np.pi / 4, 0.2, 40))
+    sampled = integrate_log_ode(np.cos(seen[0]) / np.sin(seen[0]), np.pi / 4, 0.2, 40)
+    assert np.array_equal(sampled[0], phis) and np.array_equal(sampled[1], log_psi)
+
+
+def test_integrate_log_ode_rejects_bad_samples():
+    with pytest.raises(SpectralError, match="Simpson abscissas"):
+        integrate_log_ode(np.zeros(200), 1.0, 0.1, 100)
+    with pytest.raises(SpectralError, match="singular"):
+        integrate_log_ode(np.full(201, np.nan), 1.0, 0.1, 100)
 
 
 def test_fit_exponent_recovers_slope():
