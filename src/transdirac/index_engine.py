@@ -59,7 +59,7 @@ def _estimate_exponent(block: SphereBlock, chart: str, eps: float, steps: int):
     shared grid."""
     ode = reduce_block(block, chart)
     csc, cot, window, log_sin = _oracle_grid(eps, steps)
-    _, log_psi = integrate_log_ode(ode.p * csc - ode.q * cot, 0.25 * np.pi, eps, steps)
+    log_psi = integrate_log_ode(ode.p * csc - ode.q * cot, 0.25 * np.pi, eps, steps)
     slope = fit_exponent(log_sin, log_psi[window])
     snapped = round(slope)
     if abs(slope - snapped) > 0.1:

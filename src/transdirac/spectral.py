@@ -18,9 +18,11 @@ class SpectralError(ValueError):
 
 @dataclass(frozen=True)
 class Grid1D:
+    """Points of a periodic grid on [0, 2*pi) and their positive quadrature
+    weights; made by periodic_grid."""
+
     points: np.ndarray
     weights: np.ndarray
-    periodic: bool = False
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -42,7 +44,14 @@ def periodic_grid(n: int, weights=None) -> Grid1D:
     pts = 2.0 * np.pi * np.arange(n) / n
     if weights is None:
         weights = np.full(n, 2.0 * np.pi / n)
-    return Grid1D(points=pts, weights=np.asarray(weights, dtype=float), periodic=True)
+    return Grid1D(points=pts, weights=np.asarray(weights, dtype=float))
+
+
+def _wavenumbers(n: int) -> np.ndarray:
+    """FFT-ordered wavenumbers of n equispaced points, Nyquist mode at -n/2."""
+    if n < 4 or n % 2:
+        raise SpectralError("need an even grid size >= 4")
+    return np.fft.fftfreq(n, d=1.0 / n)
 
 
 def fourier_diff_matrix(n: int) -> np.ndarray:
@@ -52,9 +61,7 @@ def fourier_diff_matrix(n: int) -> np.ndarray:
     mode is assigned wavenumber -n/2, so -1j * D has integer eigenvalues
     -n/2 .. n/2 - 1 and D is exactly anti-Hermitian.
     """
-    if n < 4 or n % 2:
-        raise SpectralError("need an even grid size >= 4")
-    k = np.fft.fftfreq(n, d=1.0 / n)
+    k = _wavenumbers(n)
     # D is circulant, D[j, l] = col[(j - l) mod n] with col = ifft(i k);
     # antisymmetrising col[m] against conj(col[-m]) makes D + D^H vanish exactly
     col = np.fft.ifft(1j * k)
@@ -63,38 +70,31 @@ def fourier_diff_matrix(n: int) -> np.ndarray:
     return col[(idx[:, None] - idx[None, :]) % n]
 
 
-def centered_diff_matrix(points: np.ndarray) -> np.ndarray:
-    """Second-order differentiation on a uniform non-periodic grid."""
-    points = np.asarray(points, dtype=float)
-    n = len(points)
-    if n < 3:
-        raise SpectralError("need at least 3 points")
-    h = points[1] - points[0]
-    if np.max(np.abs(np.diff(points) - h)) > 1e-12 * abs(h):
-        raise SpectralError("grid must be uniform")
-    d = np.zeros((n, n))
-    for j in range(1, n - 1):
-        d[j, j - 1] = -0.5 / h
-        d[j, j + 1] = 0.5 / h
-    d[0, :3] = np.array([-1.5, 2.0, -0.5]) / h
-    d[-1, -3:] = np.array([0.5, -2.0, 1.5]) / h
-    return d
+def fourier_derivative(values) -> np.ndarray:
+    """fourier_diff_matrix(n) @ values along axis 0, for n = len(values).
 
-
-@dataclass(frozen=True)
-class HermitianSpectrum:
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    Computed as ifft(i k fft(values)) with the same wavenumbers, in
+    O(n log n) and without the n x n matrix; values may be a stack such as
+    (n, d, d) matrix samples. The result is complex.
+    """
+    values = np.asarray(values)
+    k = _wavenumbers(len(values)).reshape((-1,) + (1,) * (values.ndim - 1))
+    return np.fft.ifft(1j * k * np.fft.fft(values, axis=0), axis=0)
 
 
 def hermitian_defect(m: np.ndarray) -> float:
-    """Entrywise distance to the Hermitian part (m + m^H)/2."""
-    return float(0.5 * np.max(np.abs(m - m.conj().T)))
+    """Entrywise distance to the Hermitian part (m + m^H)/2; for a stack of
+    blocks, the largest over the blocks."""
+    return float(0.5 * np.max(np.abs(m - np.swapaxes(m, -1, -2).conj())))
 
 
 def check_hermitian(m: np.ndarray) -> np.ndarray:
     """Return m as a complex array after checking that it is finite and
-    Hermitian to 1e-8 max|m|; raises SpectralError otherwise."""
+    Hermitian to 1e-8 max|m|; raises SpectralError otherwise.
+
+    m is a matrix or a stack of blocks; a stack gets the same verdict as the
+    block-diagonal matrix it stands for, whose zero off-diagonal blocks
+    change neither the defect nor max|m|."""
     m = np.asarray(m, dtype=complex)
     if not np.all(np.isfinite(m)):
         raise SpectralError(
@@ -107,15 +107,14 @@ def check_hermitian(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def hermitian_eigensolve(m: np.ndarray) -> HermitianSpectrum:
-    """Full spectrum of a Hermitian matrix, eigenvalues ascending.
+def hermitian_eigensolve(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, ascending.
 
     The matrix is checked by check_hermitian, symmetrised, and handed to
-    LAPACK through numpy.linalg.eigh.
+    LAPACK through numpy.linalg.eigvalsh; no eigenvectors are computed.
     """
     m = check_hermitian(m)
-    eigenvalues, eigenvectors = np.linalg.eigh(0.5 * (m + m.conj().T))
-    return HermitianSpectrum(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+    return np.linalg.eigvalsh(0.5 * (m + m.conj().T))
 
 
 def smallest_singular_value(m: np.ndarray) -> float:
@@ -143,8 +142,9 @@ def integrate_log_ode(r, phi_start: float, phi_end: float, steps: int):
     Since the right-hand side depends on phi only, the classical RK4 step
     collapses to Simpson's rule. r is either a callable, evaluated once on
     the array simpson_abscissas(phi_start, phi_end, steps), or r already
-    sampled on those 2*steps + 1 points. Returns (phi nodes, log|psi|
-    samples) with log|psi| = 0 at phi_start.
+    sampled on those 2*steps + 1 points. Returns log|psi| at the steps + 1
+    nodes simpson_abscissas(phi_start, phi_end, steps)[0::2], with
+    log|psi| = 0 at phi_start.
     """
     if steps < 1:
         raise SpectralError("need at least one step")
@@ -160,7 +160,7 @@ def integrate_log_ode(r, phi_start: float, phi_end: float, steps: int):
     increments = (h / 6.0) * (samples[:-2:2] + 4.0 * samples[1::2] + samples[2::2])
     log_psi = np.zeros(steps + 1)
     np.cumsum(increments, out=log_psi[1:])
-    return np.linspace(phi_start, phi_end, steps + 1), log_psi
+    return log_psi
 
 
 def fit_exponent(log_abscissas, log_samples) -> float:

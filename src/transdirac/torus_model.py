@@ -19,6 +19,7 @@ from transdirac.transverse_operator import (
     FrameField,
     assemble_AQ,
     assemble_DQ,
+    discretize_diagonal,
     discretize_hermitian,
 )
 
@@ -159,19 +160,16 @@ def mode_grid(geom: TorusGeometry, n_points: int):
 def spectrum_DL(geom: TorusGeometry, x_mode: int, n_points: int) -> np.ndarray:
     """Eigenvalues of D_L on the x-mode subspace; independent of the mode."""
     grid = mode_grid(geom, n_points)
-    mat = discretize_hermitian(dl_mode_operator(geom), grid)
-    return hermitian_eigensolve(mat).eigenvalues
+    return hermitian_eigensolve(discretize_hermitian(dl_mode_operator(geom), grid))
 
 
 def spectrum_DQ_band(geom: TorusGeometry, x_mode: int, n_points: int) -> np.ndarray:
     """Eigenvalues of D_Q on the x-mode subspace: the diagonal n e^{-g(y_j)}.
 
     The mode operator has no derivative part, so its discretization is
-    diagonal and its eigenvalues are read off without an eigensolve.
+    diagonal; its 1 x 1 blocks are checked like a dense Hermitian matrix
+    and their entries read off without an eigensolve.
     """
     grid = mode_grid(geom, n_points)
-    mat = check_hermitian(discretize_hermitian(dq_mode_operator(geom, x_mode), grid))
-    diagonal = np.diag(mat)
-    if np.count_nonzero(mat) != np.count_nonzero(diagonal):
-        raise TorusError("D_Q mode matrix is not diagonal")
-    return np.sort(diagonal.real)
+    blocks = check_hermitian(discretize_diagonal(dq_mode_operator(geom, x_mode), grid))
+    return np.sort(blocks[:, 0, 0].real)

@@ -12,7 +12,7 @@ import numpy as np
 from transdirac.clifford import CliffordModule
 from transdirac.spectral import (
     Grid1D,
-    centered_diff_matrix,
+    fourier_derivative,
     fourier_diff_matrix,
     hermitian_defect,
     smallest_singular_value,
@@ -169,6 +169,28 @@ def symbol_smallest_singular_value(op: FirstOrderOperator, x, xi) -> float:
     return smallest_singular_value(principal_symbol(op, x, xi))
 
 
+def _pointwise_remainder(avals: np.ndarray, bvals: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The (n, d, d) diagonal blocks B - A'/2 - A w'/(2w) of the split-form
+    discretization, from A, B and the weight w sampled on a periodic grid."""
+    a_prime = fourier_derivative(avals)  # d/dy of the coefficient
+    # an under-resolved weight sends the spectral w'/w past the float range
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_w_prime = fourier_derivative(weights) / weights
+    if not np.all(np.isfinite(log_w_prime)):
+        raise OperatorError(
+            "non-finite log-weight derivative w'/w (overflow: the weight is under-resolved)"
+        )
+    return bvals - 0.5 * a_prime - 0.5 * log_w_prime[:, None, None] * avals
+
+
+def _grid_coefficients(op: FirstOrderOperator, grid: Grid1D):
+    """A and B of a 1D operator on the grid points, each an (n, d, d) stack."""
+    if op.dim != 1:
+        raise OperatorError("only 1D discretization is provided")
+    pts = grid.points[:, None]
+    return op.coefficients_at(pts)[0], op.zeroth_at(pts)
+
+
 def discretize_hermitian(op: FirstOrderOperator, grid: Grid1D) -> np.ndarray:
     """Dense matrix of a 1D operator in the weighted orthonormal discrete basis.
 
@@ -180,29 +202,27 @@ def discretize_hermitian(op: FirstOrderOperator, grid: Grid1D) -> np.ndarray:
     on the diagonal.  The result is Hermitian to rounding whenever the
     operator is formally self-adjoint with respect to the weight, while a
     missing self-adjointness correction shows up verbatim in the defect.
+    Derivatives are spectral, on the periodic grid.
     """
-    if op.dim != 1:
-        raise OperatorError("only 1D discretization is provided")
+    avals, bvals = _grid_coefficients(op, grid)
+    rem = _pointwise_remainder(avals, bvals, grid.weights)
     n, d = grid.n, op.fiber_dim
-    diff = fourier_diff_matrix(n) if grid.periodic else centered_diff_matrix(grid.points)
-    pts = grid.points[:, None]
-    avals = op.coefficients_at(pts)[0]  # (n, d, d)
-    bvals = op.zeroth_at(pts)  # (n, d, d)
-    a_prime = np.tensordot(diff, avals, axes=(1, 0))  # d/dy of the coefficient
-    # an under-resolved weight sends the spectral w'/w past the float range
-    with np.errstate(over="ignore", invalid="ignore"):
-        log_w_prime = (diff @ grid.weights) / grid.weights
-    if not np.all(np.isfinite(log_w_prime)):
-        raise OperatorError(
-            "non-finite log-weight derivative w'/w (overflow: the weight is under-resolved)"
-        )
-    rem = bvals - 0.5 * a_prime - 0.5 * log_w_prime[:, None, None] * avals
-    full = 0.5 * (
-        avals[:, None, :, :] * diff[:, :, None, None]
-        + avals[None, :, :, :] * diff[:, :, None, None]
-    )
+    full = 0.5 * (avals[:, None] + avals[None, :]) * fourier_diff_matrix(n)[:, :, None, None]
     full[np.arange(n), np.arange(n)] += rem
     return full.transpose(0, 2, 1, 3).reshape(n * d, n * d)
+
+
+def discretize_diagonal(op: FirstOrderOperator, grid: Grid1D) -> np.ndarray:
+    """The (n, d, d) diagonal blocks of discretize_hermitian(op, grid) for an
+    operator without derivative part, whose matrix has nothing else.
+
+    Raises OperatorError unless every derivative coefficient is exactly 0 on
+    the grid; no n x n array is built.
+    """
+    avals, bvals = _grid_coefficients(op, grid)
+    if np.any(avals != 0):
+        raise OperatorError("operator has a derivative part; its discretization is not diagonal")
+    return _pointwise_remainder(avals, bvals, grid.weights)
 
 
 def hermitian_discretization_defect(op: FirstOrderOperator, grid: Grid1D) -> float:

@@ -174,7 +174,7 @@ def test_criterion_9_property_suites(capsys):
 
     # integrator order ratio in [12, 20]
     def endpoint_error(steps):
-        phis, log_psi = integrate_log_ode(
+        log_psi = integrate_log_ode(
             lambda p: np.cos(p) / np.sin(p), np.pi / 4, 0.2, steps)
         return abs(log_psi[-1] - (np.log(np.sin(0.2)) - np.log(np.sin(np.pi / 4))))
 

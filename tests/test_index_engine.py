@@ -12,7 +12,7 @@ from transdirac.index_engine import (
     index_numerical,
     kernel_dims_closed_form,
 )
-from transdirac.spectral import fit_exponent, integrate_log_ode
+from transdirac.spectral import fit_exponent, integrate_log_ode, simpson_abscissas
 from transdirac.sphere_model import CHARTS, CHIRALITIES, SphereBlock, reduce_block
 from transdirac.verification import BRANCH_BLOCKS
 
@@ -106,7 +106,8 @@ def test_shared_grid_slopes_match_callable_integration():
         for chart in CHARTS:
             for chirality in CHIRALITIES:
                 ode = reduce_block(SphereBlock(n=n, m=m, chirality=chirality), chart)
-                phis, log_psi = integrate_log_ode(ode.r, 0.25 * np.pi, eps, steps)
+                phis = simpson_abscissas(0.25 * np.pi, eps, steps)[0::2]
+                log_psi = integrate_log_ode(ode.r, 0.25 * np.pi, eps, steps)
                 window = phis <= 10.0 * eps
                 reference = fit_exponent(np.log(np.sin(phis[window])), log_psi[window])
                 assert abs(slopes[(chart, chirality)] - reference) <= 1e-9, (n, m, chart)

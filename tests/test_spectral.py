@@ -3,7 +3,9 @@ import pytest
 
 from transdirac.spectral import (
     SpectralError,
+    check_hermitian,
     fit_exponent,
+    fourier_derivative,
     fourier_diff_matrix,
     hermitian_defect,
     hermitian_eigensolve,
@@ -84,19 +86,35 @@ def test_fourier_diff_rejects_odd():
         fourier_diff_matrix(15)
 
 
+def test_fourier_derivative_matches_diff_matrix():
+    rng = np.random.default_rng(3)
+    for n in (4, 16, 64, 1024):
+        d = fourier_diff_matrix(n)
+        real = rng.standard_normal(n)
+        cplx = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        stack = (rng.standard_normal(n) + 1j * rng.standard_normal(n))[:, None, None]
+        for values in (real, cplx, stack):
+            reference = np.tensordot(d, values, axes=(1, 0))
+            result = fourier_derivative(values)
+            assert result.shape == values.shape
+            assert np.max(np.abs(result - reference)) < 1e-12 * n, (n, values.shape)
+    with pytest.raises(SpectralError):
+        fourier_derivative(np.ones(15))
+
+
 # ---------------------------------------------------------------------------
 # eigensolver
 
 
 def test_eigensolve_diagonal():
-    res = hermitian_eigensolve(np.diag([3.0, 1.0, 2.0]).astype(complex))
-    assert np.allclose(res.eigenvalues, [1.0, 2.0, 3.0], atol=1e-12)
+    ev = hermitian_eigensolve(np.diag([3.0, 1.0, 2.0]).astype(complex))
+    assert np.allclose(ev, [1.0, 2.0, 3.0], atol=1e-12)
 
 
 def test_eigensolve_pauli_like():
     m = np.array([[0.0, -1j], [1j, 0.0]])
-    res = hermitian_eigensolve(m)
-    assert np.allclose(res.eigenvalues, [-1.0, 1.0], atol=1e-12)
+    ev = hermitian_eigensolve(m)
+    assert np.allclose(ev, [-1.0, 1.0], atol=1e-12)
 
 
 def test_eigensolve_vs_char_poly_4x4():
@@ -104,7 +122,7 @@ def test_eigensolve_vs_char_poly_4x4():
     for _ in range(10):
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         h = 0.5 * (a + a.conj().T)
-        mine = hermitian_eigensolve(h).eigenvalues
+        mine = hermitian_eigensolve(h)
         assert np.allclose(mine, char_poly_roots(h), atol=1e-8)
 
 
@@ -112,22 +130,28 @@ def test_eigensolve_random_50x50_contracts():
     rng = np.random.default_rng(9)
     a = rng.standard_normal((50, 50)) + 1j * rng.standard_normal((50, 50))
     h = 0.5 * (a + a.conj().T)
-    res = hermitian_eigensolve(h)
+    ev = hermitian_eigensolve(h)
     scale = np.max(np.abs(h))
-    # residual and orthonormality contracts
-    assert np.max(np.abs(h @ res.eigenvectors - res.eigenvectors * res.eigenvalues)) < 1e-8 * scale
-    gram = res.eigenvectors.conj().T @ res.eigenvectors
-    assert np.max(np.abs(gram - np.eye(50))) < 1e-10
     # trace identity and agreement with the library solver
-    assert abs(np.sum(res.eigenvalues) - np.trace(h).real) < 1e-8 * scale
-    assert np.allclose(res.eigenvalues, np.linalg.eigvalsh(h), atol=1e-9 * scale)
+    assert abs(np.sum(ev) - np.trace(h).real) < 1e-8 * scale
+    assert np.allclose(ev, np.linalg.eigvalsh(h), atol=1e-9 * scale)
+
+
+def test_eigensolve_known_spectrum():
+    # H = U diag(lam) U^H with U unitary from the QR of a random complex matrix
+    rng = np.random.default_rng(21)
+    u = np.linalg.qr(rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40)))[0]
+    lam = rng.uniform(-5.0, 5.0, size=40)
+    h = (u * lam) @ u.conj().T
+    ev = hermitian_eigensolve(h)
+    assert np.max(np.abs(ev - np.sort(lam))) <= 1e-12 * np.max(np.abs(lam))
 
 
 def test_eigensolve_sorted():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((12, 12))
-    res = hermitian_eigensolve(0.5 * (a + a.T).astype(complex))
-    assert np.all(np.diff(res.eigenvalues) >= 0)
+    ev = hermitian_eigensolve(0.5 * (a + a.T).astype(complex))
+    assert np.all(np.diff(ev) >= 0)
 
 
 def test_eigensolve_rejects_non_hermitian():
@@ -147,6 +171,37 @@ def test_hermitian_defect_measures_antihermitian_part():
     m = np.array([[0.0, 0.3j], [0.3j, 0.0]])
     assert abs(hermitian_defect(m) - 0.3) < 1e-14
     assert hermitian_defect(np.eye(3)) == 0.0
+
+
+def test_check_hermitian_on_block_stack_matches_block_diagonal():
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((6, 3, 3)) + 1j * rng.standard_normal((6, 3, 3))
+    hermitian = 0.5 * (a + np.swapaxes(a, 1, 2).conj())
+    skewed = hermitian.copy()
+    skewed[4, 0, 2] += 1e-3
+    nan = hermitian.copy()
+    nan[2] = np.nan
+
+    def block_diagonal(stack):
+        dense = np.zeros((18, 18), dtype=complex)
+        for j, block in enumerate(stack):
+            dense[3 * j:3 * j + 3, 3 * j:3 * j + 3] = block
+        return dense
+
+    def verdict(m):
+        try:
+            check_hermitian(m)
+        except SpectralError as exc:
+            return str(exc)
+        return "ok"
+
+    for stack in (hermitian, skewed):
+        assert hermitian_defect(stack) == hermitian_defect(block_diagonal(stack))
+    assert verdict(hermitian) == verdict(block_diagonal(hermitian)) == "ok"
+    assert verdict(skewed) == verdict(block_diagonal(skewed))
+    assert "not Hermitian" in verdict(skewed)
+    assert verdict(nan) == verdict(block_diagonal(nan))
+    assert "non-finite" in verdict(nan)
 
 
 def test_smallest_singular_value():
@@ -173,20 +228,22 @@ def test_smallest_singular_value_non_diagonal():
 
 
 def test_integrate_log_ode_constant_rhs():
-    phis, log_psi = integrate_log_ode(lambda p: np.zeros_like(p), 1.0, 0.1, 100)
+    log_psi = integrate_log_ode(lambda p: np.zeros_like(p), 1.0, 0.1, 100)
     assert np.max(np.abs(log_psi)) < 1e-14
 
 
 def test_integrate_log_ode_cot_antiderivative():
     # d(log psi)/dphi = cot(phi)  =>  log psi = log sin(phi) + const
-    phis, log_psi = integrate_log_ode(lambda p: np.cos(p) / np.sin(p), np.pi / 4, 1e-3, 20000)
+    phis = simpson_abscissas(np.pi / 4, 1e-3, 20000)[0::2]
+    log_psi = integrate_log_ode(lambda p: np.cos(p) / np.sin(p), np.pi / 4, 1e-3, 20000)
     exact = np.log(np.sin(phis)) - np.log(np.sin(np.pi / 4))
     assert np.max(np.abs(log_psi - exact)) < 1e-8
 
 
 def test_integrate_log_ode_csc_antiderivative():
     # d(log psi)/dphi = csc(phi)  =>  log psi = log tan(phi/2) + const
-    phis, log_psi = integrate_log_ode(lambda p: 1.0 / np.sin(p), np.pi / 4, 1e-3, 20000)
+    phis = simpson_abscissas(np.pi / 4, 1e-3, 20000)[0::2]
+    log_psi = integrate_log_ode(lambda p: 1.0 / np.sin(p), np.pi / 4, 1e-3, 20000)
     exact = np.log(np.tan(phis / 2)) - np.log(np.tan(np.pi / 8))
     assert np.max(np.abs(log_psi - exact)) < 1e-8
 
@@ -194,7 +251,7 @@ def test_integrate_log_ode_csc_antiderivative():
 def test_integrate_log_ode_fourth_order():
     # halving the step shrinks the error by ~16x
     def endpoint_error(steps):
-        phis, log_psi = integrate_log_ode(lambda p: np.cos(p) / np.sin(p), np.pi / 4, 0.2, steps)
+        log_psi = integrate_log_ode(lambda p: np.cos(p) / np.sin(p), np.pi / 4, 0.2, steps)
         return abs(log_psi[-1] - (np.log(np.sin(0.2)) - np.log(np.sin(np.pi / 4))))
 
     ratio = endpoint_error(40) / endpoint_error(80)
@@ -221,11 +278,11 @@ def test_integrate_log_ode_evaluates_callable_once():
         seen.append(p.copy())
         return np.cos(p) / np.sin(p)
 
-    phis, log_psi = integrate_log_ode(r, np.pi / 4, 0.2, 40)
+    log_psi = integrate_log_ode(r, np.pi / 4, 0.2, 40)
     assert len(seen) == 1
     assert np.array_equal(seen[0], simpson_abscissas(np.pi / 4, 0.2, 40))
     sampled = integrate_log_ode(np.cos(seen[0]) / np.sin(seen[0]), np.pi / 4, 0.2, 40)
-    assert np.array_equal(sampled[0], phis) and np.array_equal(sampled[1], log_psi)
+    assert np.array_equal(sampled, log_psi)
 
 
 def test_integrate_log_ode_rejects_bad_samples():

@@ -1,14 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from transdirac.torus_model import (
     TorusError,
     TorusGeometry,
+    dq_mode_operator,
     mode_grid,
     operator_D_full,
     spectrum_DL,
     spectrum_DQ_band,
 )
+from transdirac.transverse_operator import discretize_hermitian
 
 
 def test_geometry_evaluation():
@@ -54,6 +58,27 @@ def test_dq_band_is_sorted_diagonal_at_n1024():
     y = mode_grid(geom, 1024).points
     expected = np.sort(3.0 * np.exp(-geom.g(y)))
     assert np.max(np.abs(ev - expected) / expected) < 1e-12
+
+
+def test_dq_band_equals_dense_discretization_diagonal():
+    geom = TorusGeometry(sin_coeffs=(0.5, -0.1), cos_coeffs=(0.2,))
+    for n_points, mode in ((256, 3), (1024, -2)):
+        dense = discretize_hermitian(dq_mode_operator(geom, mode), mode_grid(geom, n_points))
+        expected = np.sort(np.diag(dense).real)
+        assert np.array_equal(spectrum_DQ_band(geom, mode, n_points), expected)
+
+
+def test_dq_band_memory_is_linear_in_grid_size():
+    # one dense 2048 x 2048 complex matrix alone would be 64 MB
+    geom = TorusGeometry(sin_coeffs=(0.3,), cos_coeffs=(0.1,))
+    spectrum_DQ_band(geom, 3, 2048)
+    tracemalloc.start()
+    try:
+        spectrum_DQ_band(geom, 3, 2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_dq_band_containment_and_endpoints():

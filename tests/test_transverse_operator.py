@@ -19,6 +19,7 @@ from transdirac.transverse_operator import (
     OperatorError,
     SingularPointError,
     assemble_AQ,
+    discretize_diagonal,
     discretize_hermitian,
     hermitian_discretization_defect,
     principal_symbol,
@@ -175,6 +176,16 @@ def test_discretization_evaluates_each_coefficient_once_per_grid():
     grid = mode_grid(geom, 32)
     assert np.array_equal(discretize_hermitian(op, grid), discretize_hermitian(base, grid))
     assert calls == [32, 32]
+
+
+def test_diagonal_discretization_refuses_a_derivative_part():
+    geom = TorusGeometry(sin_coeffs=(0.3,))
+    grid = mode_grid(geom, 32)
+    with pytest.raises(OperatorError, match="derivative part"):
+        discretize_diagonal(dl_mode_operator(geom), grid)
+    op = dq_mode_operator(geom, 2)
+    assert np.array_equal(discretize_diagonal(op, grid)[:, 0, 0],
+                          np.diag(discretize_hermitian(op, grid)))
 
 
 def test_dimension_mismatch_rejected():
