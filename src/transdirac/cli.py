@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 import numpy as np
@@ -21,13 +22,13 @@ from transdirac.sphere_model import (
     CHARTS,
     CHIRALITIES,
     SphereBlock,
+    closed_form_kernel_section,
     pde_residual,
     reduce_block,
     reduction_gaps,
-    theta_weight,
 )
 from transdirac.torus_model import TorusGeometry, spectrum_DL, spectrum_DQ_band
-from transdirac.verification import SUITES, run_suite
+from transdirac.verification import SUITES, check_tol, run_suite
 
 SCHEMA_VERSION = 1
 
@@ -56,6 +57,8 @@ def _json_render(obj, indent=0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise ValueError("cannot render the non-finite value %r as JSON" % float(obj))
         return format(float(obj), ".17g")
     if obj is None:
         return "null"
@@ -159,18 +162,14 @@ def cmd_sphere_kernel(args) -> int:
     for chart in CHARTS:
         for chirality in CHIRALITIES:
             block = SphereBlock(n=args.n, m=args.m, chirality=chirality)
-            ode = reduce_block(block, chart)
-            k = theta_weight(block, chart)
-            # closed form: sin(phi)^s * (1 + cos(phi))^c * exp(i k theta)
-            sin_power = ode.exponent
-            cos_power = (-1 if chirality == "+" else 1) * (args.n if chart == "upper" else -args.n)
+            section = closed_form_kernel_section(block, chart)
             charts.append({
                 "chart": chart,
                 "chirality": chirality,
-                "theta_weight": k,
-                "sin_power": sin_power,
-                "one_plus_cos_power": cos_power,
-                "indicial_exponent": ode.exponent,
+                "theta_weight": section.theta_weight,
+                "sin_power": section.sin_power,
+                "one_plus_cos_power": section.cos_power,
+                "indicial_exponent": reduce_block(block, chart).exponent,
                 "estimated_exponent": numeric["estimated_exponents"][(chart, chirality)],
                 "pde_residual": float(pde_residual(block, chart, phis)),
             })
@@ -190,6 +189,7 @@ def cmd_sphere_kernel(args) -> int:
 
 
 def cmd_compare_quotient(args) -> int:
+    check_tol(args.tol)
     gaps = reduction_gaps(args.n_max, args.m_max)
     blocks = [{"n": n, "m": m, "discrepancy": gap} for (n, m), gap in gaps.items()]
     worst = max(gaps.values())
@@ -282,7 +282,7 @@ def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         report = {"schema_version": SCHEMA_VERSION, "error": str(exc)}
         sys.stderr.write(render_json(report))
         return 1

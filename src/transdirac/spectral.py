@@ -18,33 +18,33 @@ class SpectralError(ValueError):
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Points of a periodic grid on [0, 2*pi) and their positive quadrature
-    weights; made by periodic_grid."""
+    """Points of a periodic grid on [0, 2*pi) and the log-derivative w'/w of
+    the density w of the measure w dy there; made by periodic_grid."""
 
     points: np.ndarray
-    weights: np.ndarray
+    log_weight_prime: np.ndarray
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
-        wts = np.asarray(self.weights, dtype=float)
-        if pts.ndim != 1 or pts.shape != wts.shape:
-            raise SpectralError("points/weights shape mismatch")
+        lwp = np.asarray(self.log_weight_prime, dtype=float)
+        if pts.ndim != 1 or pts.shape != lwp.shape:
+            raise SpectralError("points/log_weight_prime shape mismatch")
         if np.any(np.diff(pts) <= 0):
             raise SpectralError("grid points must be strictly increasing")
-        if np.any(wts <= 0):
-            raise SpectralError("quadrature weights must be positive")
+        if not np.all(np.isfinite(lwp)):
+            raise SpectralError("log-weight derivative must be finite")
 
     @property
     def n(self) -> int:
         return len(self.points)
 
 
-def periodic_grid(n: int, weights=None) -> Grid1D:
-    """Uniform grid on [0, 2*pi) with optional nonuniform weights."""
+def periodic_grid(n: int, log_weight_prime=None) -> Grid1D:
+    """Uniform grid on [0, 2*pi) with w'/w on its points, 0 (flat measure) if omitted."""
     pts = 2.0 * np.pi * np.arange(n) / n
-    if weights is None:
-        weights = np.full(n, 2.0 * np.pi / n)
-    return Grid1D(points=pts, weights=np.asarray(weights, dtype=float))
+    if log_weight_prime is None:
+        log_weight_prime = np.zeros(n)
+    return Grid1D(points=pts, log_weight_prime=np.asarray(log_weight_prime, dtype=float))
 
 
 def _wavenumbers(n: int) -> np.ndarray:

@@ -233,20 +233,31 @@ def reduce_block(block: SphereBlock, chart: str) -> RadialODE:
                      exponent=sign * (ne - m))
 
 
-def closed_form_kernel_section(block: SphereBlock, chart: str) -> Callable:
-    """Closed-form kernel solution (C = 1); may be unbounded at the pole."""
+@dataclass(frozen=True)
+class KernelSection:
+    """Closed-form kernel solution sin(phi)^sin_power (1 + cos(phi))^cos_power
+    e^{i theta_weight theta} (C = 1); may be unbounded at the pole."""
+
+    sin_power: int
+    cos_power: int
+    theta_weight: int
+
+    def __call__(self, theta, phi):
+        return (np.sin(phi) ** self.sin_power * (np.cos(phi) + 1.0) ** self.cos_power
+                * np.exp(1j * self.theta_weight * theta))
+
+    def log_derivatives(self, phi):
+        """(d_theta s / s, d_phi s / s) at phi, exact and free of overflow."""
+        return (1j * self.theta_weight,
+                self.sin_power / np.tan(phi) - self.cos_power * np.sin(phi) / (1.0 + np.cos(phi)))
+
+
+def closed_form_kernel_section(block: SphereBlock, chart: str) -> KernelSection:
+    """The block's kernel section on the chart, from the weights, not reduce_block."""
     _check_chart(chart)
     ne, m = _n_eff(block.n, chart), block.m
-    k = ne - m
-
-    if block.chirality == "+":
-        def section(theta, phi):
-            return np.sin(phi) ** (ne - m) / (np.cos(phi) + 1.0) ** ne * np.exp(1j * k * theta)
-    else:
-        def section(theta, phi):
-            return (np.cos(phi) + 1.0) ** ne * np.sin(phi) ** (m - ne) * np.exp(1j * k * theta)
-
-    return section
+    sign = 1 if block.chirality == "+" else -1
+    return KernelSection(sin_power=sign * (ne - m), cos_power=-sign * ne, theta_weight=ne - m)
 
 
 # ---------------------------------------------------------------------------
@@ -258,49 +269,35 @@ def _w_plus(chart: str, theta, phi) -> np.ndarray:
     return v1 + 1j * v2
 
 
-def apply_chart_operator(n: int, chart: str, chirality: str, section: Callable,
-                         theta, phi, step: float = 1e-4):
-    """Apply the chartwise kernel operator to a weight-n section at the
-    broadcast (theta, phi) points.
+def apply_chart_operator(n: int, chart: str, chirality: str, value, d_theta, d_phi, theta, phi):
+    """Apply the chartwise kernel operator to a weight-n section with the given
+    value and partial derivatives d_theta, d_phi at the broadcast (theta, phi).
 
     Chirality '+' applies V_1 + i V_2, chirality '-' applies
-    -conj(V_1 + i V_2); d_alpha acts as multiplication by -i n and the
-    remaining derivatives are 4th-order finite differences. The section
-    must accept array arguments.
+    -conj(V_1 + i V_2); d_alpha acts as multiplication by -i n.
     """
     w = _w_plus(chart, theta, phi)
     if chirality == "-":
         w = -np.conj(w)
     elif chirality != "+":
         raise SphereModelError("chirality must be '+' or '-'")
-
-    def d4(f, x0, h):
-        return (-f(x0 + 2 * h) + 8 * f(x0 + h) - 8 * f(x0 - h) + f(x0 - 2 * h)) / (12.0 * h)
-
-    d_theta = d4(lambda t: section(t, phi), theta, step)
-    d_phi = d4(lambda p: section(theta, p), phi, step)
-    return w[..., 0] * (-1j * n) * section(theta, phi) + w[..., 1] * d_theta + w[..., 2] * d_phi
+    return w[..., 0] * (-1j * n) * value + w[..., 1] * d_theta + w[..., 2] * d_phi
 
 
-def pde_residual(block: SphereBlock, chart: str, phi_values, theta_values=None) -> float:
-    """Max relative residual of the closed-form section under the full
-    chartwise operator on a (theta, phi) mesh away from the poles."""
+def pde_residual(block: SphereBlock, chart: str, phi_values) -> float:
+    """Max relative residual |Ds|/|s| of the closed-form section s under the
+    full chartwise operator on the mesh of six thetas by the given phis, away
+    from the poles; D acts on s/s = 1 with the exact log-derivatives of s, so
+    s (which can overflow) is never formed."""
     phi_values = np.atleast_1d(np.asarray(phi_values, dtype=float))
     if np.min(phi_values) < POLE_EPS:
         raise SphereModelError("grid touches the coordinate pole")
-    if theta_values is None:
-        theta_values = np.linspace(0.0, 2.0 * np.pi, 7)[:-1]
-    theta = np.atleast_1d(np.asarray(theta_values, dtype=float))[:, None]
+    theta = np.linspace(0.0, 2.0 * np.pi, 7)[:-1, None]
     phi = phi_values[None, :]
-    section = closed_form_kernel_section(block, chart)
-    # an overflowing section is reported by the finiteness check below
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        out = apply_chart_operator(block.n, chart, block.chirality, section, theta, phi)
-        residual = np.abs(out) / np.maximum(np.abs(section(theta, phi)), 1e-300)
-    if not np.all(np.isfinite(residual)):
-        raise SphereModelError("non-finite PDE residual: the closed-form section overflows "
-                               "on the grid for block (%d, %d)" % (block.n, block.m))
-    return float(np.max(residual))
+    log_d_theta, log_d_phi = closed_form_kernel_section(block, chart).log_derivatives(phi)
+    out = apply_chart_operator(block.n, chart, block.chirality, 1.0, log_d_theta, log_d_phi,
+                               theta, phi)
+    return float(np.max(np.abs(out)))
 
 
 def clutching_check(n: int, psi_upper: Callable, psi_lower: Callable,

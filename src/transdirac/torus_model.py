@@ -140,21 +140,21 @@ def dq_mode_operator(geom: TorusGeometry, n: int) -> FirstOrderOperator:
 
 
 def mode_grid(geom: TorusGeometry, n_points: int):
-    """Periodic y-grid weighted by the volume density e^{g(y)}."""
+    """Periodic y-grid for the volume density w = e^{g(y)}, carrying its
+    exact log-derivative w'/w = g'(y)."""
     if n_points < MIN_GRID or n_points % 2:
         raise TorusError("grid size must be even and >= %d" % MIN_GRID)
-    base = periodic_grid(n_points)
-    g = geom.g(base.points)
+    points = periodic_grid(n_points).points
+    g = geom.g(points)
     if not np.all(np.isfinite(g)):
         raise TorusError("warping g is not finite on the grid")
-    # both e^{g} (the weight) and e^{-g} (the D_Q band) must be normal floats
+    # e^{g} is never formed, but the D_Q band e^{-g} must be a normal float
     if np.max(np.abs(g)) > MAX_ABS_G:
         raise TorusError(
             "warping e^{+-g} overflows or underflows float64: max |g| on the grid is %.6g, "
             "the limit is %.6g" % (np.max(np.abs(g)), MAX_ABS_G)
         )
-    weights = (2.0 * np.pi / n_points) * np.exp(g)
-    return periodic_grid(n_points, weights=weights)
+    return periodic_grid(n_points, log_weight_prime=geom.g_prime(points))
 
 
 def spectrum_DL(geom: TorusGeometry, x_mode: int, n_points: int) -> np.ndarray:

@@ -169,18 +169,11 @@ def symbol_smallest_singular_value(op: FirstOrderOperator, x, xi) -> float:
     return smallest_singular_value(principal_symbol(op, x, xi))
 
 
-def _pointwise_remainder(avals: np.ndarray, bvals: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _pointwise_remainder(avals: np.ndarray, bvals: np.ndarray, grid: Grid1D) -> np.ndarray:
     """The (n, d, d) diagonal blocks B - A'/2 - A w'/(2w) of the split-form
-    discretization, from A, B and the weight w sampled on a periodic grid."""
+    discretization, from A and B sampled on the grid and its w'/w."""
     a_prime = fourier_derivative(avals)  # d/dy of the coefficient
-    # an under-resolved weight sends the spectral w'/w past the float range
-    with np.errstate(over="ignore", invalid="ignore"):
-        log_w_prime = fourier_derivative(weights) / weights
-    if not np.all(np.isfinite(log_w_prime)):
-        raise OperatorError(
-            "non-finite log-weight derivative w'/w (overflow: the weight is under-resolved)"
-        )
-    return bvals - 0.5 * a_prime - 0.5 * log_w_prime[:, None, None] * avals
+    return bvals - 0.5 * a_prime - 0.5 * grid.log_weight_prime[:, None, None] * avals
 
 
 def _grid_coefficients(op: FirstOrderOperator, grid: Grid1D):
@@ -202,10 +195,11 @@ def discretize_hermitian(op: FirstOrderOperator, grid: Grid1D) -> np.ndarray:
     on the diagonal.  The result is Hermitian to rounding whenever the
     operator is formally self-adjoint with respect to the weight, while a
     missing self-adjointness correction shows up verbatim in the defect.
-    Derivatives are spectral, on the periodic grid.
+    A' is spectral, on the periodic grid; w'/w is the grid's exact
+    log_weight_prime.
     """
     avals, bvals = _grid_coefficients(op, grid)
-    rem = _pointwise_remainder(avals, bvals, grid.weights)
+    rem = _pointwise_remainder(avals, bvals, grid)
     n, d = grid.n, op.fiber_dim
     full = 0.5 * (avals[:, None] + avals[None, :]) * fourier_diff_matrix(n)[:, :, None, None]
     full[np.arange(n), np.arange(n)] += rem
@@ -222,7 +216,7 @@ def discretize_diagonal(op: FirstOrderOperator, grid: Grid1D) -> np.ndarray:
     avals, bvals = _grid_coefficients(op, grid)
     if np.any(avals != 0):
         raise OperatorError("operator has a derivative part; its discretization is not diagonal")
-    return _pointwise_remainder(avals, bvals, grid.weights)
+    return _pointwise_remainder(avals, bvals, grid)
 
 
 def hermitian_discretization_defect(op: FirstOrderOperator, grid: Grid1D) -> float:

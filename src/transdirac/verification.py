@@ -148,12 +148,20 @@ def suite_quotient(n_max: int = 4, m_max: int = 4, tol: float = 1e-12) -> dict:
     return _report("quotient", checks)
 
 
+def check_tol(tol: float) -> float:
+    """tol, if it is a positive finite pass threshold: an infinite one passes
+    every check vacuously, and NaN or a non-positive one none."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be a positive finite number, got %r" % tol)
+    return tol
+
+
 def run_suite(name: str, trials: int = 100, seed: int = 7, tol: float = None) -> dict:
     """Run one named suite (or 'all'); tol overrides the pass threshold.
     trials must be positive, so that no randomized check passes vacuously."""
     if trials < 1:
         raise ValueError("trials must be at least 1, got %d" % trials)
-    kwargs = {} if tol is None else {"tol": tol}
+    kwargs = {} if tol is None else {"tol": check_tol(tol)}
     if name == "clifford":
         return suite_clifford(trials=min(trials, 100), seed=seed, **kwargs)
     if name == "connection":

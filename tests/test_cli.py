@@ -110,13 +110,13 @@ def test_invalid_parameters_exit_one(capsys):
 
 
 def test_non_finite_warping_exits_one(capsys):
-    # e^{+-400} overflows the discretized log-weight derivative to NaN
     for op in ("DQ", "DL"):
-        code = main(["torus-spectrum", "--op", op, "--g", "400sin", "--mode", "3", "--N", "64"])
+        code = main(["torus-spectrum", "--op", op, "--g-coeffs", "inf;1", "--mode", "3",
+                     "--N", "64"])
         captured = capsys.readouterr()
         assert code == 1, op
         assert captured.out == ""
-        assert "non-finite" in json.loads(captured.err)["error"]
+        assert "not finite" in json.loads(captured.err)["error"]
 
 
 def test_extreme_warping_errors_without_warnings(capsys):
@@ -124,11 +124,6 @@ def test_extreme_warping_errors_without_warnings(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for op in ("DQ", "DL"):
-            code = main(["torus-spectrum", "--op", op, "--g", "400sin", "--N", "64"])
-            captured = capsys.readouterr()
-            assert code == 1, op
-            assert captured.out == ""
-            assert "non-finite" in json.loads(captured.err)["error"]
             # e^{800} overflows and e^{-800} underflows: rejected before the grid
             code = main(["torus-spectrum", "--op", op, "--g", "800sin", "--N", "64"])
             captured = capsys.readouterr()
@@ -141,22 +136,57 @@ def test_extreme_warping_errors_without_warnings(capsys):
             assert "not finite" in json.loads(captured.err)["error"]
 
 
-def test_overflowing_kernel_section_errors_without_warnings(capsys):
-    # sin(phi)^{-403} overflows on the residual mesh; warnings are errors here
+def test_strong_warping_spectra_without_warnings(capsys):
+    # w'/w = g' is exact, so D_L stays Hermitian with integer spectrum however
+    # strong the warping; warnings are errors here
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = main(["sphere-kernel", "--n", "400", "--m", "3"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert "non-finite PDE residual" in json.loads(captured.err)["error"]
+        for g, n_points in (("10sin", 64), ("10sin", 128), ("30sin", 256), ("400sin", 512)):
+            code, out = run_cli(capsys, "torus-spectrum", "--op", "DL", "--g", g,
+                                "--N", str(n_points))
+            assert code == 0, g
+            ev = np.array(json.loads(out)["eigenvalues"])
+            assert np.max(np.abs(ev - np.arange(1 - n_points // 2, n_points // 2 + 1))) < 1e-12
+        code, out = run_cli(capsys, "torus-spectrum", "--op", "DQ", "--g", "400sin",
+                            "--mode", "3", "--N", "64")
+        assert code == 0
+        assert len(json.loads(out)["eigenvalues"]) == 64
+
+
+def test_large_weight_kernel_sections_pass_without_warnings(capsys):
+    # the residual uses the sections' exact log-derivatives, so neither large
+    # weights nor sin(phi)^{-403} near the pole disturb it; warnings are errors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n, m in ((5, 3), (8, 1), (6, -6), (60, 3), (400, 3), (-400, 17)):
+            code, out = run_cli(capsys, "sphere-kernel", "--n", str(n), "--m", str(m))
+            assert code == 0, (n, m)
+            for section in json.loads(out)["sections"]:
+                assert section["indicial_exponent"] == section["estimated_exponent"]
+                assert section["pde_residual"] < 1e-11, (n, m)
 
 
 def test_vacuous_checks_exit_one(capsys):
     for argv in (["verify", "--suite", "all", "--trials", "0"],
                  ["verify", "--suite", "connection", "--trials", "-3"],
                  ["compare-quotient", "--n-max", "-1"],
-                 ["compare-quotient", "--m-max", "-1"]):
+                 ["compare-quotient", "--m-max", "-1"],
+                 ["compare-quotient", "--tol", "inf"],
+                 ["compare-quotient", "--tol", "nan"],
+                 ["verify", "--suite", "quotient", "--tol", "inf"],
+                 ["verify", "--suite", "residual", "--tol", "-1"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1, argv
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"], argv
+
+
+def test_huge_integer_labels_exit_one(capsys):
+    huge = str(10 ** 400)
+    for argv in (["sphere-kernel", "--n", huge, "--m", "3"],
+                 ["torus-spectrum", "--op", "DQ", "--N", "64", "--mode", huge],
+                 ["sphere-index", "--n-min", "0", "--n-max", huge, "--m-min", "0", "--m-max", "0"]):
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 1, argv
@@ -190,6 +220,9 @@ def test_render_json_float_precision():
     assert '"x": 0.33333333333333331' in text
     assert '"k": 5' in text
     assert '"flag": true' in text
+    for bad in (float("inf"), float("nan"), np.float64(-np.inf)):
+        with pytest.raises(ValueError):
+            render_json({"x": [bad]})
 
 
 def test_parse_g_spec():

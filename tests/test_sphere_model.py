@@ -115,10 +115,17 @@ def test_batched_chart_operator_matches_per_point():
     phis = np.array([0.3, 0.9, 1.4])
     for chart in CHARTS:
         section = closed_form_kernel_section(block, chart)
-        mesh = apply_chart_operator(2, chart, "-", section, thetas[:, None], phis[None, :])
+
+        def apply(theta, phi):
+            value = section(theta, phi)
+            log_d_theta, log_d_phi = section.log_derivatives(phi)
+            return apply_chart_operator(2, chart, "-", value, log_d_theta * value,
+                                        log_d_phi * value, theta, phi)
+
+        mesh = apply(thetas[:, None], phis[None, :])
         assert mesh.shape == (4, 3)
         for i, j in np.ndindex(mesh.shape):
-            single = apply_chart_operator(2, chart, "-", section, thetas[i], phis[j])
+            single = apply(thetas[i], phis[j])
             assert abs(mesh[i, j] - single) < 1e-12 * max(abs(single), 1.0)
 
 
@@ -199,27 +206,44 @@ def test_mode_reduction_consistency():
             block = SphereBlock(n=n, m=m, chirality="+")
             k = theta_weight(block, chart)
             ode = reduce_block(block, chart)
-            f = lambda phi: np.exp(np.sin(phi))  # arbitrary smooth radial profile
-
-            def section(theta, phi):
-                return np.exp(1j * k * theta) * f(phi)
-
             theta, phi = 0.9, 0.7
-            out = apply_chart_operator(n, chart, "+", section, theta, phi)
+            f = np.exp(np.sin(phi))  # arbitrary smooth radial profile
+            df = np.cos(phi) * f
+            angular = np.exp(1j * k * theta)
+            out = apply_chart_operator(n, chart, "+", angular * f, 1j * k * angular * f,
+                                       angular * df, theta, phi)
             # the operator output carries one extra unit of theta-weight and
             # an overall chart-dependent sign
             radial = out / np.exp(1j * (k + 1) * theta)
             sign = -1.0 if chart == UPPER else 1.0
-            df = (f(phi + 1e-5) - f(phi - 1e-5)) / 2e-5
-            expect = sign * (df - ode.r(phi) * f(phi))
-            assert abs(radial - expect) < 1e-8 * max(abs(expect), 1.0)
+            expect = sign * (df - ode.r(phi) * f)
+            assert abs(radial - expect) < 1e-12 * max(abs(expect), 1.0)
 
 
-def test_residual_rejects_overflowing_section():
-    # sin(phi)^{-403} overflows near the pole: no point of the mesh may be skipped
-    block = SphereBlock(n=400, m=3, chirality="+")
-    with np.errstate(all="ignore"), pytest.raises(SphereModelError, match="non-finite"):
-        pde_residual(block, LOWER, np.linspace(0.05, np.pi / 2, 25))
+def test_residual_exact_at_large_weights():
+    # sin(phi)^{-403} would overflow near the pole; the residual never forms it
+    phis = np.linspace(0.05, np.pi / 2, 25)
+    with np.errstate(all="raise"):
+        for n, m in ((5, 3), (60, 3), (400, 3), (-400, 17)):
+            for chart in CHARTS:
+                for chirality in CHIRALITIES:
+                    block = SphereBlock(n=n, m=m, chirality=chirality)
+                    assert pde_residual(block, chart, phis) < 1e-11
+
+
+def test_section_log_derivatives_match_the_section():
+    h = 1e-6
+    for n, m in ((0, 0), (2, 3), (1, -2), (3, 1)):
+        for chart in CHARTS:
+            for chirality in CHIRALITIES:
+                section = closed_form_kernel_section(SphereBlock(n, m, chirality), chart)
+                for theta, phi in ((0.3, 0.4), (2.0, 1.0), (5.0, 1.5)):
+                    value = section(theta, phi)
+                    d_theta = (section(theta + h, phi) - section(theta - h, phi)) / (2 * h)
+                    d_phi = (section(theta, phi + h) - section(theta, phi - h)) / (2 * h)
+                    log_d_theta, log_d_phi = section.log_derivatives(phi)
+                    assert abs(d_theta - log_d_theta * value) < 1e-6 * max(abs(value), 1.0)
+                    assert abs(d_phi - log_d_phi * value) < 1e-6 * max(abs(value), 1.0)
 
 
 def test_residual_grid_must_avoid_pole():

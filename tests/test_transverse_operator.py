@@ -92,12 +92,14 @@ def test_corrected_operator_is_hermitian():
 
 def test_missing_correction_breaks_hermiticity_by_half_ch():
     # A_L = i d_y alone is not self-adjoint for the weighted measure: the
-    # defect equals |c(H^Q)/2| = |g'|/2 pointwise
-    geom = TorusGeometry(sin_coeffs=(0.3,))
-    grid = mode_grid(geom, 64)
-    defect = hermitian_discretization_defect(al_mode_operator(geom), grid)
-    assert defect > 1e-3
-    assert abs(defect - 0.15) < 1e-10
+    # defect equals |c(H^Q)/2| = |g'|/2 pointwise, also under strong warping
+    for amplitude, n_points in ((0.3, 64), (10.0, 64), (10.0, 512), (30.0, 64), (30.0, 512),
+                                (400.0, 64), (400.0, 512)):
+        geom = TorusGeometry(sin_coeffs=(amplitude,))
+        grid = mode_grid(geom, n_points)
+        defect = hermitian_discretization_defect(al_mode_operator(geom), grid)
+        assert defect > 1e-3
+        assert abs(defect - 0.5 * np.max(np.abs(geom.g_prime(grid.points)))) < 1e-10
 
 
 def test_discretization_consistent_on_smooth_mode():
