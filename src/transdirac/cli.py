@@ -133,16 +133,8 @@ def cmd_sphere_index(args) -> int:
         eps=args.eps,
         steps=args.steps,
     )
-    blocks = []
-    for (n, m), entry in table.entries.items():
-        blocks.append({
-            "n": n,
-            "m": m,
-            "dim_ker_plus": entry["dim_ker_plus"],
-            "dim_ker_minus": entry["dim_ker_minus"],
-            "index": entry["index"],
-            "method": args.method,
-        })
+    blocks = [{"n": n, "m": m, **entry, "method": args.method}
+              for (n, m), entry in table.entries.items()]
     if args.format == "csv":
         lines = ["n,m,dim_ker_plus,dim_ker_minus,index,method"]
         lines += ["%d,%d,%d,%d,%d,%s" % (b["n"], b["m"], b["dim_ker_plus"],

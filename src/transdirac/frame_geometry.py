@@ -91,13 +91,19 @@ def mean_curvature_L(data: LocalFrameData) -> np.ndarray:
     return h
 
 
-def rotate_L_frame(data: LocalFrameData, rotation: np.ndarray) -> LocalFrameData:
-    """Re-express the connection data in an orthogonally rotated e-frame."""
+def _checked_rotation(data: LocalFrameData, rotation) -> np.ndarray:
+    """rotation as a float array, checked to be an orthogonal p x p matrix."""
     rotation = np.asarray(rotation, dtype=float)
     if rotation.shape != (data.p, data.p):
         raise FrameDataError("rotation must be p x p")
     if np.max(np.abs(rotation @ rotation.T - np.eye(data.p))) > 1e-10:
         raise FrameDataError("rotation must be orthogonal")
+    return rotation
+
+
+def rotate_L_frame(data: LocalFrameData, rotation: np.ndarray) -> LocalFrameData:
+    """Re-express the connection data in an orthogonally rotated e-frame."""
+    rotation = _checked_rotation(data, rotation)
     t = np.eye(data.rank)
     t[data.q:, data.q:] = rotation
     conn = np.einsum("af,bd,ce,fde->abc", t, t, t, data.conn)
@@ -113,11 +119,7 @@ def compute_BX_rotated_eframe(data: LocalFrameData, mod: CliffordModule,
     frame-independent.
     """
     _check_module(data, mod)
-    rotation = np.asarray(rotation, dtype=float)
-    if rotation.shape != (data.p, data.p):
-        raise FrameDataError("rotation must be p x p")
-    if np.max(np.abs(rotation @ rotation.T - np.eye(data.p))) > 1e-10:
-        raise FrameDataError("rotation must be orthogonal")
+    rotation = _checked_rotation(data, rotation)
     b = np.zeros((mod.fiber_dim, mod.fiber_dim), dtype=complex)
     for m in range(data.p):
         nabla = rotation[m] @ data.conn[x_index, data.q:, :]

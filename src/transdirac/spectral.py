@@ -142,29 +142,32 @@ def integrate_log_ode(r, phi_start: float, phi_end: float, steps: int):
     Since the right-hand side depends on phi only, the classical RK4 step
     collapses to Simpson's rule. r is either a callable, evaluated once on
     the array simpson_abscissas(phi_start, phi_end, steps), or r already
-    sampled on those 2*steps + 1 points. Returns log|psi| at the steps + 1
-    nodes simpson_abscissas(phi_start, phi_end, steps)[0::2], with
-    log|psi| = 0 at phi_start.
+    sampled on those 2*steps + 1 points; a (..., 2*steps + 1) stack of
+    samples integrates each row along the last axis. Returns log|psi| at the
+    steps + 1 nodes simpson_abscissas(phi_start, phi_end, steps)[0::2] (one
+    row per sample row), with log|psi| = 0 at phi_start.
     """
     if steps < 1:
         raise SpectralError("need at least one step")
     if callable(r):
         r = r(simpson_abscissas(phi_start, phi_end, steps))
     samples = np.asarray(r, dtype=float)
-    if samples.shape != (2 * steps + 1,):
+    if samples.shape[-1:] != (2 * steps + 1,):
         raise SpectralError("r must be sampled on the %d Simpson abscissas, got shape %s"
                             % (2 * steps + 1, samples.shape))
     if not np.all(np.isfinite(samples)):
         raise SpectralError("singular coefficient encountered on the integration span")
     h = (phi_end - phi_start) / steps
-    increments = (h / 6.0) * (samples[:-2:2] + 4.0 * samples[1::2] + samples[2::2])
-    log_psi = np.zeros(steps + 1)
-    np.cumsum(increments, out=log_psi[1:])
+    increments = (h / 6.0) * (samples[..., :-2:2] + 4.0 * samples[..., 1::2]
+                              + samples[..., 2::2])
+    log_psi = np.zeros(samples.shape[:-1] + (steps + 1,))
+    np.cumsum(increments, axis=-1, out=log_psi[..., 1:])
     return log_psi
 
 
-def fit_exponent(log_abscissas, log_samples) -> float:
-    """Least-squares slope of log samples against log abscissas."""
+def fit_exponent(log_abscissas, log_samples):
+    """Least-squares slope of log samples against log abscissas: a float for
+    one row of samples, one slope per row for a (..., len) stack."""
     x = np.asarray(log_abscissas, dtype=float)
     y = np.asarray(log_samples, dtype=float)
     if len(x) < 10:
@@ -173,4 +176,5 @@ def fit_exponent(log_abscissas, log_samples) -> float:
     denom = float(x0 @ x0)
     if denom < 1e-300:
         raise SpectralError("degenerate abscissas")
-    return float(x0 @ (y - y.mean())) / denom
+    slopes = np.sum(x0 * (y - y.mean(axis=-1, keepdims=True)), axis=-1) / denom
+    return float(slopes) if y.ndim == 1 else slopes

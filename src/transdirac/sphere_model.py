@@ -41,7 +41,8 @@ def _check_chart(chart: str):
 
 @dataclass(frozen=True)
 class SphereBlock:
-    """Isotypic label: frame-rotation weight n, lifted-rotation weight m."""
+    """Isotypic label: frame-rotation weight n, lifted-rotation weight m; for
+    a batch, n and m are integer arrays of one shape (reduce_block is elementwise)."""
 
     n: int
     m: int
@@ -55,7 +56,8 @@ class SphereBlock:
 @dataclass(frozen=True)
 class RadialODE:
     """d_phi psi = r(phi) psi with r(phi) = (p - q cos phi) / sin phi; the
-    indicial exponent at the pole phi = 0 is p - q."""
+    indicial exponent at the pole phi = 0 is p - q. For a batched block, p, q
+    and exponent are integer arrays of the labels' shape."""
 
     block: SphereBlock
     chart: str
@@ -312,12 +314,9 @@ def clutching_check(n: int, psi_upper: Callable, psi_lower: Callable,
 
 
 def matched_global_section(block: SphereBlock):
-    """Kernel sections on both charts scaled to agree at the equator."""
-    upper = closed_form_kernel_section(block, UPPER)
-    lower = closed_form_kernel_section(block, LOWER)
-    half_pi = 0.5 * np.pi
-    ratio = upper(0.0, half_pi) / lower(0.0, half_pi)
-    return upper, lambda theta, phi: ratio * lower(theta, phi)
+    """Kernel sections on both charts; with C = 1 both are 1 at theta = 0 on
+    the equator, so they need no rescaling to be matched there."""
+    return closed_form_kernel_section(block, UPPER), closed_form_kernel_section(block, LOWER)
 
 
 # ---------------------------------------------------------------------------

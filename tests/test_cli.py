@@ -186,7 +186,11 @@ def test_huge_integer_labels_exit_one(capsys):
     huge = str(10 ** 400)
     for argv in (["sphere-kernel", "--n", huge, "--m", "3"],
                  ["torus-spectrum", "--op", "DQ", "--N", "64", "--mode", huge],
-                 ["sphere-index", "--n-min", "0", "--n-max", huge, "--m-min", "0", "--m-max", "0"]):
+                 ["sphere-index", "--n-min", "0", "--n-max", huge, "--m-min", "0", "--m-max", "0"],
+                 ["sphere-kernel", "--n", str(2 ** 53), "--m", "0"],
+                 ["sphere-kernel", "--n", str(2 ** 62), "--m", str(-2 ** 62)],
+                 ["sphere-index", "--n-min", str(2 ** 63), "--n-max", str(2 ** 63),
+                  "--m-min", "0", "--m-max", "0", "--method", "both"]):
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 1, argv

@@ -142,6 +142,8 @@ def test_rotate_l_frame_is_orthogonal_change():
     assert np.max(np.abs(rotate_L_frame(rotated, rot.T).conn - data.conn)) < 1e-12
     with pytest.raises(FrameDataError):
         rotate_L_frame(data, np.ones((3, 3)))
+    with pytest.raises(FrameDataError):
+        compute_BX_rotated_eframe(data, build_standard_module(5), 0, np.ones((3, 3)))
 
 
 def test_non_metric_connection_rejected():

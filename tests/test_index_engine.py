@@ -100,7 +100,7 @@ def test_oracle_never_reads_the_closed_form(monkeypatch):
 def test_shared_grid_slopes_match_callable_integration():
     # reference: each ODE's r(phi) evaluated as a callable over the full span
     eps, steps = 1e-3, 10000
-    blocks = BRANCH_BLOCKS + ((40, 7), (40, -7), (-40, 7), (-40, -7))
+    blocks = BRANCH_BLOCKS + ((40, 7), (40, -7), (-40, 7), (-40, -7), (50, 49), (-50, 50))
     for n, m in blocks:
         slopes = index_numerical(n, m, eps=eps, steps=steps)["slopes"]
         for chart in CHARTS:
@@ -112,6 +112,20 @@ def test_shared_grid_slopes_match_callable_integration():
                 reference = fit_exponent(np.log(np.sin(phis[window])), log_psi[window])
                 assert abs(slopes[(chart, chirality)] - reference) <= 1e-9, (n, m, chart)
                 assert abs(reference - ode.exponent) < 0.1
+
+
+def test_numerical_batch_matches_single_blocks():
+    n, m = np.meshgrid(np.arange(-6, 7), np.arange(-6, 7), indexing="ij")
+    batch = index_numerical(n, m)
+    assert batch["d_plus"].shape == n.shape
+    for i, j in np.ndindex(n.shape):
+        single = index_numerical(int(n[i, j]), int(m[i, j]))
+        for name in ("d_plus", "d_minus", "index"):
+            assert np.ndim(single[name]) == 0 and not isinstance(single[name], np.ndarray)
+            assert batch[name][i, j] == single[name]
+        for key in single["slopes"]:
+            assert batch["estimated_exponents"][key][i, j] == single["estimated_exponents"][key]
+            assert abs(batch["slopes"][key][i, j] - single["slopes"][key]) <= 1e-12
 
 
 def test_numerical_parameter_validation():

@@ -285,6 +285,17 @@ def test_integrate_log_ode_evaluates_callable_once():
     assert np.array_equal(sampled, log_psi)
 
 
+def test_integrate_log_ode_stack_matches_rows():
+    points = simpson_abscissas(np.pi / 4, 0.2, 40)
+    stack = np.cos(points) / np.sin(points) * np.arange(-3.0, 4.0).reshape(7, 1)
+    log_psi = integrate_log_ode(stack, np.pi / 4, 0.2, 40)
+    assert log_psi.shape == (7, 41)
+    for row, samples in zip(log_psi, stack):
+        assert np.array_equal(row, integrate_log_ode(samples, np.pi / 4, 0.2, 40))
+    nested = integrate_log_ode(stack.reshape(7, 1, 81), np.pi / 4, 0.2, 40)
+    assert np.array_equal(nested, log_psi.reshape(7, 1, 41))
+
+
 def test_integrate_log_ode_rejects_bad_samples():
     with pytest.raises(SpectralError, match="Simpson abscissas"):
         integrate_log_ode(np.zeros(200), 1.0, 0.1, 100)
@@ -314,6 +325,16 @@ def test_fit_exponent_exactly_linear_in_data():
     x = np.sort(rng.uniform(-3.0, -1.0, size=30))
     a, b = -4.0, 2.5
     assert abs(fit_exponent(x, a * x + b) - a) < 1e-12
+
+
+def test_fit_exponent_stack_matches_rows():
+    x = np.log(np.sin(np.linspace(1e-3, 1e-2, 40)))
+    rng = np.random.default_rng(8)
+    stack = rng.uniform(-5.0, 5.0, size=(6, 1)) * x + rng.standard_normal((6, 40))
+    slopes = fit_exponent(x, stack)
+    assert slopes.shape == (6,)
+    assert isinstance(fit_exponent(x, stack[0]), float)
+    assert np.array_equal(slopes, [fit_exponent(x, row) for row in stack])
 
 
 def test_fit_exponent_needs_samples():
