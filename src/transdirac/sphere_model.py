@@ -23,6 +23,7 @@ CHARTS = (UPPER, LOWER)
 CHIRALITIES = ("+", "-")
 
 POLE_EPS = 1e-3
+_CHUNK = 128  # n values per compare_block_reductions call in reduction_gaps
 
 # so(3) generators of the two horizontal directions and the orbit direction
 E1 = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
@@ -221,15 +222,31 @@ def _n_eff(n: int, chart: str) -> int:
     return n if chart == UPPER else -n
 
 
+def _weights(block: SphereBlock, chart: str):
+    """(n_eff, m) of the block on the chart. Int labels stay Python ints; a
+    batch comes back as int64 arrays, once exact integers show that n, m and
+    n_eff - m, and so their negatives, fit int64 for every label pair."""
+    _check_chart(chart)
+    if np.ndim(block.n) == 0 and np.ndim(block.m) == 0:
+        return _n_eff(block.n, chart), block.m
+    n, m = np.broadcast_arrays(np.asarray(block.n, dtype=object), np.asarray(block.m, dtype=object))
+    bad = np.any([abs(v) >= 2 ** 63 for v in (n, m, _n_eff(n, chart) - m)], axis=0)
+    if np.any(bad):
+        at = np.argmax(bad)
+        raise SphereModelError("label pair (n, m) = (%d, %d) leaves int64 on the %s chart"
+                               % (n.flat[at], m.flat[at], chart))
+    return _n_eff(n.astype(np.int64), chart), m.astype(np.int64)
+
+
 def theta_weight(block: SphereBlock, chart: str) -> int:
     """Angular weight k with psi(theta, phi) = e^{i k theta} psi(0, phi)."""
-    return _n_eff(block.n, chart) - block.m
+    ne, m = _weights(block, chart)
+    return ne - m
 
 
 def reduce_block(block: SphereBlock, chart: str) -> RadialODE:
     """Radial reduction d_phi psi = r(phi) psi of the kernel equation."""
-    _check_chart(chart)
-    ne, m = _n_eff(block.n, chart), block.m
+    ne, m = _weights(block, chart)
     sign = 1 if block.chirality == "+" else -1
     return RadialODE(block=block, chart=chart, p=sign * ne, q=sign * m,
                      exponent=sign * (ne - m))
@@ -256,8 +273,7 @@ class KernelSection:
 
 def closed_form_kernel_section(block: SphereBlock, chart: str) -> KernelSection:
     """The block's kernel section on the chart, from the weights, not reduce_block."""
-    _check_chart(chart)
-    ne, m = _n_eff(block.n, chart), block.m
+    ne, m = _weights(block, chart)
     sign = 1 if block.chirality == "+" else -1
     return KernelSection(sin_power=sign * (ne - m), cos_power=-sign * ne, theta_weight=ne - m)
 
@@ -286,20 +302,29 @@ def apply_chart_operator(n: int, chart: str, chirality: str, value, d_theta, d_p
     return w[..., 0] * (-1j * n) * value + w[..., 1] * d_theta + w[..., 2] * d_phi
 
 
-def pde_residual(block: SphereBlock, chart: str, phi_values) -> float:
+def pde_residual(block: SphereBlock, chart: str, phi_values):
     """Max relative residual |Ds|/|s| of the closed-form section s under the
     full chartwise operator on the mesh of six thetas by the given phis, away
     from the poles; D acts on s/s = 1 with the exact log-derivatives of s, so
-    s (which can overflow) is never formed."""
+    s (which can overflow) is never formed. A float for int labels; for a
+    batch, the per-block maxima in the labels' shape, from one evaluation of
+    the chart fields."""
     phi_values = np.atleast_1d(np.asarray(phi_values, dtype=float))
+    if phi_values.size == 0:
+        raise SphereModelError("empty phi grid")
     if np.min(phi_values) < POLE_EPS:
         raise SphereModelError("grid touches the coordinate pole")
+    batched = np.ndim(block.n) > 0 or np.ndim(block.m) > 0
+    if batched:  # labels on leading axes, the (theta, phi) mesh on the last two
+        block = SphereBlock(n=np.asarray(block.n)[..., None, None],
+                            m=np.asarray(block.m)[..., None, None], chirality=block.chirality)
     theta = np.linspace(0.0, 2.0 * np.pi, 7)[:-1, None]
     phi = phi_values[None, :]
     log_d_theta, log_d_phi = closed_form_kernel_section(block, chart).log_derivatives(phi)
     out = apply_chart_operator(block.n, chart, block.chirality, 1.0, log_d_theta, log_d_phi,
                                theta, phi)
-    return float(np.max(np.abs(out)))
+    worst = np.max(np.abs(out), axis=(-2, -1))
+    return worst if batched else float(worst)
 
 
 def clutching_check(n: int, psi_upper: Callable, psi_lower: Callable,
@@ -379,13 +404,14 @@ def quotient_reduced_operator(m: int) -> FirstOrderOperator:
     )
 
 
-def compare_block_reductions(n: int, m: int, phi_values=None) -> float:
+def compare_block_reductions(n, m: int, phi_values=None):
     """Coefficient-level agreement of the two reduction routes.
 
     Route 1 restricts the quotient operator to frame weight n; route 2 is
     the radial table from the sphere-side reduction. Returns the sup over
-    the phi grid of the coefficient discrepancy, across both chiralities.
-    The operator is evaluated once on the whole grid.
+    the phi grid of the coefficient discrepancy, across both chiralities:
+    a float for an int n, and one value per entry of an integer array n.
+    The operator is evaluated once on the whole grid, for every n.
     """
     if phi_values is None:
         phi_values = np.linspace(0.05, 0.5 * np.pi, 201)
@@ -394,19 +420,30 @@ def compare_block_reductions(n: int, m: int, phi_values=None) -> float:
     pts = np.column_stack([np.full_like(phis, 0.3), phis])
     a_theta, a_phi = op.coefficients_at(pts)
     b0 = op.zeroth_at(pts)
-    k = n - m  # theta weight of sigma_n sections on the upper chart
+    batched = np.ndim(n) > 0
+    if batched:  # n on the leading axes, the phi grid on the last
+        n = np.asarray(n)[..., None]
+    k = theta_weight(SphereBlock(n=n, m=m), UPPER)  # of sigma_n sections on the upper chart
     worst = 0.0
     for chirality, (row, col) in (("+", (1, 0)), ("-", (0, 1))):
         table_r = reduce_block(SphereBlock(n=n, m=m, chirality=chirality), UPPER).r
         r1 = -(a_theta[:, row, col] * 1j * k + b0[:, row, col]) / a_phi[:, row, col]
-        worst = max(worst, float(np.max(np.abs(r1 - table_r(phis)))))
-    return worst
+        worst = np.maximum(worst, np.max(np.abs(r1 - table_r(phis)), axis=-1))
+    return worst if batched else float(worst)
 
 
 def reduction_gaps(n_max: int, m_max: int) -> dict:
     """compare_block_reductions over the blocks |n| <= n_max, |m| <= m_max,
-    keyed by (n, m) in row-major order; an empty range is an error."""
+    keyed by (n, m) in row-major order; an empty range is an error, and so is
+    a bound of 2**62 or more, where n - m could leave int64. Each m takes
+    one call per chunk of n values."""
     if n_max < 0 or m_max < 0:
         raise SphereModelError("empty block range: n_max and m_max must be >= 0")
-    return {(n, m): compare_block_reductions(n, m)
-            for n in range(-n_max, n_max + 1) for m in range(-m_max, m_max + 1)}
+    if max(n_max, m_max) >= 2 ** 62:
+        raise SphereModelError("n_max and m_max must be < 2**62, got %d and %d" % (n_max, m_max))
+    n_values, m_values = range(-n_max, n_max + 1), range(-m_max, m_max + 1)
+    columns = [np.concatenate([
+        compare_block_reductions(np.arange(start, min(start + _CHUNK, n_max + 1)), m)
+        for start in n_values[::_CHUNK]]).tolist() for m in m_values]
+    return {(n, m): column[i] for i, n in enumerate(n_values)
+            for m, column in zip(m_values, columns)}

@@ -73,11 +73,12 @@ def suite_clifford(trials: int = 20, seed: int = 7, tol: float = 1e-12) -> dict:
 
 def suite_connection(trials: int = 100, seed: int = 7, tol: float = 1e-10) -> dict:
     rng = np.random.default_rng(seed)
+    modules = {rank: build_standard_module(rank) for rank in range(2, 7)}  # p + q for p, q in 1..3
     form_gap = skew = residual = rot_gap = lin_gap = 0.0
     for _ in range(trials):
         p, q = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         data = random_frame_data(p, q, rng)
-        mod = build_standard_module(p + q)
+        mod = modules[p + q]
         x = int(rng.integers(0, q))  # X tangent to Q
         b_l = compute_BX_Lframe(data, mod, x)
         b_q = compute_BX_Qframe(data, mod, x)
@@ -130,14 +131,14 @@ def suite_clutching(tol: float = 1e-10) -> dict:
 
 def suite_residual(tol: float = 1e-6) -> dict:
     phis = np.linspace(0.05, 0.5 * np.pi, 25)
-    checks = []
-    for n, m in BRANCH_BLOCKS:
-        worst = 0.0
-        for chart in CHARTS:
-            for chirality in CHIRALITIES:
-                block = SphereBlock(n=n, m=m, chirality=chirality)
-                worst = max(worst, pde_residual(block, chart, phis))
-        checks.append(_check("kernel PDE residual (n=%d, m=%d)" % (n, m), worst, tol))
+    n, m = np.array(BRANCH_BLOCKS).T
+    worst = np.zeros(len(BRANCH_BLOCKS))
+    for chart in CHARTS:
+        for chirality in CHIRALITIES:
+            block = SphereBlock(n=n, m=m, chirality=chirality)
+            worst = np.maximum(worst, pde_residual(block, chart, phis))
+    checks = [_check("kernel PDE residual (n=%d, m=%d)" % nm, value, tol)
+              for nm, value in zip(BRANCH_BLOCKS, worst)]
     return _report("residual", checks)
 
 

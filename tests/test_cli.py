@@ -190,7 +190,9 @@ def test_huge_integer_labels_exit_one(capsys):
                  ["sphere-kernel", "--n", str(2 ** 53), "--m", "0"],
                  ["sphere-kernel", "--n", str(2 ** 62), "--m", str(-2 ** 62)],
                  ["sphere-index", "--n-min", str(2 ** 63), "--n-max", str(2 ** 63),
-                  "--m-min", "0", "--m-max", "0", "--method", "both"]):
+                  "--m-min", "0", "--m-max", "0", "--method", "both"],
+                 ["compare-quotient", "--n-max", str(2 ** 62), "--m-max", "0"],
+                 ["compare-quotient", "--n-max", str(2 ** 63), "--m-max", "0"]):
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 1, argv

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,7 @@ from transdirac.transverse_operator import (
     SingularPointError,
     symbol_smallest_singular_value,
 )
+from transdirac.verification import BRANCH_BLOCKS
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +253,36 @@ def test_residual_grid_must_avoid_pole():
     block = SphereBlock(n=1, m=1, chirality="+")
     with pytest.raises(SphereModelError):
         pde_residual(block, UPPER, [1e-5, 0.3])
+    with pytest.raises(SphereModelError, match="empty phi grid"):
+        pde_residual(block, UPPER, [])
+
+
+def test_batched_residual_matches_per_block():
+    blocks = BRANCH_BLOCKS + ((400, 3), (-40, 7))
+    n, m = np.array(blocks).T
+    phis = np.linspace(0.05, np.pi / 2, 25)
+    for chart in CHARTS:
+        for chirality in CHIRALITIES:
+            batch = pde_residual(SphereBlock(n=n, m=m, chirality=chirality), chart, phis)
+            single = [pde_residual(SphereBlock(*block, chirality), chart, phis) for block in blocks]
+            assert isinstance(single[0], float)
+            assert batch.shape == (len(blocks),)
+            assert batch.tolist() == single  # bit for bit
+
+
+def test_batched_labels_must_fit_int64():
+    # n - m = 2**63 on the upper chart, -n = 2**63 on the lower one
+    for n, m, chart in ((2 ** 62, -2 ** 62, UPPER), (-2 ** 63, 0, LOWER)):
+        block = SphereBlock(n=np.array([0, n]), m=np.array([0, m]))
+        for fn in (reduce_block, closed_form_kernel_section, theta_weight):
+            with pytest.raises(SphereModelError, match=re.escape("(n, m) = (%d, %d)" % (n, m))):
+                fn(block, chart)
+    # the largest pair that fits: n - m = 2**63 - 1, whose negative fits too
+    n, m = 2 ** 62 - 1, -2 ** 62
+    for chirality in CHIRALITIES:
+        batch = reduce_block(SphereBlock(np.array([n]), np.array([m]), chirality), UPPER)
+        single = reduce_block(SphereBlock(n, m, chirality), UPPER)
+        assert batch.exponent.tolist() == [single.exponent]
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +336,28 @@ def test_reductions_agree_blockwise():
             assert compare_block_reductions(n, m) < 1e-12
 
 
+def test_batched_reductions_match_per_n():
+    for m in range(-6, 7):
+        batch = compare_block_reductions(np.arange(-6, 7), m)
+        assert batch.tolist() == [compare_block_reductions(n, m) for n in range(-6, 7)]
+
+
+def test_reduction_gaps_row_major_over_chunks():
+    gaps = reduction_gaps(3, 2)
+    assert list(gaps) == [(n, m) for n in range(-3, 4) for m in range(-2, 3)]
+    # 401 values of n take more than one chunk per m
+    gaps = reduction_gaps(200, 1)
+    assert list(gaps) == [(n, m) for n in range(-200, 201) for m in range(-1, 2)]
+    assert all(gap == compare_block_reductions(n, m) for (n, m), gap in gaps.items())
+
+
 def test_reduction_gaps_reject_empty_range():
     gaps = reduction_gaps(1, 2)
     assert list(gaps) == [(n, m) for n in range(-1, 2) for m in range(-2, 3)]
     for n_max, m_max in ((-1, 0), (0, -1)):
         with pytest.raises(SphereModelError):
+            reduction_gaps(n_max, m_max)
+    # from 2**62 on, n - m could leave int64
+    for n_max, m_max in ((2 ** 62, 0), (0, 2 ** 62), (2 ** 63, 0)):
+        with pytest.raises(SphereModelError, match=re.escape("2**62")):
             reduction_gaps(n_max, m_max)
