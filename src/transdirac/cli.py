@@ -2,7 +2,10 @@
 
 Subcommands: torus-spectrum, sphere-index, sphere-kernel, compare-quotient,
 verify.  Output is deterministic JSON (fixed field order, floats rendered
-with 17 significant digits) or, for the index table, optional CSV.
+with 17 significant digits) or, for the index table, optional CSV.  One
+type-dispatched renderer writes the JSON of every command: a scalar's
+formatter is found by one lookup on its exact type, and strings and keys are
+escaped as RFC 8259 requires.
 
 Exit codes: 0 all requested checks pass, 1 a check failed (a machine-readable
 failure report is still emitted), 2 usage error.
@@ -14,6 +17,7 @@ import argparse
 import functools
 import math
 import sys
+from json.encoder import encode_basestring
 
 import numpy as np
 
@@ -37,35 +41,71 @@ SCHEMA_VERSION = 1
 # deterministic serialization
 
 
-def _json_render(obj, indent=0) -> str:
-    pad = "  " * indent
+def _render_bool(value) -> str:
+    return "true" if value else "false"
+
+
+def _render_int(value) -> str:
+    return str(int(value))
+
+
+def _render_float(value) -> str:
+    if not math.isfinite(value):
+        raise ValueError("cannot render the non-finite value %r as JSON" % float(value))
+    return format(float(value), ".17g")
+
+
+# formatter of each scalar type, found by one lookup on the exact type
+_SCALARS = {
+    str: encode_basestring,
+    int: str,
+    float: _render_float,
+    bool: _render_bool,
+    type(None): lambda _: "null",
+    np.int64: _render_int,
+    np.bool_: _render_bool,
+}
+
+
+def _json_render(obj, pad="") -> str:
+    """obj as JSON; the lines inside a container are indented by pad plus
+    two spaces. Scalar children are formatted in place, not by recursion."""
+    scalar = _SCALARS.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
+    get, inner = _SCALARS.get, pad + "  "
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = ",\n".join(
-            '%s  "%s": %s' % (pad, key, _json_render(value, indent + 1))
+        # the list of lines is freed when join returns and the body is copied
+        # once, so no more than two copies of a large body are alive at a time
+        body = (",\n" + inner).join([
+            encode_basestring(str(key)) + ": "
+            + (fmt(value) if (fmt := get(type(value))) else _json_render(value, inner))
             for key, value in obj.items()
-        )
-        return "{\n%s\n%s}" % (items, pad)
+        ])
+        return "{\n%s%s\n%s}" % (inner, body, pad)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = ",\n".join("%s  %s" % (pad, _json_render(v, indent + 1)) for v in obj)
-        return "[\n%s\n%s]" % (items, pad)
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
+        body = (",\n" + inner).join([
+            fmt(value) if (fmt := get(type(value))) else _json_render(value, inner)
+            for value in obj
+        ])
+        return "[\n%s%s\n%s]" % (inner, body, pad)
+    # subclasses and other numpy scalars: the same rules by isinstance
+    if isinstance(obj, (bool, np.bool_)):
+        return _render_bool(obj)
     if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
+        return _render_int(obj)
     if isinstance(obj, (float, np.floating)):
-        if not math.isfinite(obj):
-            raise ValueError("cannot render the non-finite value %r as JSON" % float(obj))
-        return format(float(obj), ".17g")
-    if obj is None:
-        return "null"
-    return '"%s"' % str(obj).replace("\\", "\\\\").replace('"', '\\"')
+        return _render_float(obj)
+    return encode_basestring(str(obj))
 
 
 def render_json(obj) -> str:
+    """obj as 2-space indented JSON with a final newline: RFC 8259 string
+    escaping, floats to 17 significant digits, ValueError on inf or nan."""
     return _json_render(obj) + "\n"
 
 
@@ -106,6 +146,8 @@ def parse_g_spec(shorthand: str, coeffs: str) -> TorusGeometry:
 
 
 def cmd_torus_spectrum(args) -> int:
+    if not -2 ** 63 < args.mode < 2 ** 63:
+        raise ValueError("--mode = %d must satisfy |mode| < 2**63" % args.mode)
     geom = parse_g_spec(args.g, args.g_coeffs)
     if args.op == "DL":
         eigenvalues = spectrum_DL(geom, args.mode, args.N)
@@ -221,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     torus.add_argument("--g", default="", help="warping shorthand, e.g. '0.3sin,0.1cos'")
     torus.add_argument("--g-coeffs", default="", help="explicit 'const;sin1,sin2;cos1,...'")
     torus.add_argument("--N", type=int, required=True, help="grid size (even)")
-    torus.add_argument("--mode", type=int, default=0, help="x-Fourier mode")
+    torus.add_argument("--mode", type=int, default=0, help="x-Fourier mode, |mode| < 2**63")
     torus.add_argument("--out", default=None)
     torus.set_defaults(func=cmd_torus_spectrum)
 

@@ -8,7 +8,7 @@ spectrum n [min e^{-g}, max e^{-g}].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -144,8 +144,8 @@ def mode_grid(geom: TorusGeometry, n_points: int):
     exact log-derivative w'/w = g'(y)."""
     if n_points < MIN_GRID or n_points % 2:
         raise TorusError("grid size must be even and >= %d" % MIN_GRID)
-    points = periodic_grid(n_points).points
-    g = geom.g(points)
+    grid = periodic_grid(n_points)
+    g = geom.g(grid.points)
     if not np.all(np.isfinite(g)):
         raise TorusError("warping g is not finite on the grid")
     # e^{g} is never formed, but the D_Q band e^{-g} must be a normal float
@@ -154,7 +154,7 @@ def mode_grid(geom: TorusGeometry, n_points: int):
             "warping e^{+-g} overflows or underflows float64: max |g| on the grid is %.6g, "
             "the limit is %.6g" % (np.max(np.abs(g)), MAX_ABS_G)
         )
-    return periodic_grid(n_points, log_weight_prime=geom.g_prime(points))
+    return replace(grid, log_weight_prime=geom.g_prime(grid.points))
 
 
 def spectrum_DL(geom: TorusGeometry, x_mode: int, n_points: int) -> np.ndarray:

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import warnings
 
 import numpy as np
 import pytest
 
+from transdirac import cli
 from transdirac.cli import main, parse_g_spec, render_json
 
 
@@ -186,6 +188,9 @@ def test_huge_integer_labels_exit_one(capsys):
     huge = str(10 ** 400)
     for argv in (["sphere-kernel", "--n", huge, "--m", "3"],
                  ["torus-spectrum", "--op", "DQ", "--N", "64", "--mode", huge],
+                 ["torus-spectrum", "--op", "DQ", "--N", "32", "--mode", huge],
+                 ["torus-spectrum", "--op", "DL", "--N", "32", "--mode", "-" + huge],
+                 ["torus-spectrum", "--op", "DQ", "--N", "32", "--mode", str(2 ** 63)],
                  ["sphere-index", "--n-min", "0", "--n-max", huge, "--m-min", "0", "--m-max", "0"],
                  ["sphere-kernel", "--n", str(2 ** 53), "--m", "0"],
                  ["sphere-kernel", "--n", str(2 ** 62), "--m", str(-2 ** 62)],
@@ -197,7 +202,10 @@ def test_huge_integer_labels_exit_one(capsys):
         captured = capsys.readouterr()
         assert code == 1, argv
         assert captured.out == ""
-        assert json.loads(captured.err)["error"], argv
+        error = json.loads(captured.err)["error"]
+        assert error, argv
+        if argv[0] == "torus-spectrum":
+            assert "--mode" in error and "|mode| < 2**63" in error, argv
 
 
 def test_unwritable_out_exits_one(tmp_path, capsys):
@@ -229,6 +237,65 @@ def test_render_json_float_precision():
     for bad in (float("inf"), float("nan"), np.float64(-np.inf)):
         with pytest.raises(ValueError):
             render_json({"x": [bad]})
+
+
+# a dict in a list in a dict, empty containers, a tuple, np.int64, and
+# strings that need escaping
+NESTED = {
+    "outer": [1, {"inner": {"deep": [True, None, "s"]}, "empty_dict": {}, "empty_list": []}],
+    "empty_dict": {},
+    "empty_list": [],
+    "tuple": (1, "two", False, ()),
+    "np_int": np.int64(-7),
+    "text": 'quote " backslash \\ newline \n tab \t bell \x07',
+    'key "quoted" \\ \n': "non-ASCII stays: \u00fc \u03c6",
+}
+
+CLOSED_50 = ["sphere-index", "--n-min", "-50", "--n-max", "50", "--m-min", "-50",
+             "--m-max", "50", "--method", "closed"]
+
+
+def test_render_json_matches_stdlib_layout():
+    # np.int64 is the one value json.dumps needs help with
+    expected = json.dumps(NESTED, indent=2, ensure_ascii=False, default=int) + "\n"
+    assert render_json(NESTED) == expected
+
+
+def test_render_json_closed_table_matches_stdlib_layout(capsys, monkeypatch):
+    reports = []
+    monkeypatch.setattr(cli, "render_json", lambda obj: reports.append(obj) or render_json(obj))
+    code, out = run_cli(capsys, *CLOSED_50)
+    assert code == 0 and len(reports) == 1
+    assert len(reports[0]["blocks"]) == 101 * 101
+    assert out == render_json(reports[0]) == json.dumps(reports[0], indent=2) + "\n"
+
+
+def test_render_json_closed_table_bytes_pinned(capsys):
+    # SHA-256 of this command's stdout at commit 1437c34, rendered by the
+    # isinstance-chain renderer that the type-dispatched one replaced
+    _, out = run_cli(capsys, *CLOSED_50)
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "9318f68182d463da0444b9dde90f4304c9210a409ac35c6a8e1370076471ae31"
+
+
+def test_render_json_round_trips_numpy_scalars():
+    obj = dict(NESTED, floats=[np.float64(0.1), 1.0 / 3.0, np.float64(-2.5e-300), -0.0],
+               flags=[np.True_, np.False_, True])
+    expected = json.loads(json.dumps(obj, default=lambda value: value.item()))
+    assert json.loads(render_json(obj)) == expected
+
+
+def test_render_json_numpy_bool():
+    assert render_json({"a": np.True_, "b": [np.False_]}) == \
+        '{\n  "a": true,\n  "b": [\n    false\n  ]\n}\n'
+
+
+def test_render_json_escapes_strings_and_keys():
+    for obj in ({"c": "x\ny"}, {'k"q': 1}, {"k\\": "\x00\x1f"}, {"\t": ["\r"]}):
+        assert json.loads(render_json(obj)) == obj
+    assert render_json({'k"q': "a\\b\n"}) == '{\n  "k\\"q": "a\\\\b\\n"\n}\n'
+    # no escaping needed: the bytes of the plain quoting
+    assert render_json(["plain", "\u00e9t\u00e9"]) == '[\n  "plain",\n  "\u00e9t\u00e9"\n]\n'
 
 
 def test_parse_g_spec():

@@ -12,6 +12,7 @@ from transdirac.torus_model import (
     spectrum_DL,
     spectrum_DQ_band,
 )
+from transdirac.spectral import periodic_grid
 from transdirac.transverse_operator import discretize_hermitian
 
 
@@ -119,4 +120,5 @@ def test_mode_grid_validation():
         mode_grid(geom, 8)
     geom = TorusGeometry(sin_coeffs=(0.3,))
     grid = mode_grid(geom, 32)
+    assert np.array_equal(grid.points, periodic_grid(32).points)
     assert np.array_equal(grid.log_weight_prime, geom.g_prime(grid.points))
