@@ -25,6 +25,8 @@ from transdirac.index_engine import build_index_table, index_numerical
 from transdirac.sphere_model import (
     CHARTS,
     CHIRALITIES,
+    RESIDUAL_PHIS,
+    RESIDUAL_TOL,
     SphereBlock,
     closed_form_kernel_section,
     pde_residual,
@@ -191,10 +193,10 @@ def cmd_sphere_index(args) -> int:
 
 def cmd_sphere_kernel(args) -> int:
     numeric = index_numerical(args.n, args.m)
-    phis = np.linspace(0.05, 0.5 * np.pi, 25)
     charts = []
     for chart in CHARTS:
-        for chirality in CHIRALITIES:
+        residuals = pde_residual(args.n, args.m, chart, RESIDUAL_PHIS)
+        for chirality, residual in zip(CHIRALITIES, residuals.tolist()):
             block = SphereBlock(n=args.n, m=args.m, chirality=chirality)
             section = closed_form_kernel_section(block, chart)
             charts.append({
@@ -205,7 +207,7 @@ def cmd_sphere_kernel(args) -> int:
                 "one_plus_cos_power": section.cos_power,
                 "indicial_exponent": reduce_block(block, chart).exponent,
                 "estimated_exponent": numeric["estimated_exponents"][(chart, chirality)],
-                "pde_residual": float(pde_residual(block, chart, phis)),
+                "pde_residual": residual,
             })
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -218,7 +220,7 @@ def cmd_sphere_kernel(args) -> int:
     }
     _emit(render_json(report), args.out)
     ok = all(c["indicial_exponent"] == c["estimated_exponent"] for c in charts)
-    ok = ok and all(c["pde_residual"] < 1e-6 for c in charts)
+    ok = ok and all(c["pde_residual"] < RESIDUAL_TOL for c in charts)
     return 0 if ok else 1
 
 

@@ -12,7 +12,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from transdirac.spectral import fit_exponent, integrate_log_ode, simpson_abscissas
-from transdirac.sphere_model import CHARTS, CHIRALITIES, SphereBlock, reduce_block
+from transdirac.sphere_model import (
+    CHARTS,
+    CHIRALITIES,
+    CHUNK,
+    MAX_BLOCKS,
+    SphereBlock,
+    reduce_block,
+)
 
 
 class IndexError_(ValueError):
@@ -21,9 +28,6 @@ class IndexError_(ValueError):
 
 class ExponentFitError(IndexError_):
     """The log-log slope did not land near an integer (grid too coarse)."""
-
-
-_CHUNK = 128  # blocks per index_numerical call in build_index_table
 
 
 def kernel_dims_closed_form(n: int, m: int):
@@ -118,12 +122,17 @@ class IndexTable:
 
 def build_index_table(n_range, m_range, method: str = "closed",
                       eps: float = 1e-3, steps: int = 10000) -> IndexTable:
-    """Index table over finite ranges; method 'closed', 'numeric' or 'both'
-    ('both' insists the two routes agree on every block)."""
+    """Index table over finite ranges of at most MAX_BLOCKS blocks; method
+    'closed', 'numeric' or 'both' ('both' insists the two routes agree on
+    every block)."""
     try:
-        n_values, m_values = list(n_range), list(m_range)
+        count = len(n_range) * len(m_range)
     except OverflowError as exc:  # a range longer than sys.maxsize
         raise IndexError_("block range too long: %s by %s" % (n_range, m_range)) from exc
+    if count > MAX_BLOCKS:
+        raise IndexError_("block range %s by %s spans %d blocks, more than the %d allowed"
+                          % (n_range, m_range, count, MAX_BLOCKS))
+    n_values, m_values = list(n_range), list(m_range)
     if not n_values or not m_values:
         raise IndexError_("ranges must be nonempty")
     if method not in ("closed", "numeric", "both"):
@@ -132,8 +141,8 @@ def build_index_table(n_range, m_range, method: str = "closed",
     keys = [(n, m) for n in n_values for m in m_values]
     numeric = {}
     if method != "closed":
-        for start in range(0, len(keys), _CHUNK):
-            chunk = keys[start:start + _CHUNK]
+        for start in range(0, len(keys), CHUNK):
+            chunk = keys[start:start + CHUNK]
             res = index_numerical([n for n, _ in chunk], [m for _, m in chunk], eps, steps)
             numeric.update(zip(chunk, zip(res["d_plus"].tolist(), res["d_minus"].tolist())))
     entry = lambda d: {"dim_ker_plus": d[0], "dim_ker_minus": d[1], "index": d[0] - d[1]}

@@ -2,10 +2,16 @@
 
 The frame bundle is charted by two hemisphere charts (theta, phi, alpha);
 the horizontal fields V_1, V_2 and the orbit field T are left translates of
-fixed so(3) elements. Sections are doubly reduced by the weight n of the
-fiberwise SO(2) rotation and the weight m of the lifted circle action,
-which collapses each chirality component to a radial ODE
-d_phi psi = r(phi) psi on (0, pi/2].
+the so(3) elements E1, E2 and ET. Each chart is built from rotations
+exp(t K) of these generators and its (basis, flip) pair, and every field
+component on either chart comes from one pushforward solve of the chart's
+partials, several generators sharing it as right-hand sides. The chartwise
+kernel operator applies w = V_1 + i V_2 (chirality '+') and -conj(w)
+(chirality '-'), so one field evaluation serves both chiralities.
+
+Sections are doubly reduced by the weight n of the fiberwise SO(2) rotation
+and the weight m of the lifted circle action, which collapses each chirality
+component to a radial ODE d_phi psi = r(phi) psi on (0, pi/2].
 """
 
 from __future__ import annotations
@@ -23,7 +29,16 @@ CHARTS = (UPPER, LOWER)
 CHIRALITIES = ("+", "-")
 
 POLE_EPS = 1e-3
-_CHUNK = 128  # n values per compare_block_reductions call in reduction_gaps
+CHUNK = 128  # labels per batched call in reduction_gaps and build_index_table
+# the most blocks one index table or gap report may span. Peak memory grows
+# by about 0.9 kB per block, so on a 2-core host the 511 x 511 blocks within
+# the bound peak at 258 MB for a closed-form table (2 s) and at 187 MB for
+# compare-quotient (7 s); a 601 x 601 table, beyond it, peaks at 352 MB
+MAX_BLOCKS = 2 ** 18
+# the phi mesh and the pass threshold of the kernel PDE residual checks
+RESIDUAL_PHIS = np.linspace(0.05, 0.5 * np.pi, 25)
+RESIDUAL_PHIS.flags.writeable = False
+RESIDUAL_TOL = 1e-6
 
 # so(3) generators of the two horizontal directions and the orbit direction
 E1 = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
@@ -60,8 +75,6 @@ class RadialODE:
     indicial exponent at the pole phi = 0 is p - q. For a batched block, p, q
     and exponent are integer arrays of the labels' shape."""
 
-    block: SphereBlock
-    chart: str
     p: int
     q: int
     exponent: int
@@ -77,91 +90,57 @@ class RadialODE:
 # (..., 3, 3) stacks over the broadcast shape.
 
 
-def _stack_last(entries) -> np.ndarray:
-    """Broadcast real entries against each other and stack them on a new last axis."""
-    out = np.empty(np.broadcast_shapes(*[np.shape(v) for v in entries]) + (len(entries),))
-    for i, v in enumerate(entries):
-        out[..., i] = v
-    return out
-
-
-def _mat3(rows) -> np.ndarray:
-    """Stack a 3x3 nested list of broadcastable entries into (..., 3, 3)."""
-    flat = _stack_last([v for row in rows for v in row])
-    return flat.reshape(flat.shape[:-1] + (3, 3))
-
-
 def _t(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(m, -1, -2)
 
 
-def _rz(t) -> np.ndarray:
-    c, s = np.cos(t), np.sin(t)
-    return _mat3([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+def _rotation(generator: np.ndarray, t) -> np.ndarray:
+    """exp(t K) for a generator K with K^3 = -K (a unit-speed rotation), by
+    Rodrigues: the axis projector I + K^2, plus sin t K, minus cos t K^2. For
+    the axis generators here each entry takes one term, so it holds cos t and
+    sin t exactly."""
+    t = np.asarray(t, dtype=float)[..., None, None]
+    square = generator @ generator
+    return np.eye(3) + square + np.sin(t) * generator - np.cos(t) * square
 
 
-def _drz(t) -> np.ndarray:
-    c, s = np.cos(t), np.sin(t)
-    return _mat3([[-s, -c, 0.0], [c, -s, 0.0], [0.0, 0.0, 0.0]])
+# columns (e3, e1, e2) of each chart's basis: parallel transport of these
+# gives the rows (point, X, Y) of the frame matrix, then the flip
+_CHART_FRAMES = {
+    UPPER: (np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]), np.eye(3)),
+    LOWER: (np.array([[0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]),
+            np.diag([1.0, 1.0, -1.0])),
+}
 
 
-def _ry(t) -> np.ndarray:
-    c, s = np.cos(t), np.sin(t)
-    return _mat3([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+def _chart_frame(chart: str, transport: np.ndarray) -> np.ndarray:
+    """The chart's frame matrix carried by a transport matrix; linear in it,
+    so the transport's partials give the frame's."""
+    basis, flip = _CHART_FRAMES[chart]
+    return _t(transport @ basis) @ flip
 
 
-def _dry(t) -> np.ndarray:
-    c, s = np.cos(t), np.sin(t)
-    return _mat3([[-s, 0.0, c], [0.0, 0.0, 0.0], [-c, 0.0, -s]])
-
-
-def _lmat(a) -> np.ndarray:
-    c, s = np.cos(a), np.sin(a)
-    return _mat3([[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]])
-
-
-def _dlmat(a) -> np.ndarray:
-    c, s = np.cos(a), np.sin(a)
-    return _mat3([[0.0, 0.0, 0.0], [0.0, -s, c], [0.0, -c, -s]])
-
-
-# columns (e3, e1, e2): parallel transport of these gives the rows
-# (point, X, Y) of the frame matrix
-_BASIS_UPPER = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-_BASIS_LOWER = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-_FLIP = np.diag([1.0, 1.0, -1.0])
-
-
-def _transport(theta, phi) -> np.ndarray:
-    return _rz(theta) @ _ry(phi) @ _rz(-theta)
-
-
-def _transport_dtheta(theta, phi) -> np.ndarray:
-    return _drz(theta) @ _ry(phi) @ _rz(-theta) - _rz(theta) @ _ry(phi) @ _drz(-theta)
-
-
-def _transport_dphi(theta, phi) -> np.ndarray:
-    return _rz(theta) @ _dry(phi) @ _rz(-theta)
+def _transport(theta, phi):
+    """Parallel transport P = Rz(theta) Ry(phi) Rz(-theta) from the pole, with
+    Rz(t) = exp(-t ET) and Ry(t) = exp(t E1), and its partials
+    (d_theta P, d_phi P) = (P ET - ET P, Rz(theta) Ry(phi) E1 Rz(-theta))."""
+    rz, ry = _rotation(-ET, theta), _rotation(E1, phi)
+    p = rz @ ry @ _t(rz)
+    return p, (p @ ET - ET @ p, rz @ ry @ E1 @ _t(rz))
 
 
 def chart_matrix(chart: str, theta, phi, alpha=0.0) -> np.ndarray:
     """The SO(3) element of the hemisphere chart at (theta, phi, alpha)."""
     _check_chart(chart)
-    p = _transport(theta, phi)
-    if chart == UPPER:
-        return _lmat(alpha) @ _t(p @ _BASIS_UPPER)
-    return _lmat(alpha) @ _t(p @ _BASIS_LOWER) @ _FLIP
+    return _rotation(E2, alpha) @ _chart_frame(chart, _transport(theta, phi)[0])
 
 
 def _chart_partials(chart: str, theta, phi, alpha):
-    basis = _BASIS_UPPER if chart == UPPER else _BASIS_LOWER
-    post = np.eye(3) if chart == UPPER else _FLIP
-    m = _t(_transport(theta, phi) @ basis) @ post
-    la = _lmat(alpha)
-    d_alpha = _dlmat(alpha) @ m
-    d_theta = la @ _t(_transport_dtheta(theta, phi) @ basis) @ post
-    d_phi = la @ _t(_transport_dphi(theta, phi) @ basis) @ post
-    return la @ m, (d_alpha, d_theta, d_phi)
+    """The chart matrix U and its partials (d_alpha U, d_theta U, d_phi U)."""
+    p, (p_theta, p_phi) = _transport(theta, phi)
+    la, frame = _rotation(E2, alpha), _chart_frame(chart, p)
+    return la @ frame, (la @ E2 @ frame,
+                        la @ _chart_frame(chart, p_theta), la @ _chart_frame(chart, p_phi))
 
 
 def _vec_skew(w: np.ndarray) -> np.ndarray:
@@ -172,41 +151,34 @@ def pushforward_components(chart: str, theta, phi, generator: np.ndarray,
                            alpha=0.0) -> np.ndarray:
     """Components of the left-invariant field A -> A*generator in the chart
     coordinate basis (d_alpha, d_theta, d_phi), shape (..., 3) over the
-    broadcast shape of the angles; one batched solve of the (..., 3, 3)
-    pushforward systems."""
+    broadcast shape of the angles. A (k, 3, 3) stack of generators gives
+    (..., 3, k), one column per generator, from the same solve: one batched
+    solve of the (..., 3, 3) pushforward systems with k right-hand sides."""
     _check_chart(chart)
     u, partials = _chart_partials(chart, theta, phi, alpha)
     cols = np.stack([_vec_skew(_t(u) @ d) for d in partials], axis=-1)
-    rhs = np.broadcast_to(_vec_skew(generator), cols.shape[:-1])
+    generator = np.asarray(generator, dtype=float)
+    rhs = _vec_skew(generator.reshape(-1, 3, 3)).T
     try:
-        return np.linalg.solve(cols, rhs[..., None])[..., 0]
+        out = np.linalg.solve(cols, np.broadcast_to(rhs, cols.shape[:-1] + rhs.shape[-1:]))
     except np.linalg.LinAlgError as err:
         worst = np.argmin(np.abs(np.linalg.det(cols)).ravel())
         bad_phi = np.broadcast_to(phi, cols.shape[:-2]).ravel()[worst]
         raise SingularPointError("chart degenerate at phi=%g" % bad_phi) from err
+    return out[..., 0] if generator.ndim == 2 else out
 
 
 def lifted_vector_fields(chart: str, theta, phi):
     """Component triples of V_1, V_2 in (d_alpha, d_theta, d_phi), each of
-    shape (..., 3) over the broadcast shape of theta and phi.
-
-    The upper-chart components are in closed form; the lower chart is
-    derived from the chart definition by solving the pushforward system.
+    shape (..., 3) over the broadcast shape of theta and phi: on either
+    chart, one pushforward solve with E1 and E2 as its two right-hand sides.
     """
     _check_chart(chart)
-    sp = np.sin(phi)
-    pole = np.abs(sp) < 1e-12
+    pole = np.abs(np.sin(phi)) < 1e-12
     if np.any(pole):
         raise SingularPointError("coordinate pole at phi=%g" % np.asarray(phi, dtype=float)[pole][0])
-    if chart == UPPER:
-        st, ct, cp = np.sin(theta), np.cos(theta), np.cos(phi)
-        v1 = _stack_last([st * (cp - 1.0) / sp, st * cp / sp, -ct])
-        v2 = _stack_last([ct * (1.0 - cp) / sp, -ct * cp / sp, -st])
-        return v1, v2
-    return (
-        pushforward_components(chart, theta, phi, E1),
-        pushforward_components(chart, theta, phi, E2),
-    )
+    fields = pushforward_components(chart, theta, phi, np.stack([E1, E2]))
+    return fields[..., 0], fields[..., 1]
 
 
 def orbit_field_components(chart: str, theta, phi) -> np.ndarray:
@@ -248,8 +220,7 @@ def reduce_block(block: SphereBlock, chart: str) -> RadialODE:
     """Radial reduction d_phi psi = r(phi) psi of the kernel equation."""
     ne, m = _weights(block, chart)
     sign = 1 if block.chirality == "+" else -1
-    return RadialODE(block=block, chart=chart, p=sign * ne, q=sign * m,
-                     exponent=sign * (ne - m))
+    return RadialODE(p=sign * ne, q=sign * m, exponent=sign * (ne - m))
 
 
 @dataclass(frozen=True)
@@ -287,44 +258,46 @@ def _w_plus(chart: str, theta, phi) -> np.ndarray:
     return v1 + 1j * v2
 
 
-def apply_chart_operator(n: int, chart: str, chirality: str, value, d_theta, d_phi, theta, phi):
-    """Apply the chartwise kernel operator to a weight-n section with the given
-    value and partial derivatives d_theta, d_phi at the broadcast (theta, phi).
+def apply_chart_operator(n, chart: str, value, d_theta, d_phi, theta, phi):
+    """Apply the chartwise kernel operator of both chiralities to a weight-n
+    section with the given value and partial derivatives d_theta, d_phi at the
+    broadcast (theta, phi), from one evaluation of the chart fields.
 
-    Chirality '+' applies V_1 + i V_2, chirality '-' applies
-    -conj(V_1 + i V_2); d_alpha acts as multiplication by -i n.
+    Chirality '+' applies w = V_1 + i V_2, chirality '-' applies -conj(w);
+    d_alpha acts as multiplication by -i n. The result carries the
+    chiralities, in the order of CHIRALITIES, on a new last axis, and n,
+    value, d_theta and d_phi broadcast against it: a scalar serves both, a
+    trailing axis of length 2 gives each chirality its own input.
     """
     w = _w_plus(chart, theta, phi)
-    if chirality == "-":
-        w = -np.conj(w)
-    elif chirality != "+":
-        raise SphereModelError("chirality must be '+' or '-'")
-    return w[..., 0] * (-1j * n) * value + w[..., 1] * d_theta + w[..., 2] * d_phi
+    w = np.stack([w, -np.conj(w)], axis=-1)
+    return w[..., 0, :] * (-1j * n) * value + w[..., 1, :] * d_theta + w[..., 2, :] * d_phi
 
 
-def pde_residual(block: SphereBlock, chart: str, phi_values):
-    """Max relative residual |Ds|/|s| of the closed-form section s under the
-    full chartwise operator on the mesh of six thetas by the given phis, away
-    from the poles; D acts on s/s = 1 with the exact log-derivatives of s, so
-    s (which can overflow) is never formed. A float for int labels; for a
-    batch, the per-block maxima in the labels' shape, from one evaluation of
-    the chart fields."""
+def pde_residual(n, m, chart: str, phi_values) -> np.ndarray:
+    """Max relative residual |Ds|/|s| of the closed-form kernel sections s of
+    the blocks (n, m) under the full chartwise operator on the mesh of six
+    thetas by the given phis, away from the poles; D acts on s/s = 1 with the
+    exact log-derivatives of s, so s (which can overflow) is never formed.
+
+    n and m are ints or integer arrays of one broadcast shape; the result has
+    shape (len(CHIRALITIES),) + that shape, both chiralities of every block
+    from one evaluation of the chart fields.
+    """
     phi_values = np.atleast_1d(np.asarray(phi_values, dtype=float))
     if phi_values.size == 0:
         raise SphereModelError("empty phi grid")
     if np.min(phi_values) < POLE_EPS:
         raise SphereModelError("grid touches the coordinate pole")
-    batched = np.ndim(block.n) > 0 or np.ndim(block.m) > 0
-    if batched:  # labels on leading axes, the (theta, phi) mesh on the last two
-        block = SphereBlock(n=np.asarray(block.n)[..., None, None],
-                            m=np.asarray(block.m)[..., None, None], chirality=block.chirality)
+    # labels on leading axes, then the (theta, phi) mesh, then the chirality
+    n, m = np.asarray(n)[..., None, None], np.asarray(m)[..., None, None]
     theta = np.linspace(0.0, 2.0 * np.pi, 7)[:-1, None]
     phi = phi_values[None, :]
-    log_d_theta, log_d_phi = closed_form_kernel_section(block, chart).log_derivatives(phi)
-    out = apply_chart_operator(block.n, chart, block.chirality, 1.0, log_d_theta, log_d_phi,
-                               theta, phi)
-    worst = np.max(np.abs(out), axis=(-2, -1))
-    return worst if batched else float(worst)
+    logs = [closed_form_kernel_section(SphereBlock(n, m, chirality), chart).log_derivatives(phi)
+            for chirality in CHIRALITIES]
+    d_theta, d_phi = (np.stack(pair, axis=-1) for pair in zip(*logs))
+    out = apply_chart_operator(n[..., None], chart, 1.0, d_theta, d_phi, theta, phi)
+    return np.moveaxis(np.max(np.abs(out), axis=(-3, -2)), -1, 0)
 
 
 def clutching_check(n: int, psi_upper: Callable, psi_lower: Callable,
@@ -434,16 +407,20 @@ def compare_block_reductions(n, m: int, phi_values=None):
 
 def reduction_gaps(n_max: int, m_max: int) -> dict:
     """compare_block_reductions over the blocks |n| <= n_max, |m| <= m_max,
-    keyed by (n, m) in row-major order; an empty range is an error, and so is
-    a bound of 2**62 or more, where n - m could leave int64. Each m takes
-    one call per chunk of n values."""
+    keyed by (n, m) in row-major order; an empty range is an error, and so are
+    a bound of 2**62 or more, where n - m could leave int64, and a range of
+    more than MAX_BLOCKS blocks. Each m takes one call per chunk of n values."""
     if n_max < 0 or m_max < 0:
         raise SphereModelError("empty block range: n_max and m_max must be >= 0")
     if max(n_max, m_max) >= 2 ** 62:
         raise SphereModelError("n_max and m_max must be < 2**62, got %d and %d" % (n_max, m_max))
+    count = (2 * n_max + 1) * (2 * m_max + 1)
+    if count > MAX_BLOCKS:
+        raise SphereModelError("n_max = %d and m_max = %d span %d blocks, more than the %d allowed"
+                               % (n_max, m_max, count, MAX_BLOCKS))
     n_values, m_values = range(-n_max, n_max + 1), range(-m_max, m_max + 1)
     columns = [np.concatenate([
-        compare_block_reductions(np.arange(start, min(start + _CHUNK, n_max + 1)), m)
-        for start in n_values[::_CHUNK]]).tolist() for m in m_values]
+        compare_block_reductions(np.arange(start, min(start + CHUNK, n_max + 1)), m)
+        for start in n_values[::CHUNK]]).tolist() for m in m_values]
     return {(n, m): column[i] for i, n in enumerate(n_values)
             for m, column in zip(m_values, columns)}

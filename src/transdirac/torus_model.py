@@ -8,6 +8,7 @@ spectrum n [min e^{-g}, max e^{-g}].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -168,8 +169,19 @@ def spectrum_DQ_band(geom: TorusGeometry, x_mode: int, n_points: int) -> np.ndar
 
     The mode operator has no derivative part, so its discretization is
     diagonal; its 1 x 1 blocks are checked like a dense Hermitian matrix
-    and their entries read off without an eigensolve.
+    and their entries read off without an eigensolve. A mode whose band
+    leaves float64 is rejected before the band is formed.
     """
     grid = mode_grid(geom, n_points)
+    g = geom.g(grid.points)
+    # the largest band entry |n| max e^{-g}, in the rounding the band gets;
+    # a Python float product overflows to inf without a warning
+    peak = float(np.max(np.exp(-g)))
+    if not math.isfinite(abs(x_mode) * peak):
+        raise TorusError(
+            "--mode = %d overflows the D_Q band |mode| e^{-g} in float64: max |g| on the grid "
+            "is %.6g, so |mode| must stay below %.6g" % (x_mode, np.max(np.abs(g)),
+                                                        np.finfo(float).max / peak)
+        )
     blocks = check_hermitian(discretize_diagonal(dq_mode_operator(geom, x_mode), grid))
     return np.sort(blocks[:, 0, 0].real)

@@ -26,6 +26,8 @@ from transdirac.sphere_model import (
     CHARTS,
     CHIRALITIES,
     LOWER,
+    RESIDUAL_PHIS,
+    RESIDUAL_TOL,
     UPPER,
     SphereBlock,
     chart_matrix,
@@ -129,14 +131,9 @@ def suite_clutching(tol: float = 1e-10) -> dict:
     return _report("clutching", checks)
 
 
-def suite_residual(tol: float = 1e-6) -> dict:
-    phis = np.linspace(0.05, 0.5 * np.pi, 25)
+def suite_residual(tol: float = RESIDUAL_TOL) -> dict:
     n, m = np.array(BRANCH_BLOCKS).T
-    worst = np.zeros(len(BRANCH_BLOCKS))
-    for chart in CHARTS:
-        for chirality in CHIRALITIES:
-            block = SphereBlock(n=n, m=m, chirality=chirality)
-            worst = np.maximum(worst, pde_residual(block, chart, phis))
+    worst = np.max([pde_residual(n, m, chart, RESIDUAL_PHIS) for chart in CHARTS], axis=(0, 1))
     checks = [_check("kernel PDE residual (n=%d, m=%d)" % nm, value, tol)
               for nm, value in zip(BRANCH_BLOCKS, worst)]
     return _report("residual", checks)

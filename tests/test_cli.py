@@ -7,6 +7,7 @@ import pytest
 
 from transdirac import cli
 from transdirac.cli import main, parse_g_spec, render_json
+from transdirac.sphere_model import MAX_BLOCKS
 
 
 def run_cli(capsys, *argv):
@@ -153,6 +154,40 @@ def test_strong_warping_spectra_without_warnings(capsys):
                             "--mode", "3", "--N", "64")
         assert code == 0
         assert len(json.loads(out)["eigenvalues"]) == 64
+
+
+def test_dq_band_overflow_exits_one_without_warnings(capsys):
+    # at g = 700sin the band |mode| e^{-g} peaks at |mode| e^{700}, which
+    # leaves float64 from |mode| = 17725 on; warnings are errors here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mode in ("1000000", "17725", "-17725"):
+            code = main(["torus-spectrum", "--op", "DQ", "--g", "700sin", "--N", "16",
+                         "--mode", mode])
+            captured = capsys.readouterr()
+            assert code == 1, mode
+            assert captured.out == ""
+            error = json.loads(captured.err)["error"]
+            assert "--mode = %s overflows" % mode in error, error
+            assert "max |g| on the grid is 700" in error and "singular" not in error
+        for mode in ("17724", "-17724"):
+            code, out = run_cli(capsys, "torus-spectrum", "--op", "DQ", "--g", "700sin",
+                                "--N", "16", "--mode", mode)
+            assert code == 0, mode
+            ev = np.array(json.loads(out)["eigenvalues"])
+            assert np.all(np.isfinite(ev)) and np.max(np.abs(ev)) > 1e308
+
+
+def test_block_ranges_beyond_the_bound_exit_one(capsys):
+    # each would build its blocks one by one: 2**63 - 1 of them, or 2e9 + 1
+    for argv in (["compare-quotient", "--n-max", str(2 ** 62 - 1), "--m-max", "0"],
+                 ["sphere-index", "--n-min", "-1000000000", "--n-max", "1000000000",
+                  "--m-min", "0", "--m-max", "0"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1, argv
+        assert captured.out == ""
+        assert "more than the %d allowed" % MAX_BLOCKS in json.loads(captured.err)["error"]
 
 
 def test_large_weight_kernel_sections_pass_without_warnings(capsys):

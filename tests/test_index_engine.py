@@ -194,3 +194,12 @@ def test_numeric_table_matches_closed_form_small_blocks():
     for n in range(-1, 2):
         for m in range(-1, 2):
             assert table.index(n, m) == index_closed_form(n, m)
+
+
+def test_table_block_count_is_bounded(monkeypatch):
+    monkeypatch.setattr(index_engine, "MAX_BLOCKS", 6)
+    assert len(build_index_table(range(3), range(-1, 1)).entries) == 6
+    for n_range, m_range in ((range(7), range(1)), (range(3), range(-1, 2)),
+                             (range(-10 ** 9, 10 ** 9 + 1), range(0, 1))):
+        with pytest.raises(IndexError_, match="more than the 6 allowed"):
+            build_index_table(n_range, m_range, method="numeric")

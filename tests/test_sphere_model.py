@@ -26,7 +26,8 @@ from transdirac.sphere_model import (
     sigma_reduced_operator,
     theta_weight,
 )
-from transdirac.sphere_model import E1, E2
+from transdirac import sphere_model
+from transdirac.sphere_model import E1, E2, ET
 from transdirac.transverse_operator import (
     SingularPointError,
     symbol_smallest_singular_value,
@@ -120,16 +121,46 @@ def test_batched_chart_operator_matches_per_point():
         section = closed_form_kernel_section(block, chart)
 
         def apply(theta, phi):
-            value = section(theta, phi)
-            log_d_theta, log_d_phi = section.log_derivatives(phi)
-            return apply_chart_operator(2, chart, "-", value, log_d_theta * value,
+            value = section(theta, phi)[..., None]  # broadcasts over the chirality axis
+            log_d_theta, log_d_phi = section.log_derivatives(np.asarray(phi)[..., None])
+            both = apply_chart_operator(2, chart, value, log_d_theta * value,
                                         log_d_phi * value, theta, phi)
+            return both[..., CHIRALITIES.index("-")]
 
         mesh = apply(thetas[:, None], phis[None, :])
         assert mesh.shape == (4, 3)
         for i, j in np.ndindex(mesh.shape):
             single = apply(thetas[i], phis[j])
             assert abs(mesh[i, j] - single) < 1e-12 * max(abs(single), 1.0)
+
+
+def test_pushforward_recombines_chart_partials():
+    # sum_i c_i d_i U = U G for the components c of pushforward_components,
+    # with the partials d_i U of chart_matrix in (alpha, theta, phi) taken by
+    # central differences: chart_matrix and the solve describe one map
+    rng = np.random.default_rng(5)
+    h = 1e-6
+    generic = 0.3 * E1 - 1.1 * E2 + 0.7 * ET
+    for chart in CHARTS:
+        for _ in range(5):
+            alpha, theta = rng.uniform(0, 2 * np.pi, 2)
+            phi = rng.uniform(0.1, np.pi / 2)
+            at = np.array([alpha, theta, phi])
+            partials = []
+            for i in range(3):
+                step = h * np.eye(3)[i]
+                plus, minus = at + step, at - step
+                partials.append((chart_matrix(chart, plus[1], plus[2], plus[0])
+                                 - chart_matrix(chart, minus[1], minus[2], minus[0])) / (2 * h))
+            u = chart_matrix(chart, theta, phi, alpha)
+            stacked = pushforward_components(chart, theta, phi, np.stack([E1, E2, ET, generic]),
+                                             alpha=alpha)
+            assert stacked.shape == (3, 4)
+            for col, generator in enumerate((E1, E2, ET, generic)):
+                c = pushforward_components(chart, theta, phi, generator, alpha=alpha)
+                assert np.max(np.abs(c - stacked[:, col])) < 1e-12
+                recombined = sum(c[i] * partials[i] for i in range(3))
+                assert np.max(np.abs(recombined - u @ generator)) < 1e-8
 
 
 def test_fields_singular_at_pole():
@@ -196,9 +227,7 @@ def test_closed_forms_satisfy_full_pde():
     phis = np.linspace(0.05, np.pi / 2, 25)
     for n, m in ((0, 0), (2, 3), (1, -2), (3, 1), (2, -2), (1, 1)):
         for chart in CHARTS:
-            for chirality in CHIRALITIES:
-                block = SphereBlock(n=n, m=m, chirality=chirality)
-                assert pde_residual(block, chart, phis) < 1e-6
+            assert np.all(pde_residual(n, m, chart, phis) < 1e-6)
 
 
 def test_mode_reduction_consistency():
@@ -213,8 +242,8 @@ def test_mode_reduction_consistency():
             f = np.exp(np.sin(phi))  # arbitrary smooth radial profile
             df = np.cos(phi) * f
             angular = np.exp(1j * k * theta)
-            out = apply_chart_operator(n, chart, "+", angular * f, 1j * k * angular * f,
-                                       angular * df, theta, phi)
+            out = apply_chart_operator(n, chart, angular * f, 1j * k * angular * f,
+                                       angular * df, theta, phi)[CHIRALITIES.index("+")]
             # the operator output carries one extra unit of theta-weight and
             # an overall chart-dependent sign
             radial = out / np.exp(1j * (k + 1) * theta)
@@ -229,9 +258,9 @@ def test_residual_exact_at_large_weights():
     with np.errstate(all="raise"):
         for n, m in ((5, 3), (60, 3), (400, 3), (-400, 17)):
             for chart in CHARTS:
-                for chirality in CHIRALITIES:
-                    block = SphereBlock(n=n, m=m, chirality=chirality)
-                    assert pde_residual(block, chart, phis) < 1e-11
+                residual = pde_residual(n, m, chart, phis)
+                assert residual.shape == (len(CHIRALITIES),)
+                assert np.all(residual < 1e-11)
 
 
 def test_section_log_derivatives_match_the_section():
@@ -250,11 +279,10 @@ def test_section_log_derivatives_match_the_section():
 
 
 def test_residual_grid_must_avoid_pole():
-    block = SphereBlock(n=1, m=1, chirality="+")
     with pytest.raises(SphereModelError):
-        pde_residual(block, UPPER, [1e-5, 0.3])
+        pde_residual(1, 1, UPPER, [1e-5, 0.3])
     with pytest.raises(SphereModelError, match="empty phi grid"):
-        pde_residual(block, UPPER, [])
+        pde_residual(1, 1, UPPER, [])
 
 
 def test_batched_residual_matches_per_block():
@@ -262,12 +290,42 @@ def test_batched_residual_matches_per_block():
     n, m = np.array(blocks).T
     phis = np.linspace(0.05, np.pi / 2, 25)
     for chart in CHARTS:
-        for chirality in CHIRALITIES:
-            batch = pde_residual(SphereBlock(n=n, m=m, chirality=chirality), chart, phis)
-            single = [pde_residual(SphereBlock(*block, chirality), chart, phis) for block in blocks]
-            assert isinstance(single[0], float)
-            assert batch.shape == (len(blocks),)
-            assert batch.tolist() == single  # bit for bit
+        batch = pde_residual(n, m, chart, phis)
+        single = [pde_residual(*block, chart, phis) for block in blocks]
+        assert single[0].shape == (len(CHIRALITIES),)
+        assert batch.shape == (len(CHIRALITIES), len(blocks))
+        assert batch.T.tolist() == [row.tolist() for row in single]  # bit for bit
+
+
+def test_residual_rows_follow_chiralities():
+    # row c of pde_residual is the residual of chirality c's section under
+    # w = V_1 + i V_2 for '+' and -conj(w) for '-', built here from the fields
+    thetas = np.linspace(0.0, 2 * np.pi, 7)[:-1, None]
+    phis = np.linspace(0.05, np.pi / 2, 25)
+    for n, m in ((2, 3), (1, -2), (-3, 0)):
+        for chart in CHARTS:
+            v1, v2 = lifted_vector_fields(chart, thetas, phis[None, :])
+            rows = pde_residual(n, m, chart, phis)
+            for chirality, row in zip(CHIRALITIES, rows):
+                w = v1 + 1j * v2 if chirality == "+" else -np.conj(v1 + 1j * v2)
+                section = closed_form_kernel_section(SphereBlock(n, m, chirality), chart)
+                log_d_theta, log_d_phi = section.log_derivatives(phis[None, :])
+                out = w[..., 0] * (-1j * n) + w[..., 1] * log_d_theta + w[..., 2] * log_d_phi
+                assert abs(np.max(np.abs(out)) - row) < 1e-13
+
+
+def test_residual_evaluates_chart_fields_once(monkeypatch):
+    # both chiralities of every block come from one pushforward solve per chart
+    charts = []
+    original = sphere_model.pushforward_components
+    monkeypatch.setattr(sphere_model, "pushforward_components",
+                        lambda chart, *args, **kwargs: charts.append(chart)
+                        or original(chart, *args, **kwargs))
+    n, m = np.array(BRANCH_BLOCKS).T
+    for chart in CHARTS:
+        pde_residual(n, m, chart, np.linspace(0.05, np.pi / 2, 25))
+        pde_residual(2, 3, chart, [0.4, 1.2])
+    assert charts == [chart for chart in CHARTS for _ in range(2)]
 
 
 def test_batched_labels_must_fit_int64():
@@ -360,4 +418,12 @@ def test_reduction_gaps_reject_empty_range():
     # from 2**62 on, n - m could leave int64
     for n_max, m_max in ((2 ** 62, 0), (0, 2 ** 62), (2 ** 63, 0)):
         with pytest.raises(SphereModelError, match=re.escape("2**62")):
+            reduction_gaps(n_max, m_max)
+
+
+def test_reduction_gaps_block_count_is_bounded(monkeypatch):
+    monkeypatch.setattr(sphere_model, "MAX_BLOCKS", 15)
+    assert len(reduction_gaps(2, 1)) == 15
+    for n_max, m_max in ((2, 2), (8, 0), (2 ** 62 - 1, 0)):
+        with pytest.raises(SphereModelError, match="more than the 15 allowed"):
             reduction_gaps(n_max, m_max)
