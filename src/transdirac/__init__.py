@@ -6,7 +6,7 @@ the frame bundle of the two-sphere), and an equivariant index engine with
 an independent numerical oracle.
 """
 
-from transdirac.clifford import CliffordModule, build_standard_module, clifford_multiply
+from transdirac.clifford import CliffordModule, build_standard_module
 from transdirac.frame_geometry import (
     LocalFrameData,
     compute_BX_Lframe,
@@ -28,7 +28,6 @@ from transdirac.transverse_operator import FirstOrderOperator, FrameField
 __all__ = [
     "CliffordModule",
     "build_standard_module",
-    "clifford_multiply",
     "LocalFrameData",
     "compute_BX_Lframe",
     "compute_BX_Qframe",

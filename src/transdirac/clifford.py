@@ -99,10 +99,3 @@ def clifford_matrix(mod: CliffordModule, v) -> np.ndarray:
         out += vj * cj
     return out
 
-
-def clifford_multiply(mod: CliffordModule, v, s) -> np.ndarray:
-    """Apply c(v) to the fiber vector s."""
-    s = np.asarray(s, dtype=complex)
-    if s.shape != (mod.fiber_dim,):
-        raise CliffordError("fiber vector length %s does not match %d" % (s.shape, mod.fiber_dim))
-    return clifford_matrix(mod, v) @ s

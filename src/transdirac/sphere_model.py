@@ -318,7 +318,7 @@ def matched_global_section(block: SphereBlock):
 
 
 # ---------------------------------------------------------------------------
-# reduced 2x2 operators on the hemisphere
+# 2x2 operators on the hemisphere
 
 
 def _chiral_pair(upper, lower) -> np.ndarray:
@@ -329,26 +329,24 @@ def _chiral_pair(upper, lower) -> np.ndarray:
     return out
 
 
-def sigma_reduced_operator(n: int) -> FirstOrderOperator:
-    """The weight-n reduction of the sphere operator on the upper chart:
-    a 2x2 first-order operator in (theta, phi) with d_alpha -> -i n."""
-
-    def w_at(pts):
-        return _w_plus(UPPER, pts[:, 0], pts[:, 1])
+def chart_operator(chart: str) -> FirstOrderOperator:
+    """The chartwise kernel operator of both chiralities as a 2x2 first-order
+    operator in (alpha, theta, phi): w = V_1 + i V_2 below the diagonal and
+    -conj(w) above it, without zeroth-order term. The fields do not depend on
+    alpha, along which the frame rotation acts, so restrict_to_mode(op, 0, n)
+    is its weight-n reduction in (theta, phi)."""
+    _check_chart(chart)
 
     def coeff(index):
         def pair(pts):
-            w = w_at(pts)[:, index]
+            w = _w_plus(chart, pts[:, 1], pts[:, 2])[:, index]
             return _chiral_pair(-np.conj(w), w)
 
         return pair
 
-    def zeroth(pts):
-        w = w_at(pts)[:, 0]
-        return _chiral_pair(1j * n * np.conj(w), -1j * n * w)
-
     return FirstOrderOperator(
-        chart="sphere-upper", dim=2, fiber_dim=2, coeff=(coeff(1), coeff(2)), zeroth=zeroth
+        chart="sphere-" + chart, dim=3, fiber_dim=2, coeff=tuple(coeff(k) for k in range(3)),
+        zeroth=lambda pts: np.zeros((len(pts), 2, 2), dtype=complex),
     )
 
 
@@ -407,13 +405,11 @@ def compare_block_reductions(n, m: int, phi_values=None):
 
 def reduction_gaps(n_max: int, m_max: int) -> dict:
     """compare_block_reductions over the blocks |n| <= n_max, |m| <= m_max,
-    keyed by (n, m) in row-major order; an empty range is an error, and so are
-    a bound of 2**62 or more, where n - m could leave int64, and a range of
-    more than MAX_BLOCKS blocks. Each m takes one call per chunk of n values."""
+    keyed by (n, m) in row-major order; an empty range is an error, and so is a
+    range of more than MAX_BLOCKS blocks, which also keeps n - m well inside
+    int64. Each m takes one call per chunk of n values."""
     if n_max < 0 or m_max < 0:
         raise SphereModelError("empty block range: n_max and m_max must be >= 0")
-    if max(n_max, m_max) >= 2 ** 62:
-        raise SphereModelError("n_max and m_max must be < 2**62, got %d and %d" % (n_max, m_max))
     count = (2 * n_max + 1) * (2 * m_max + 1)
     if count > MAX_BLOCKS:
         raise SphereModelError("n_max = %d and m_max = %d span %d blocks, more than the %d allowed"

@@ -1,9 +1,11 @@
 """Warped 2-torus with metric e^{2g(y)} dx^2 + dy^2.
 
-The operator along L = span(d_y) is D_L = i(d_y + g'/2) with spectrum Z of
-infinite multiplicity; the operator along Q = span(d_x) is D_Q = i e^{-g} d_x,
-whose restriction to the x-mode n is multiplication by n e^{-g(y)} with
-spectrum n [min e^{-g}, max e^{-g}].
+The operators are assembled on the (x, y) chart from the frames and the
+mean curvature, and the spectra restrict them to one x-Fourier mode n, where
+d_x acts as -i n. The operator along L = span(d_y) is D_L = i(d_y + g'/2)
+with spectrum Z of infinite multiplicity; the operator along Q = span(d_x)
+is D_Q = i e^{-g} d_x, whose restriction to the x-mode n is multiplication
+by n e^{-g(y)} with spectrum n [min e^{-g}, max e^{-g}].
 """
 
 from __future__ import annotations
@@ -22,9 +24,11 @@ from transdirac.transverse_operator import (
     assemble_DQ,
     discretize_diagonal,
     discretize_hermitian,
+    restrict_to_mode,
 )
 
 MIN_GRID = 16
+RANK_ONE = build_standard_module(1)  # c(f_1) acts as i
 MAX_ABS_G = -np.log(np.finfo(float).tiny)  # about 708.4
 
 
@@ -75,69 +79,30 @@ def full_chart_frames(geom: TorusGeometry, along: str = "Q") -> FrameField:
             out[:, 0, 1] = 1.0
         return out
 
-    def metric(pts):
+    def coframe(pts):
         out = np.zeros((len(pts), 2, 2))
-        out[:, 0, 0] = np.exp(2.0 * geom.g(pts[:, 1]))
+        out[:, 0, 0] = np.exp(geom.g(pts[:, 1]))
         out[:, 1, 1] = 1.0
         return out
 
     samples = [np.array([0.3, y]) for y in np.linspace(0.0, 2.0 * np.pi, 7)]
-    return FrameField(chart="torus", dim=2, q=1, components=components, metric=metric, samples=samples)
+    return FrameField(chart="torus", dim=2, q=1, components=components, coframe=coframe,
+                      samples=samples)
 
 
 def operator_AQ_full(geom: TorusGeometry, along: str = "Q") -> FirstOrderOperator:
-    """A_Q (or A_L) on the full (x, y) chart; c(f_1) acts as i."""
-    return assemble_AQ(full_chart_frames(geom, along), build_standard_module(1))
+    """A_Q (or A_L) on the full (x, y) chart."""
+    return assemble_AQ(full_chart_frames(geom, along), RANK_ONE)
 
 
 def operator_D_full(geom: TorusGeometry, along: str = "Q") -> FirstOrderOperator:
     """D = A - c(H)/2 on the full chart. H^L = 0 for the Q-operator and
     H^Q = -g'(y) d_y for the L-operator."""
-    mod = build_standard_module(1)
-    frames = full_chart_frames(geom, along)
     if along == "Q":
         mean_curvature = lambda pts: np.zeros((len(pts), 1))
     else:
         mean_curvature = lambda pts: -geom.g_prime(pts[:, 1:])
-    return assemble_DQ(frames, mod, mean_curvature)
-
-
-def _scalar_stack(values) -> np.ndarray:
-    """(npts,) values as the (npts, 1, 1) stack of a rank-one fiber."""
-    return np.asarray(values, dtype=complex)[:, None, None]
-
-
-def dl_mode_operator(geom: TorusGeometry) -> FirstOrderOperator:
-    """D_L = i(d_y + g'/2) restricted to a single x-Fourier mode."""
-    return FirstOrderOperator(
-        chart="torus-y",
-        dim=1,
-        fiber_dim=1,
-        coeff=(lambda pts: np.full((len(pts), 1, 1), 1j),),
-        zeroth=lambda pts: _scalar_stack(0.5j * geom.g_prime(pts[:, 0])),
-    )
-
-
-def al_mode_operator(geom: TorusGeometry) -> FirstOrderOperator:
-    """A_L = i d_y per x-mode, without the mean-curvature correction."""
-    return FirstOrderOperator(
-        chart="torus-y",
-        dim=1,
-        fiber_dim=1,
-        coeff=(lambda pts: np.full((len(pts), 1, 1), 1j),),
-        zeroth=lambda pts: np.zeros((len(pts), 1, 1), dtype=complex),
-    )
-
-
-def dq_mode_operator(geom: TorusGeometry, n: int) -> FirstOrderOperator:
-    """D_Q on the x-mode n: multiplication by n e^{-g(y)}."""
-    return FirstOrderOperator(
-        chart="torus-y",
-        dim=1,
-        fiber_dim=1,
-        coeff=(lambda pts: np.zeros((len(pts), 1, 1), dtype=complex),),
-        zeroth=lambda pts: _scalar_stack(n * np.exp(-geom.g(pts[:, 0]))),
-    )
+    return assemble_DQ(full_chart_frames(geom, along), RANK_ONE, mean_curvature)
 
 
 def mode_grid(geom: TorusGeometry, n_points: int):
@@ -149,7 +114,7 @@ def mode_grid(geom: TorusGeometry, n_points: int):
     g = geom.g(grid.points)
     if not np.all(np.isfinite(g)):
         raise TorusError("warping g is not finite on the grid")
-    # e^{g} is never formed, but the D_Q band e^{-g} must be a normal float
+    # the D_Q band e^{-g} must be a normal float, and then the coframe's e^{g} is finite
     if np.max(np.abs(g)) > MAX_ABS_G:
         raise TorusError(
             "warping e^{+-g} overflows or underflows float64: max |g| on the grid is %.6g, "
@@ -161,16 +126,17 @@ def mode_grid(geom: TorusGeometry, n_points: int):
 def spectrum_DL(geom: TorusGeometry, x_mode: int, n_points: int) -> np.ndarray:
     """Eigenvalues of D_L on the x-mode subspace; independent of the mode."""
     grid = mode_grid(geom, n_points)
-    return hermitian_eigensolve(discretize_hermitian(dl_mode_operator(geom), grid))
+    op = restrict_to_mode(operator_D_full(geom, "L"), 0, x_mode)
+    return hermitian_eigensolve(discretize_hermitian(op, grid))
 
 
 def spectrum_DQ_band(geom: TorusGeometry, x_mode: int, n_points: int) -> np.ndarray:
     """Eigenvalues of D_Q on the x-mode subspace: the diagonal n e^{-g(y_j)}.
 
-    The mode operator has no derivative part, so its discretization is
-    diagonal; its 1 x 1 blocks are checked like a dense Hermitian matrix
-    and their entries read off without an eigensolve. A mode whose band
-    leaves float64 is rejected before the band is formed.
+    Restricted to the mode, D_Q has no derivative part, so its
+    discretization is diagonal; its 1 x 1 blocks are checked like a dense
+    Hermitian matrix and their entries read off without an eigensolve. A
+    mode whose band leaves float64 is rejected before the band is formed.
     """
     grid = mode_grid(geom, n_points)
     g = geom.g(grid.points)
@@ -183,5 +149,6 @@ def spectrum_DQ_band(geom: TorusGeometry, x_mode: int, n_points: int) -> np.ndar
             "is %.6g, so |mode| must stay below %.6g" % (x_mode, np.max(np.abs(g)),
                                                         np.finfo(float).max / peak)
         )
-    blocks = check_hermitian(discretize_diagonal(dq_mode_operator(geom, x_mode), grid))
+    op = restrict_to_mode(operator_D_full(geom, "Q"), 0, x_mode)
+    blocks = check_hermitian(discretize_diagonal(op, grid))
     return np.sort(blocks[:, 0, 0].real)

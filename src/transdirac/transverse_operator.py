@@ -1,5 +1,6 @@
 """Chartwise first-order operators: assembly of A_Q and D_Q = A_Q - c(H^L)/2,
-principal symbols, and Hermitian-symmetric discretizations.
+restriction to one weight of a circle action, principal symbols, and
+Hermitian-symmetric discretizations.
 """
 
 from __future__ import annotations
@@ -79,8 +80,11 @@ class FirstOrderOperator:
 
 @dataclass(frozen=True)
 class FrameField:
-    """Chartwise orthonormal Q-frame: coordinate components of f_1..f_q,
-    the chart metric, and an optional Cl(Q)-connection term for the bundle.
+    """Chartwise orthonormal Q-frame: coordinate components of f_1..f_q, an
+    orthonormal coframe theta_a of the chart metric (which is sum_a theta_a^2,
+    so the frame is orthonormal when the rows theta_a(f_j) are; a conformal
+    factor e^{g} enters once, where the metric has e^{2g}), and an optional
+    Cl(Q)-connection term for the bundle.
 
     Each callable takes an (npts, dim) array of chart points, like the
     FirstOrderOperator coefficients, and returns an array broadcastable to
@@ -91,8 +95,8 @@ class FrameField:
     dim: int
     q: int
     components: Callable  # -> (npts, q, dim) real, rows are f_j
-    metric: Callable  # -> (npts, dim, dim) real
-    samples: Sequence  # points where orthonormality is validated
+    coframe: Callable  # -> (npts, dim, dim) real, rows are theta_a
+    samples: Sequence  # points where orthonormality is validated, where finite
     connection_term: Optional[Callable] = None  # -> (npts, fiber, fiber)
 
 
@@ -103,11 +107,19 @@ def _field_stack(fn: Callable, pts: np.ndarray, shape: tuple, dtype=float) -> np
 
 def _validate_frame(frames: FrameField):
     pts = np.asarray(frames.samples, dtype=float).reshape(-1, frames.dim)
-    f = _field_stack(frames.components, pts, (frames.q, frames.dim))
-    g = _field_stack(frames.metric, pts, (frames.dim, frames.dim))
-    gram_gap = np.max(np.abs(f @ g @ np.swapaxes(f, 1, 2) - np.eye(frames.q)), axis=(1, 2))
-    if np.any(gram_gap > GRAM_TOL):
-        raise OperatorError("frame not orthonormal at %s" % pts[np.argmax(gram_gap > GRAM_TOL)])
+    # a sample where the check leaves float64 cannot be checked; one must remain
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = _field_stack(frames.components, pts, (frames.q, frames.dim))
+        c = _field_stack(frames.coframe, pts, (frames.dim, frames.dim))
+        pairings = f @ np.swapaxes(c, 1, 2)
+        gram_gap = np.max(np.abs(pairings @ np.swapaxes(pairings, 1, 2) - np.eye(frames.q)),
+                          axis=(1, 2))
+    finite = np.isfinite(gram_gap)
+    if not np.any(finite):
+        raise OperatorError("frame not finite at any sample; orthonormality cannot be checked")
+    bad = finite & (gram_gap > GRAM_TOL)
+    if np.any(bad):
+        raise OperatorError("frame not orthonormal at %s" % pts[np.argmax(bad)])
 
 
 def _clifford_stack(mod: CliffordModule, vectors) -> np.ndarray:
@@ -155,6 +167,30 @@ def assemble_DQ(frames: FrameField, mod: CliffordModule, mean_curvature: Callabl
     return FirstOrderOperator(
         chart=aq.chart, dim=aq.dim, fiber_dim=aq.fiber_dim, coeff=aq.coeff, zeroth=zeroth
     )
+
+
+def restrict_to_mode(op: FirstOrderOperator, axis: int, n: int) -> FirstOrderOperator:
+    """op on the sections of weight n along the coordinate axis, where d_axis
+    acts as -i n: the coefficient of d_axis times -i n joins the zeroth-order
+    term, and the other coefficients stay. The result acts on the other dim - 1
+    coordinates; its callables evaluate op with the axis coordinate set to 0.
+
+    This is the restriction of op only if no coefficient depends on the axis
+    coordinate, as when a group acts along it; then the 0 filled in is immaterial.
+    """
+    if op.dim < 2 or not 0 <= axis < op.dim:
+        raise OperatorError("cannot restrict a %d-dimensional operator along axis %r"
+                            % (op.dim, axis))
+
+    def lift(fn):
+        return lambda pts: fn(np.insert(pts, axis, 0.0, axis=1))
+
+    def zeroth(full):
+        return op.zeroth(full) + (-1j * n) * op.coeff[axis](full)
+
+    coeff = tuple(lift(fn) for k, fn in enumerate(op.coeff) if k != axis)
+    return FirstOrderOperator(chart=op.chart, dim=op.dim - 1, fiber_dim=op.fiber_dim,
+                              coeff=coeff, zeroth=lift(zeroth))
 
 
 def principal_symbol(op: FirstOrderOperator, x, xi) -> np.ndarray:

@@ -28,21 +28,23 @@ from transdirac.index_engine import (
 )
 from transdirac.sphere_model import (
     CHARTS,
+    UPPER,
+    chart_operator,
     compare_block_reductions,
     pde_residual,
     quotient_reduced_operator,
-    sigma_reduced_operator,
 )
 from transdirac.spectral import fit_exponent, integrate_log_ode
 from transdirac.torus_model import (
     TorusGeometry,
-    al_mode_operator,
     mode_grid,
+    operator_AQ_full,
     spectrum_DL,
     spectrum_DQ_band,
 )
 from transdirac.transverse_operator import (
     hermitian_discretization_defect,
+    restrict_to_mode,
     symbol_smallest_singular_value,
 )
 from transdirac.verification import BRANCH_BLOCKS, run_suite
@@ -142,7 +144,7 @@ def test_criterion_7_reduction_comparison(capsys):
 
 
 def test_criterion_8_ellipticity_boundary(capsys):
-    op = sigma_reduced_operator(2)
+    op = restrict_to_mode(chart_operator(UPPER), 0, 2)
     ok = symbol_smallest_singular_value(op, [0.3, np.pi / 2], [1.0, 0.0]) < 1e-10
     for phi in (np.pi / 2 - 0.1, np.pi / 2 + 0.1):
         ok = ok and symbol_smallest_singular_value(op, [0.3, phi], [1.0, 0.0]) > 1e-10
@@ -165,7 +167,8 @@ def test_criterion_9_property_suites(capsys):
         ok = ok and skew_adjointness_defect(mod) < 1e-12
     # Hermitian-discretization defect: zero when corrected, |g'|/2 without
     geom = TorusGeometry(sin_coeffs=(0.3,))
-    defect = hermitian_discretization_defect(al_mode_operator(geom), mode_grid(geom, 64))
+    a_l = restrict_to_mode(operator_AQ_full(geom, "L"), 0, 0)
+    defect = hermitian_discretization_defect(a_l, mode_grid(geom, 64))
     ok = ok and defect > 1e-3
 
     # integrator order ratio in [12, 20]

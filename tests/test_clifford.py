@@ -7,7 +7,6 @@ from transdirac.clifford import (
     anticommutation_defect,
     build_standard_module,
     clifford_matrix,
-    clifford_multiply,
     skew_adjointness_defect,
 )
 
@@ -48,14 +47,6 @@ def test_clifford_matrix_squares_to_minus_norm():
         v = rng.standard_normal(q)
         cv = clifford_matrix(mod, v)
         assert np.allclose(cv @ cv, -np.dot(v, v) * np.eye(mod.fiber_dim), atol=1e-10)
-
-
-def test_clifford_multiply_matches_matrix():
-    rng = np.random.default_rng(5)
-    mod = build_standard_module(3)
-    v = rng.standard_normal(3)
-    s = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    assert np.allclose(clifford_multiply(mod, v, s), clifford_matrix(mod, v) @ s, atol=TOL)
 
 
 def test_pairing_skewness():

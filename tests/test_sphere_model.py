@@ -7,11 +7,13 @@ from transdirac.sphere_model import (
     CHARTS,
     CHIRALITIES,
     LOWER,
+    MAX_BLOCKS,
     UPPER,
     SphereBlock,
     SphereModelError,
     apply_chart_operator,
     chart_matrix,
+    chart_operator,
     closed_form_kernel_section,
     clutching_check,
     compare_block_reductions,
@@ -23,13 +25,13 @@ from transdirac.sphere_model import (
     quotient_reduced_operator,
     reduce_block,
     reduction_gaps,
-    sigma_reduced_operator,
     theta_weight,
 )
 from transdirac import sphere_model
 from transdirac.sphere_model import E1, E2, ET
 from transdirac.transverse_operator import (
     SingularPointError,
+    restrict_to_mode,
     symbol_smallest_singular_value,
 )
 from transdirac.verification import BRANCH_BLOCKS
@@ -365,8 +367,30 @@ def test_clutching_detects_mismatch():
 # reduced 2x2 operators
 
 
+def test_restricted_chart_operator_closed_form():
+    # d_alpha acts as -i n: w = V_1 + i V_2 below the diagonal and -conj(w)
+    # above it, in (theta, phi), with the d_alpha coefficients times -i n as
+    # the zeroth-order term
+    theta, phi = np.linspace(0.0, 6.0, 9), np.linspace(0.05, 1.5, 9)
+    pts = np.column_stack([theta, phi])
+    for chart in CHARTS:
+        v1, v2 = lifted_vector_fields(chart, theta, phi)
+        w = v1 + 1j * v2
+        for n in (0, 2, -5, 400):
+            op = restrict_to_mode(chart_operator(chart), 0, n)
+            coeffs, zeroth = op.coefficients_at(pts), op.zeroth_at(pts)
+            assert coeffs.shape == (2, 9, 2, 2)
+            for k in (1, 2):
+                assert np.array_equal(coeffs[k - 1, :, 0, 1], -np.conj(w[:, k]))
+                assert np.array_equal(coeffs[k - 1, :, 1, 0], w[:, k])
+            assert np.array_equal(zeroth[:, 0, 1], 1j * n * np.conj(w[:, 0]))
+            assert np.array_equal(zeroth[:, 1, 0], -1j * n * w[:, 0])
+            for mats in (coeffs, zeroth):
+                assert not np.any(np.diagonal(mats, axis1=-2, axis2=-1))
+
+
 def test_sigma_operator_fails_ellipticity_at_equator():
-    op = sigma_reduced_operator(2)
+    op = restrict_to_mode(chart_operator(UPPER), 0, 2)
     x = [0.3, np.pi / 2]
     assert symbol_smallest_singular_value(op, x, [1.0, 0.0]) < 1e-10
     for phi in (np.pi / 2 - 0.1, np.pi / 2 + 0.1):
@@ -374,7 +398,7 @@ def test_sigma_operator_fails_ellipticity_at_equator():
 
 
 def test_sigma_operator_elliptic_in_phi_direction():
-    op = sigma_reduced_operator(2)
+    op = restrict_to_mode(chart_operator(UPPER), 0, 2)
     assert symbol_smallest_singular_value(op, [0.3, np.pi / 2], [0.0, 1.0]) > 0.5
 
 
@@ -415,9 +439,9 @@ def test_reduction_gaps_reject_empty_range():
     for n_max, m_max in ((-1, 0), (0, -1)):
         with pytest.raises(SphereModelError):
             reduction_gaps(n_max, m_max)
-    # from 2**62 on, n - m could leave int64
+    # from 2**62 on, n - m could leave int64; every such range is over the block bound
     for n_max, m_max in ((2 ** 62, 0), (0, 2 ** 62), (2 ** 63, 0)):
-        with pytest.raises(SphereModelError, match=re.escape("2**62")):
+        with pytest.raises(SphereModelError, match="more than the %d allowed" % MAX_BLOCKS):
             reduction_gaps(n_max, m_max)
 
 

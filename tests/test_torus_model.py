@@ -6,14 +6,13 @@ import pytest
 from transdirac.torus_model import (
     TorusError,
     TorusGeometry,
-    dq_mode_operator,
     mode_grid,
     operator_D_full,
     spectrum_DL,
     spectrum_DQ_band,
 )
 from transdirac.spectral import periodic_grid
-from transdirac.transverse_operator import discretize_hermitian
+from transdirac.transverse_operator import discretize_hermitian, restrict_to_mode
 
 
 def test_geometry_evaluation():
@@ -64,7 +63,8 @@ def test_dq_band_is_sorted_diagonal_at_n1024():
 def test_dq_band_equals_dense_discretization_diagonal():
     geom = TorusGeometry(sin_coeffs=(0.5, -0.1), cos_coeffs=(0.2,))
     for n_points, mode in ((256, 3), (1024, -2)):
-        dense = discretize_hermitian(dq_mode_operator(geom, mode), mode_grid(geom, n_points))
+        op = restrict_to_mode(operator_D_full(geom, "Q"), 0, mode)
+        dense = discretize_hermitian(op, mode_grid(geom, n_points))
         expected = np.sort(np.diag(dense).real)
         assert np.array_equal(spectrum_DQ_band(geom, mode, n_points), expected)
 

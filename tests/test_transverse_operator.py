@@ -5,9 +5,6 @@ from transdirac.clifford import build_standard_module
 from transdirac.spectral import periodic_grid
 from transdirac.torus_model import (
     TorusGeometry,
-    al_mode_operator,
-    dl_mode_operator,
-    dq_mode_operator,
     full_chart_frames,
     mode_grid,
     operator_AQ_full,
@@ -23,6 +20,7 @@ from transdirac.transverse_operator import (
     discretize_hermitian,
     hermitian_discretization_defect,
     principal_symbol,
+    restrict_to_mode,
     symbol_smallest_singular_value,
 )
 
@@ -43,7 +41,7 @@ def test_frame_orthonormality_enforced():
 
     frames = FrameField(chart="flat", dim=2, q=1,
                         components=components,
-                        metric=lambda x: np.eye(2),
+                        coframe=lambda x: np.eye(2),
                         samples=[np.zeros(2)])
     with pytest.raises(OperatorError):
         assemble_AQ(frames, build_standard_module(1))
@@ -67,7 +65,7 @@ def test_symbol_squares_to_minus_q_norm():
 
     frames = FrameField(chart="flat", dim=2, q=2,
                         components=components,
-                        metric=lambda x: np.eye(2),
+                        coframe=lambda x: np.eye(2),
                         samples=[np.zeros(2)])
     op = assemble_AQ(frames, build_standard_module(2))
     xi = np.array([0.6, -1.1])
@@ -78,7 +76,7 @@ def test_symbol_squares_to_minus_q_norm():
 def test_multiplication_operator_discretizes_to_real_diagonal():
     geom = TorusGeometry(sin_coeffs=(0.3,))
     grid = mode_grid(geom, 32)
-    mat = discretize_hermitian(dq_mode_operator(geom, 3), grid)
+    mat = discretize_hermitian(restrict_to_mode(operator_D_full(geom, "Q"), 0, 3), grid)
     assert np.max(np.abs(mat - np.diag(np.diag(mat)))) == 0.0
     assert np.max(np.abs(mat.imag)) == 0.0
     assert np.allclose(np.diag(mat).real, 3.0 * np.exp(-geom.g(grid.points)), atol=1e-14)
@@ -87,7 +85,8 @@ def test_multiplication_operator_discretizes_to_real_diagonal():
 def test_corrected_operator_is_hermitian():
     geom = TorusGeometry(sin_coeffs=(0.3,), cos_coeffs=(0.1,))
     grid = mode_grid(geom, 64)
-    assert hermitian_discretization_defect(dl_mode_operator(geom), grid) < 1e-10
+    d_l = restrict_to_mode(operator_D_full(geom, "L"), 0, 0)
+    assert hermitian_discretization_defect(d_l, grid) < 1e-10
 
 
 def test_missing_correction_breaks_hermiticity_by_half_ch():
@@ -97,7 +96,8 @@ def test_missing_correction_breaks_hermiticity_by_half_ch():
                                 (400.0, 64), (400.0, 512)):
         geom = TorusGeometry(sin_coeffs=(amplitude,))
         grid = mode_grid(geom, n_points)
-        defect = hermitian_discretization_defect(al_mode_operator(geom), grid)
+        a_l = restrict_to_mode(operator_AQ_full(geom, "L"), 0, 0)
+        defect = hermitian_discretization_defect(a_l, grid)
         assert defect > 1e-3
         assert abs(defect - 0.5 * np.max(np.abs(geom.g_prime(grid.points)))) < 1e-10
 
@@ -107,7 +107,7 @@ def test_discretization_consistent_on_smooth_mode():
     geom = TorusGeometry(sin_coeffs=(0.3,))
     n = 128
     grid = mode_grid(geom, n)
-    mat = discretize_hermitian(dl_mode_operator(geom), grid)
+    mat = discretize_hermitian(restrict_to_mode(operator_D_full(geom, "L"), 0, 0), grid)
     y = grid.points
     # the matrix acts on sqrt(density) * psi samples (flat-measure picture)
     psi = np.exp(2j * y)
@@ -167,7 +167,7 @@ def test_coefficient_shape_contract_enforced():
 
 def test_discretization_evaluates_each_coefficient_once_per_grid():
     geom = TorusGeometry(sin_coeffs=(0.3,))
-    base = dl_mode_operator(geom)
+    base = restrict_to_mode(operator_D_full(geom, "L"), 0, 0)
     calls = []
 
     def counted(fn):
@@ -184,8 +184,8 @@ def test_diagonal_discretization_refuses_a_derivative_part():
     geom = TorusGeometry(sin_coeffs=(0.3,))
     grid = mode_grid(geom, 32)
     with pytest.raises(OperatorError, match="derivative part"):
-        discretize_diagonal(dl_mode_operator(geom), grid)
-    op = dq_mode_operator(geom, 2)
+        discretize_diagonal(restrict_to_mode(operator_D_full(geom, "L"), 0, 0), grid)
+    op = restrict_to_mode(operator_D_full(geom, "Q"), 0, 2)
     assert np.array_equal(discretize_diagonal(op, grid)[:, 0, 0],
                           np.diag(discretize_hermitian(op, grid)))
 
@@ -196,7 +196,7 @@ def test_dimension_mismatch_rejected():
                            coeff=(lambda x: np.eye(1),),
                            zeroth=lambda x: np.zeros((1, 1)))
     geom = TorusGeometry()
-    op = dl_mode_operator(geom)
+    op = restrict_to_mode(operator_D_full(geom, "L"), 0, 0)
     with pytest.raises(OperatorError):
         principal_symbol(op, [0.0], [1.0, 0.0])
 
@@ -213,3 +213,58 @@ def test_frame_rank_must_match_module():
     frames = full_chart_frames(geom)
     with pytest.raises(OperatorError):
         assemble_AQ(frames, build_standard_module(2))
+
+
+def test_frame_checked_where_finite():
+    # e^{800} leaves float64 at the second sample, which is skipped; a frame
+    # finite nowhere cannot be checked at all
+    def coframe(pts):
+        return np.stack([np.diag([np.exp(800.0 * p[0]), 1.0]) for p in pts])
+
+    def components(pts):
+        return np.stack([[[np.exp(-800.0 * p[0]), 0.0]] for p in pts])
+
+    samples = [np.zeros(2), np.ones(2)]
+    frames = FrameField(chart="flat", dim=2, q=1, components=components,
+                        coframe=coframe, samples=samples)
+    assemble_AQ(frames, build_standard_module(1))
+    frames = FrameField(chart="flat", dim=2, q=1, components=lambda pts: 2.0 * components(pts),
+                        coframe=coframe, samples=samples)
+    with pytest.raises(OperatorError, match=r"not orthonormal at \[0\. 0\.\]"):
+        assemble_AQ(frames, build_standard_module(1))
+    frames = FrameField(chart="flat", dim=2, q=1, components=components,
+                        coframe=coframe, samples=samples[1:])
+    with pytest.raises(OperatorError, match="not finite at any sample"):
+        assemble_AQ(frames, build_standard_module(1))
+
+
+def test_restricted_torus_operators_closed_forms():
+    # d_x acts as -i n: D_L = i(d_y + g'/2) and A_L = i d_y do not see the
+    # mode, and D_Q = i e^{-g} d_x becomes multiplication by n e^{-g}
+    geom = TorusGeometry(const=0.1, sin_coeffs=(0.3,), cos_coeffs=(0.0, 0.2))
+    y = mode_grid(geom, 64).points
+    pts = y[:, None]
+    for n in (0, 3, -7, 2 ** 63 - 1):
+        d_l = restrict_to_mode(operator_D_full(geom, "L"), 0, n)
+        a_l = restrict_to_mode(operator_AQ_full(geom, "L"), 0, n)
+        d_q = restrict_to_mode(operator_D_full(geom, "Q"), 0, n)
+        for op in (d_l, a_l, d_q):
+            assert (op.dim, op.fiber_dim) == (1, 1)
+        assert np.array_equal(d_l.coefficients_at(pts)[0, :, 0, 0], np.full(64, 1j))
+        assert np.array_equal(d_l.zeroth_at(pts)[:, 0, 0], 0.5j * geom.g_prime(y))
+        assert np.array_equal(a_l.coefficients_at(pts)[0, :, 0, 0], np.full(64, 1j))
+        assert np.array_equal(a_l.zeroth_at(pts), np.zeros((64, 1, 1)))
+        assert np.array_equal(d_q.coefficients_at(pts), np.zeros((1, 64, 1, 1)))
+        zeroth = d_q.zeroth_at(pts)[:, 0, 0]
+        assert np.array_equal(zeroth.imag, np.zeros(64))
+        assert np.array_equal(zeroth.real, n * np.exp(-geom.g(y)))
+
+
+def test_restriction_rejects_bad_axes():
+    geom = TorusGeometry(sin_coeffs=(0.3,))
+    op = operator_D_full(geom, "L")
+    for axis in (-1, 2, 5):
+        with pytest.raises(OperatorError, match="cannot restrict"):
+            restrict_to_mode(op, axis, 1)
+    with pytest.raises(OperatorError, match="1-dimensional"):
+        restrict_to_mode(restrict_to_mode(op, 0, 1), 0, 1)
