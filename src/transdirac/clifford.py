@@ -7,6 +7,7 @@ so c(v)^2 = -|v|^2 for real v.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -41,20 +42,23 @@ class CliffordModule:
         if err > ALGEBRA_TOL:
             raise CliffordError("generator algebra violated, defect %.3e" % err)
 
+    @cached_property
+    def stacked(self) -> np.ndarray:
+        """The generators as one (q, d, d) array."""
+        return np.stack(self.generators)
+
 
 def anticommutation_defect(mod: CliffordModule) -> float:
     """Max-norm violation of c_i c_j + c_j c_i = -2 delta_ij."""
-    eye = np.eye(mod.fiber_dim)
-    worst = 0.0
-    for i, ci in enumerate(mod.generators):
-        for j, cj in enumerate(mod.generators):
-            target = -2.0 * eye if i == j else 0.0
-            worst = max(worst, np.max(np.abs(ci @ cj + cj @ ci - target)))
-    return worst
+    g = mod.stacked
+    anti = g[:, None] @ g[None] + g[None] @ g[:, None]  # [i, j] = c_i c_j + c_j c_i
+    target = -2.0 * np.eye(mod.q)[:, :, None, None] * np.eye(mod.fiber_dim)
+    return float(np.max(np.abs(anti - target)))
 
 
 def skew_adjointness_defect(mod: CliffordModule) -> float:
-    return max(np.max(np.abs(g.conj().T + g)) for g in mod.generators)
+    g = mod.stacked
+    return float(np.max(np.abs(np.swapaxes(g, 1, 2).conj() + g)))
 
 
 def _gamma_matrices(q: int) -> list:
@@ -90,12 +94,10 @@ def build_standard_module(q: int) -> CliffordModule:
 
 
 def clifford_matrix(mod: CliffordModule, v) -> np.ndarray:
-    """Matrix of c(v) for a frame-coordinate vector v."""
-    v = np.asarray(v)
-    if v.shape != (mod.q,):
+    """Matrices c(v) for frame-coordinate vectors: a (..., q) array of
+    vectors gives the (..., d, d) stack, one vector one matrix."""
+    v = np.asarray(v, dtype=complex)
+    if v.shape[-1:] != (mod.q,):
         raise CliffordError("vector length %s does not match rank %d" % (v.shape, mod.q))
-    out = np.zeros((mod.fiber_dim, mod.fiber_dim), dtype=complex)
-    for vj, cj in zip(v, mod.generators):
-        out += vj * cj
-    return out
-
+    gens = mod.stacked
+    return (v.reshape(-1, mod.q) @ gens.reshape(mod.q, -1)).reshape(v.shape[:-1] + gens.shape[1:])

@@ -10,7 +10,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from transdirac.clifford import CliffordModule
+from transdirac.clifford import CliffordModule, clifford_matrix
 from transdirac.spectral import (
     Grid1D,
     fourier_derivative,
@@ -122,11 +122,6 @@ def _validate_frame(frames: FrameField):
         raise OperatorError("frame not orthonormal at %s" % pts[np.argmax(bad)])
 
 
-def _clifford_stack(mod: CliffordModule, vectors) -> np.ndarray:
-    """c(v) for each row of an (npts, q) array of frame coordinates."""
-    return np.tensordot(np.asarray(vectors, dtype=complex), np.stack(mod.generators), axes=(1, 0))
-
-
 def assemble_AQ(frames: FrameField, mod: CliffordModule) -> FirstOrderOperator:
     """Dirac operator A_Q = sum_j c(f_j) nabla_{f_j} in chart coordinates."""
     if mod.q != frames.q:
@@ -136,7 +131,7 @@ def assemble_AQ(frames: FrameField, mod: CliffordModule) -> FirstOrderOperator:
     fiber = (mod.fiber_dim, mod.fiber_dim)
 
     def make_coeff(k):
-        return lambda pts: _clifford_stack(
+        return lambda pts: clifford_matrix(
             mod, _field_stack(frames.components, pts, (frames.q, frames.dim))[:, :, k])
 
     def zeroth(pts):
@@ -162,7 +157,7 @@ def assemble_DQ(frames: FrameField, mod: CliffordModule, mean_curvature: Callabl
     aq = assemble_AQ(frames, mod)
 
     def zeroth(pts):
-        return aq.zeroth(pts) - 0.5 * _clifford_stack(mod, mean_curvature(pts))
+        return aq.zeroth(pts) - 0.5 * clifford_matrix(mod, mean_curvature(pts))
 
     return FirstOrderOperator(
         chart=aq.chart, dim=aq.dim, fiber_dim=aq.fiber_dim, coeff=aq.coeff, zeroth=zeroth

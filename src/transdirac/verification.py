@@ -12,18 +12,22 @@ import numpy as np
 from transdirac.clifford import (
     anticommutation_defect,
     build_standard_module,
+    clifford_matrix,
     skew_adjointness_defect,
 )
 from transdirac.frame_geometry import (
+    LocalFrameData,
     compute_BX_Lframe,
     compute_BX_Qframe,
     compute_BX_rotated_eframe,
     mean_curvature_L,
-    random_frame_data,
+    metric_frame_data,
+    rotate_L_frame,
     verify_compatibility,
 )
 from transdirac.sphere_model import (
     CHARTS,
+    CHUNK,
     CHIRALITIES,
     LOWER,
     RESIDUAL_PHIS,
@@ -36,6 +40,10 @@ from transdirac.sphere_model import (
     pde_residual,
     reduction_gaps,
 )
+
+# frames of one (p, q) per batched check in suite_connection; a fixed stack
+# size keeps the suite's memory the same for any number of trials
+FRAME_BATCH = 16
 
 SUITES = ("clifford", "connection", "clutching", "residual", "quotient")
 
@@ -60,56 +68,89 @@ def suite_clifford(trials: int = 20, seed: int = 7, tol: float = 1e-12) -> dict:
     checks = []
     for q in range(1, 6):
         mod = build_standard_module(q)
+        d = mod.fiber_dim
         checks.append(_check("anticommutation q=%d" % q, anticommutation_defect(mod), tol))
         checks.append(_check("skew-adjointness q=%d" % q, skew_adjointness_defect(mod), tol))
         worst = 0.0
-        for _ in range(trials):
-            v = rng.standard_normal(q)
-            s = rng.standard_normal(mod.fiber_dim) + 1j * rng.standard_normal(mod.fiber_dim)
-            t = rng.standard_normal(mod.fiber_dim) + 1j * rng.standard_normal(mod.fiber_dim)
-            cv = sum(v[j] * mod.generators[j] for j in range(q))
-            worst = max(worst, abs(np.vdot(t, cv @ s) + np.vdot(cv @ t, s)))
+        for start in range(0, trials, CHUNK):  # CHUNK trials at a time bounds the memory
+            # per trial: v, then the real and imaginary parts of s and of t
+            size = min(CHUNK, trials - start)
+            v, s_re, s_im, t_re, t_im = np.split(rng.standard_normal((size, q + 4 * d)),
+                                                 np.cumsum([q, d, d, d]), axis=1)
+            s, t = (s_re + 1j * s_im)[..., None], (t_re + 1j * t_im)[..., None]
+            cv = clifford_matrix(mod, v)
+            pairing = np.sum(t.conj() * (cv @ s) + (cv @ t).conj() * s, axis=(1, 2))
+            worst = max(worst, np.max(np.abs(pairing)))
         checks.append(_check("pairing skewness q=%d" % q, worst, 1e-10))
     return _report("clifford", checks)
+
+
+def _connection_gaps(p: int, q: int, raw, x, y_q, rot_raw, mod) -> dict:
+    """The connection suite's gaps over one stack of draws of rank (p, q)."""
+    data = metric_frame_data(p, q, raw)
+    y = np.concatenate([y_q, np.zeros((len(x), p))], axis=1)
+    rot = np.linalg.qr(rot_raw)[0]
+    b_l = compute_BX_Lframe(data, mod, x)
+    gaps = {
+        "form": np.max(np.abs(b_l - compute_BX_Qframe(data, mod, x))),
+        "skew": np.max(np.abs(b_l + np.swapaxes(b_l, 1, 2).conj())),
+        "residual": np.max(verify_compatibility(data, mod, x, y)),
+        "rot": np.max(np.abs(compute_BX_rotated_eframe(data, mod, x, rot) - b_l)),
+        "mean": np.max(np.abs(mean_curvature_L(rotate_L_frame(data, rot))
+                              - mean_curvature_L(data))),
+    }
+    # B is linear in X: compare against a second Q-direction if present
+    if q > 1:
+        x2 = (x + 1) % q
+        combined = b_l + compute_BX_Lframe(data, mod, x2)
+        # rebuild with conn[x] := conn[x] + conn[x2] in the X slot
+        summed = data.conn.copy()
+        items = np.arange(len(x))
+        summed[items, x] += data.conn[items, x2]
+        data_sum = LocalFrameData(p=p, q=q, conn=summed)
+        gaps["lin"] = np.max(np.abs(compute_BX_Lframe(data_sum, mod, x) - combined))
+    return gaps
 
 
 def suite_connection(trials: int = 100, seed: int = 7, tol: float = 1e-10) -> dict:
     rng = np.random.default_rng(seed)
     modules = {rank: build_standard_module(rank) for rank in range(2, 7)}  # p + q for p, q in 1..3
-    form_gap = skew = residual = rot_gap = lin_gap = 0.0
+    worst = dict.fromkeys(("form", "skew", "residual", "rot", "lin", "mean"), 0.0)
+    # per (p, q): arrays for FRAME_BATCH draws (conn, X, Q-block of Y, rotation),
+    # reused for every stack, and the number drawn into them so far
+    stacks, filled = {}, {}
+
+    def check(p, q):
+        count = filled.pop((p, q))
+        gaps = _connection_gaps(p, q, *(a[:count] for a in stacks[p, q]), modules[p + q])
+        for key, gap in gaps.items():
+            worst[key] = max(worst[key], gap)
+
+    # draw in per-trial order (p, q, conn, x, y, rotation), the connection as
+    # random_frame_data draws it, and check each (p, q) in stacks of FRAME_BATCH
     for _ in range(trials):
         p, q = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        data = random_frame_data(p, q, rng)
-        mod = modules[p + q]
-        x = int(rng.integers(0, q))  # X tangent to Q
-        b_l = compute_BX_Lframe(data, mod, x)
-        b_q = compute_BX_Qframe(data, mod, x)
-        form_gap = max(form_gap, np.max(np.abs(b_l - b_q)))
-        skew = max(skew, np.max(np.abs(b_l + b_l.conj().T)))
-        y = np.zeros(p + q)
-        y[:q] = rng.standard_normal(q)
-        residual = max(residual, verify_compatibility(data, mod, x, y))
-        rot = np.linalg.qr(rng.standard_normal((p, p)))[0]
-        b_rot = compute_BX_rotated_eframe(data, mod, x, rot)
-        rot_gap = max(rot_gap, np.max(np.abs(b_rot - b_l)))
-        # B is linear in X: compare against a second Q-direction if present
-        if q > 1:
-            x2 = (x + 1) % q
-            combined = compute_BX_Lframe(data, mod, x) + compute_BX_Lframe(data, mod, x2)
-            # rebuild with conn[x] := conn[x] + conn[x2] in the X slot
-            summed = np.array(data.conn)
-            summed[x] = data.conn[x] + data.conn[x2]
-            data_sum = type(data)(p=p, q=q, conn=summed)
-            lin_gap = max(lin_gap, np.max(np.abs(compute_BX_Lframe(data_sum, mod, x) - combined)))
-        # mean curvature stays finite and q-dimensional
-        if mean_curvature_L(data).shape != (q,):
-            raise AssertionError("mean curvature shape")
+        if (p, q) not in stacks:
+            stacks[p, q] = (np.empty((FRAME_BATCH,) + (p + q,) * 3), np.empty(FRAME_BATCH, int),
+                            np.empty((FRAME_BATCH, q)), np.empty((FRAME_BATCH, p, p)))
+        raw, x, y_q, rot_raw = stacks[p, q]
+        i = filled.get((p, q), 0)
+        raw[i] = rng.uniform(-1.0, 1.0, size=(p + q,) * 3)
+        x[i] = rng.integers(0, q)  # X tangent to Q
+        y_q[i] = rng.standard_normal(q)
+        rot_raw[i] = rng.standard_normal((p, p))  # its QR factor rotates the L-frame
+        filled[p, q] = i + 1
+        if i + 1 == FRAME_BATCH:
+            check(p, q)
+    for p, q in list(filled):
+        check(p, q)
     checks = [
-        _check("two B_X formulas agree", form_gap, 1e-12),
-        _check("B_X skew-Hermitian", skew, 1e-12),
-        _check("compatibility residual", residual, tol),
-        _check("L-frame rotation invariance", rot_gap, 1e-12),
-        _check("linearity in X", lin_gap, 1e-12),
+        _check("two B_X formulas agree", worst["form"], 1e-12),
+        _check("B_X skew-Hermitian", worst["skew"], 1e-12),
+        _check("compatibility residual", worst["residual"], tol),
+        _check("L-frame rotation invariance", worst["rot"], 1e-12),
+        _check("linearity in X", worst["lin"], 1e-12),
+        _check("mean curvature L-frame invariance", worst["mean"], 1e-12),
     ]
     return _report("connection", checks)
 

@@ -78,3 +78,20 @@ def test_wrong_vector_length_rejected():
     mod = build_standard_module(2)
     with pytest.raises(CliffordError):
         clifford_matrix(mod, [1.0, 0.0, 0.0])
+
+
+def test_clifford_matrix_stacks():
+    # a (..., q) array of vectors gives the (..., d, d) stack of matrices
+    rng = np.random.default_rng(4)
+    for q in (1, 2, 3, 4, 5):
+        mod = build_standard_module(q)
+        v = rng.standard_normal((3, 2, q))
+        stacked = clifford_matrix(mod, v)
+        assert stacked.shape == (3, 2, mod.fiber_dim, mod.fiber_dim)
+        for idx in np.ndindex(3, 2):
+            single = sum(vj * cj for vj, cj in zip(v[idx], mod.generators))
+            assert np.max(np.abs(stacked[idx] - single)) <= 1e-15
+    with pytest.raises(CliffordError):
+        clifford_matrix(build_standard_module(2), np.zeros((4, 3)))
+    with pytest.raises(CliffordError):
+        clifford_matrix(build_standard_module(1), 1.0)

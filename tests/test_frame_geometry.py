@@ -159,3 +159,47 @@ def test_compatibility_requires_q_tangent():
     mod = build_standard_module(4)
     with pytest.raises(FrameDataError):
         verify_compatibility(data, mod, 0, np.array([0.0, 0.0, 1.0, 0.0]))
+
+
+@pytest.mark.parametrize("p", (1, 2, 3))
+@pytest.mark.parametrize("q", (1, 2, 3))
+def test_stacked_functions_match_per_frame(p, q):
+    rng = np.random.default_rng(10 * p + q)
+    k, n = 5, p + q
+    data = LocalFrameData(p=p, q=q, conn=np.stack([random_frame_data(p, q, rng).conn
+                                                   for _ in range(k)]))
+    mod = build_standard_module(n)
+    frames = [LocalFrameData(p=p, q=q, conn=c) for c in data.conn]
+    y = np.zeros((k, n))
+    y[:, :q] = rng.standard_normal((k, q))
+    rot = np.linalg.qr(rng.standard_normal((k, p, p)))[0]
+    gap = lambda stacked, single: np.max(np.abs(stacked - np.stack(single)))
+    for x in list(range(q)) + [rng.integers(0, q, size=k)]:
+        xs = np.broadcast_to(x, (k,))
+        for fn in (compute_BX_Lframe, compute_BX_Qframe):
+            assert gap(fn(data, mod, x), [fn(f, mod, i) for f, i in zip(frames, xs)]) <= 1e-15
+        assert gap(verify_compatibility(data, mod, x, y),
+                   [verify_compatibility(f, mod, i, yi) for f, i, yi in zip(frames, xs, y)]) <= 1e-15
+        assert gap(compute_BX_rotated_eframe(data, mod, x, rot),
+                   [compute_BX_rotated_eframe(f, mod, i, r)
+                    for f, i, r in zip(frames, xs, rot)]) <= 1e-15
+    assert gap(mean_curvature_L(data), [mean_curvature_L(f) for f in frames]) <= 1e-15
+    assert gap(rotate_L_frame(data, rot).conn,
+               [rotate_L_frame(f, r).conn for f, r in zip(frames, rot)]) <= 1e-15
+    # one frame keeps the unstacked shapes, and the residual stays a float
+    assert compute_BX_Lframe(frames[0], mod, 0).shape == (mod.fiber_dim,) * 2
+    assert isinstance(verify_compatibility(frames[0], mod, 0, y[0]), float)
+    assert mean_curvature_L(frames[0]).shape == (q,)
+    assert rotate_L_frame(frames[0], rot[0]).conn.shape == (n, n, n)
+
+
+def test_stack_names_its_non_metric_item():
+    rng = np.random.default_rng(8)
+    conn = np.stack([random_frame_data(2, 1, rng).conn for _ in range(6)])
+    conn[4, 1, 2, 2] = 0.5  # a diagonal entry breaks skewness in item 4 only
+    with pytest.raises(FrameDataError, match="at item 4:"):
+        LocalFrameData(p=2, q=1, conn=conn)
+    with pytest.raises(FrameDataError, match="at item 1, 1:"):
+        LocalFrameData(p=2, q=1, conn=conn.reshape(2, 3, 3, 3, 3))
+    with pytest.raises(FrameDataError, match="connection not metric: skew"):
+        LocalFrameData(p=2, q=1, conn=conn[4])
