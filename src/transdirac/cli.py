@@ -5,7 +5,11 @@ verify.  Output is deterministic JSON (fixed field order, floats rendered
 with 17 significant digits) or, for the index table, optional CSV.  One
 type-dispatched renderer writes the JSON of every command: a scalar's
 formatter is found by one lookup on its exact type, and strings and keys are
-escaped as RFC 8259 requires.
+escaped as RFC 8259 requires.  Per-block tables (sphere-index and
+compare-quotient) are handed to it as Records, columns under shared keys: it
+renders them as a JSON array of objects from one row template, formatting a
+column whose values share one exact type by one formatter lookup, and any
+other column value by value.
 
 Exit codes: 0 all requested checks pass, 1 a check failed (a machine-readable
 failure report is still emitted), 2 usage error.
@@ -17,6 +21,7 @@ import argparse
 import functools
 import math
 import sys
+from itertools import chain, repeat
 from json.encoder import encode_basestring
 
 import numpy as np
@@ -69,12 +74,63 @@ _SCALARS = {
 }
 
 
+class Records:
+    """A JSON array of objects that share their keys, held as columns:
+    columns[i] (a sequence or a numpy array) holds keys[i]'s value in every
+    object, in order."""
+
+    __slots__ = ("keys", "columns")
+
+    def __init__(self, keys, columns):
+        if len(keys) != len(columns) or len({len(c) for c in columns}) > 1:
+            raise ValueError("records need one column per key, all of one length")
+        self.keys, self.columns = tuple(keys), tuple(columns)
+
+    def __len__(self) -> int:
+        return len(self.columns[0]) if self.columns else 0
+
+    def lists(self) -> list:
+        """The columns as lists of Python values."""
+        return [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in self.columns]
+
+
+def _render_column(values, pad) -> list:
+    """Each value of a column as JSON: one formatter for the whole column
+    when its values share one exact type that has one, else value by value."""
+    kinds = set(map(type, values))
+    scalar = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+    if scalar is not None:
+        return list(map(scalar, values))
+    get = _SCALARS.get
+    return [fmt(value) if (fmt := get(type(value))) else _json_render(value, pad)
+            for value in values]
+
+
+def _render_records(records: Records, pad) -> str:
+    inner = pad + "  "
+    field = inner + "  "
+    columns = [_render_column(values, field) for values in records.lists()]
+    if not columns or not columns[0]:
+        return "[]"
+    # the row template: a head before each column's value and a tail after
+    # the last; the first head opens the row with the separator from the row
+    # before, whose comma the array's "[" replaces in the first row
+    heads = ["\n%s%s: " % (field, encode_basestring(str(key))) for key in records.keys]
+    heads = [",\n%s{%s" % (inner, heads[0])] + ["," + head for head in heads[1:]]
+    template = [part for head, values in zip(heads, columns) for part in (repeat(head), values)]
+    text = chain.from_iterable(zip(*template, repeat("\n%s}" % inner)))
+    next(text)
+    return "".join(chain(("[" + heads[0][1:],), text, ("\n%s]" % pad,)))
+
+
 def _json_render(obj, pad="") -> str:
     """obj as JSON; the lines inside a container are indented by pad plus
     two spaces. Scalar children are formatted in place, not by recursion."""
     scalar = _SCALARS.get(type(obj))
     if scalar is not None:
         return scalar(obj)
+    if type(obj) is Records:
+        return _render_records(obj, pad)
     get, inner = _SCALARS.get, pad + "  "
     if isinstance(obj, dict):
         if not obj:
@@ -177,13 +233,13 @@ def cmd_sphere_index(args) -> int:
         eps=args.eps,
         steps=args.steps,
     )
-    blocks = [{"n": n, "m": m, **entry, "method": args.method}
-              for (n, m), entry in table.entries.items()]
+    blocks = Records(("n", "m", "dim_ker_plus", "dim_ker_minus", "index", "method"),
+                     (table.n, table.m, table.dim_ker_plus, table.dim_ker_minus, table.indices,
+                      [args.method] * len(table.n)))
     if args.format == "csv":
-        lines = ["n,m,dim_ker_plus,dim_ker_minus,index,method"]
-        lines += ["%d,%d,%d,%d,%d,%s" % (b["n"], b["m"], b["dim_ker_plus"],
-                                         b["dim_ker_minus"], b["index"], b["method"])
-                  for b in blocks]
+        # labels, dimensions and the method name need no CSV quoting
+        template = ",".join(["%s"] * len(blocks.keys))
+        lines = [",".join(blocks.keys)] + [template % row for row in zip(*blocks.lists())]
         _emit("\n".join(lines) + "\n", args.out)
     else:
         report = {"schema_version": SCHEMA_VERSION, "method": args.method, "blocks": blocks}
@@ -227,7 +283,8 @@ def cmd_sphere_kernel(args) -> int:
 def cmd_compare_quotient(args) -> int:
     check_tol(args.tol)
     gaps = reduction_gaps(args.n_max, args.m_max)
-    blocks = [{"n": n, "m": m, "discrepancy": gap} for (n, m), gap in gaps.items()]
+    blocks = Records(("n", "m", "discrepancy"),
+                     ([n for n, _ in gaps], [m for _, m in gaps], list(gaps.values())))
     worst = max(gaps.values())
     report = {
         "schema_version": SCHEMA_VERSION,

@@ -2,12 +2,14 @@
 
 Two independent routes: integer arithmetic on the indicial exponents of the
 radial kernel ODEs, and a numerical oracle that integrates the ODEs toward
-the pole and estimates the exponents from log-log slopes.
+the pole and estimates the exponents from log-log slopes. A table of blocks
+is held as columns, one entry per block in row-major order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,12 +32,28 @@ class ExponentFitError(IndexError_):
     """The log-log slope did not land near an integer (grid too coarse)."""
 
 
-def kernel_dims_closed_form(n: int, m: int):
+def _exact_labels(values):
+    """Integer labels (a sequence or an integer array) as an array on which
+    -|label| is exact: int64 when every label satisfies |label| < 2**63,
+    otherwise an object array of Python ints."""
+    if not isinstance(values, np.ndarray):
+        values = np.array(values, dtype=object)
+    fits = values.size == 0 or -2 ** 63 < int(values.min()) and int(values.max()) < 2 ** 63
+    return values.astype(np.int64 if fits else object)
+
+
+def kernel_dims_closed_form(n, m):
     """(dim ker+, dim ker-): a chirality contributes iff its radial solution
-    is regular at both poles, i.e. both indicial exponents are >= 0."""
-    d_plus = 1 if (n - m >= 0 and -n - m >= 0) else 0
-    d_minus = 1 if (m - n >= 0 and m + n >= 0) else 0
-    return d_plus, d_minus
+    is regular at both poles, i.e. both indicial exponents are >= 0 (n - m
+    and -n - m for '+', their negatives for '-'), that is iff m <= -|n| for
+    '+' and m >= |n| for '-'. Ints give ints; integer arrays (broadcast
+    against each other) give int64 arrays of their broadcast shape. Exact for
+    labels of any size."""
+    if np.ndim(n) == 0 and np.ndim(m) == 0:
+        n, m = operator.index(n), operator.index(m)
+        return int(m <= -abs(n)), int(m >= abs(n))
+    n, m = _exact_labels(n), _exact_labels(m)
+    return (m <= -abs(n)).astype(np.int64), (m >= abs(n)).astype(np.int64)
 
 
 def index_closed_form(n: int, m: int) -> int:
@@ -101,30 +119,52 @@ def index_numerical(n, m, eps: float = 1e-3, steps: int = 10000) -> dict:
     }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IndexTable:
-    entries: dict  # (n, m) -> {"dim_ker_plus", "dim_ker_minus", "index"}
+    """The blocks of a table as row-major columns: block i is (n[i], m[i]),
+    labels as exact Python ints, with int arrays of its kernel dimensions;
+    `indices` = dim_ker_plus - dim_ker_minus is derived from them."""
+    n: list
+    m: list
+    dim_ker_plus: np.ndarray
+    dim_ker_minus: np.ndarray
+    indices: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        for key, entry in self.entries.items():
-            if entry["index"] != entry["dim_ker_plus"] - entry["dim_ker_minus"]:
-                raise IndexError_("inconsistent entry at %s" % (key,))
-            if entry["index"] not in (-1, 0, 1):
-                raise IndexError_("index out of range at %s" % (key,))
+        d_plus = np.asarray(self.dim_ker_plus, dtype=np.int64)
+        d_minus = np.asarray(self.dim_ker_minus, dtype=np.int64)
+        if not len(self.n) == len(self.m) == len(d_plus) == len(d_minus):
+            raise IndexError_("columns of unequal length")
+        for name, dims in (("dim_ker_plus", d_plus), ("dim_ker_minus", d_minus)):
+            bad = (dims != 0) & (dims != 1)
+            if np.any(bad):
+                row = int(np.argmax(bad))
+                raise IndexError_("%s out of range at (%d, %d)" % (name, self.n[row], self.m[row]))
+        # both dimensions in {0, 1}: every index lies in {-1, 0, 1}
+        object.__setattr__(self, "dim_ker_plus", d_plus)
+        object.__setattr__(self, "dim_ker_minus", d_minus)
+        object.__setattr__(self, "indices", d_plus - d_minus)
+
+    def _row(self, n: int, m: int) -> int:
+        try:
+            return list(zip(self.n, self.m)).index((n, m))
+        except ValueError:
+            raise KeyError((n, m)) from None
 
     def index(self, n: int, m: int) -> int:
-        return self.entries[(n, m)]["index"]
+        return int(self.indices[self._row(n, m)])
 
     def total_kernel(self, n: int, m: int) -> int:
-        entry = self.entries[(n, m)]
-        return entry["dim_ker_plus"] + entry["dim_ker_minus"]
+        row = self._row(n, m)
+        return int(self.dim_ker_plus[row] + self.dim_ker_minus[row])
 
 
 def build_index_table(n_range, m_range, method: str = "closed",
                       eps: float = 1e-3, steps: int = 10000) -> IndexTable:
     """Index table over finite ranges of at most MAX_BLOCKS blocks; method
     'closed', 'numeric' or 'both' ('both' insists the two routes agree on
-    every block)."""
+    every block). The closed route takes one call for the whole table, the
+    numeric one a call per CHUNK blocks in row-major order."""
     try:
         count = len(n_range) * len(m_range)
     except OverflowError as exc:  # a range longer than sys.maxsize
@@ -138,19 +178,24 @@ def build_index_table(n_range, m_range, method: str = "closed",
     if method not in ("closed", "numeric", "both"):
         raise IndexError_("unknown method %r" % method)
 
-    keys = [(n, m) for n in n_values for m in m_values]
-    numeric = {}
+    n_column = [n for n in n_values for _ in m_values]
+    m_column = m_values * len(n_values)
+    if method != "numeric":
+        closed = [dims.ravel() for dims in kernel_dims_closed_form(
+            np.array(n_values, dtype=object)[:, None], np.array(m_values, dtype=object)[None, :])]
     if method != "closed":
-        for start in range(0, len(keys), CHUNK):
-            chunk = keys[start:start + CHUNK]
-            res = index_numerical([n for n, _ in chunk], [m for _, m in chunk], eps, steps)
-            numeric.update(zip(chunk, zip(res["d_plus"].tolist(), res["d_minus"].tolist())))
-    entry = lambda d: {"dim_ker_plus": d[0], "dim_ker_minus": d[1], "index": d[0] - d[1]}
-    entries = {}
-    for key in keys:
-        dims = numeric[key] if method == "numeric" else kernel_dims_closed_form(*key)
-        entries[key] = entry(dims)
-        if method == "both" and entry(numeric[key]) != entries[key]:
+        numeric = [np.empty(count, dtype=np.int64), np.empty(count, dtype=np.int64)]
+        for start in range(0, count, CHUNK):
+            stop = start + CHUNK
+            res = index_numerical(n_column[start:stop], m_column[start:stop], eps, steps)
+            numeric[0][start:stop], numeric[1][start:stop] = res["d_plus"], res["d_minus"]
+    if method == "both":
+        differ = (closed[0] != numeric[0]) | (closed[1] != numeric[1])
+        if np.any(differ):
+            row = int(np.argmax(differ))  # the first disagreement in row-major order
+            entry = lambda d: {"dim_ker_plus": int(d[0][row]), "dim_ker_minus": int(d[1][row]),
+                               "index": int(d[0][row] - d[1][row])}
             raise IndexError_("route disagreement at (%d, %d): %s vs %s"
-                              % (key + (entries[key], entry(numeric[key]))))
-    return IndexTable(entries=entries)
+                              % (n_column[row], m_column[row], entry(closed), entry(numeric)))
+    dims = numeric if method == "numeric" else closed
+    return IndexTable(n=n_column, m=m_column, dim_ker_plus=dims[0], dim_ker_minus=dims[1])

@@ -5,9 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
-from transdirac import cli
-from transdirac.cli import main, parse_g_spec, render_json
-from transdirac.sphere_model import MAX_BLOCKS
+from transdirac import cli, index_engine
+from transdirac.cli import Records, main, parse_g_spec, render_json
+from transdirac.sphere_model import MAX_BLOCKS, reduction_gaps
+
+
+def as_dicts(records):
+    return [dict(zip(records.keys, row)) for row in zip(*records.lists())]
 
 
 def run_cli(capsys, *argv):
@@ -308,7 +312,9 @@ def test_render_json_closed_table_matches_stdlib_layout(capsys, monkeypatch):
     code, out = run_cli(capsys, *CLOSED_50)
     assert code == 0 and len(reports) == 1
     assert len(reports[0]["blocks"]) == 101 * 101
-    assert out == render_json(reports[0]) == json.dumps(reports[0], indent=2) + "\n"
+    # the blocks are columnar Records; json.dumps needs them as a list of dicts
+    assert out == render_json(reports[0]) == json.dumps(reports[0], indent=2,
+                                                        default=as_dicts) + "\n"
 
 
 def test_render_json_closed_table_bytes_pinned(capsys):
@@ -349,3 +355,99 @@ def test_parse_g_spec():
         parse_g_spec("0.3tan", "")
     with pytest.raises(ValueError):
         parse_g_spec("0.3sin", "0.1;;")
+
+
+# SHA-256 of each command's stdout at commit 29b4c54, where every block was a dict
+TABLE_DIGESTS = (
+    (["sphere-index", "--n-min", "-5", "--n-max", "5", "--m-min", "-6", "--m-max", "6",
+      "--method", "both"], "e4b98893a88468a388ef39cfc83a0daf0826529e42c6faed3300bd6b6769f140"),
+    (["sphere-index", "--n-min", "-10", "--n-max", "10", "--m-min", "-10", "--m-max", "10",
+      "--method", "numeric"], "8fb4a40a4a9f233e0f89b0e1c7c926257405b61b5d7ff74f754527127d8e5724"),
+    (CLOSED_50 + ["--format", "csv"],
+     "e8cbd9823663ace86ffa7a54b57970d94bb3940ebe172af1d01e1f8614ddd9e6"),
+)
+
+
+def test_index_table_bytes_pinned(capsys):
+    for argv, digest in TABLE_DIGESTS:
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_closed_table_beyond_int64(capsys):
+    # the bytes at commit 29b4c54; int64 labels would wrap under -|n| here
+    big = 2 ** 63
+    code, out = run_cli(capsys, "sphere-index", "--n-min", str(big), "--n-max", str(big + 1),
+                        "--m-min", "-1", "--m-max", "1", "--format", "csv")
+    assert code == 0
+    assert out == "n,m,dim_ker_plus,dim_ker_minus,index,method\n" + "".join(
+        "%d,%d,0,0,0,closed\n" % (n, m) for n in (big, big + 1) for m in (-1, 0, 1))
+    code, out = run_cli(capsys, "sphere-index", "--n-min", str(-big), "--n-max", str(-big),
+                        "--m-min", str(big - 1), "--m-max", str(big), "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1:] == ["-9223372036854775808,9223372036854775807,0,0,0,closed",
+                                    "-9223372036854775808,9223372036854775808,0,1,-1,closed"]
+    code, out = run_cli(capsys, "sphere-index", "--n-min", str(-10 ** 20), "--n-max",
+                        str(-10 ** 20), "--m-min", str(-10 ** 20 - 1), "--m-max", str(-10 ** 20))
+    assert code == 0
+    block = '''    {
+      "n": -100000000000000000000,
+      "m": %s,
+      "dim_ker_plus": 1,
+      "dim_ker_minus": 0,
+      "index": 1,
+      "method": "closed"
+    }'''
+    blocks = (block % "-100000000000000000001", block % "-100000000000000000000")
+    assert out == ('{\n  "schema_version": 1,\n  "method": "closed",\n  "blocks": [\n%s,\n%s\n'
+                   '  ]\n}\n' % blocks)
+
+
+def test_route_disagreement_exits_one(capsys, monkeypatch):
+    real = index_engine.index_numerical
+
+    def flip(n, m, eps, steps):
+        res = dict(real(n, m, eps, steps))
+        res["d_minus"] = 1 - res["d_minus"]
+        return res
+
+    monkeypatch.setattr(index_engine, "index_numerical", flip)
+    code = main(["sphere-index", "--n-min", "-1", "--n-max", "1", "--m-min", "0", "--m-max", "1",
+                 "--method", "both"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert json.loads(captured.err)["error"].startswith("route disagreement at (-1, 0): ")
+
+
+def test_compare_quotient_records_match_dict_blocks(capsys):
+    # the bytes of the report rendered with a dict per block, as at commit 29b4c54
+    code, out = run_cli(capsys, "compare-quotient", "--n-max", "6", "--m-max", "3")
+    gaps = reduction_gaps(6, 3)
+    report = {"schema_version": 1, "tol": 1e-12, "max_discrepancy": max(gaps.values()),
+              "passed": True, "blocks": [{"n": n, "m": m, "discrepancy": gap}
+                                         for (n, m), gap in gaps.items()]}
+    assert code == 0 and out == render_json(report)
+
+
+def test_render_records_matches_stdlib_layout():
+    keys = ("n", 'k"%s\\', "nested", "mixed", "flags", "x")
+    columns = ([1, 2, 3], np.array([0.5, -2.25, 0.125]), [{"a": [1, {}]}, [], (2, "t")],
+               [np.int64(4), None, 5], np.array([True, False, True]), ["a", "é", "%d"])
+    records = Records(keys, columns)
+    expected = [dict(zip(keys, row)) for row in zip(*(list(c) for c in columns))]
+    dumps = lambda obj: json.dumps(obj, indent=2, ensure_ascii=False,
+                                   default=lambda v: v.item()) + "\n"
+    assert len(records) == 3 and as_dicts(records) == expected
+    for obj, plain in ((records, expected), ({"r": records, "e": Records(("a",), ([],))},
+                                             {"r": expected, "e": []}),
+                       ([Records(("a",), (np.arange(2),))], [[{"a": 0}, {"a": 1}]])):
+        assert render_json(obj) == dumps(plain)
+    # a list of dicts that do not share their keys takes the generic path
+    ragged = [{"a": 1}, {"b": [2.5]}, {}, {"a": None, "c": {"d": "e"}}]
+    assert render_json({"blocks": ragged}) == dumps({"blocks": ragged})
+    for column in ([1.0, float("inf")], np.array([np.nan]), [1, np.float64(-np.inf)]):
+        with pytest.raises(ValueError):
+            render_json(Records(("x",), (column,)))
+    with pytest.raises(ValueError):
+        Records(("a", "b"), ([1], [1, 2]))

@@ -41,6 +41,36 @@ def test_kernel_dims_examples():
     assert kernel_dims_closed_form(3, 1) == (0, 0)
 
 
+def test_kernel_dims_arrays_match_ints():
+    # int64 where every label fits, exact Python ints beyond: 2**63 as uint64
+    # or -2**63 would wrap under -|n| in int64
+    big = 2 ** 63
+    for labels in (range(-6, 7), [-big, 1 - big, big - 1, big, 10 ** 20, -10 ** 20, 0, 1, -1]):
+        labels = list(labels)
+        n, m = np.array(labels, dtype=object)[:, None], np.array(labels, dtype=object)[None, :]
+        expected = [[kernel_dims_closed_form(a, b) for b in labels] for a in labels]
+        for d, dims in enumerate(kernel_dims_closed_form(n, m)):
+            assert dims.dtype == np.int64
+            assert dims.tolist() == [[pair[d] for pair in row] for row in expected]
+    for n in (np.array([big, big + 1], dtype=np.uint64), [big, -1]):
+        assert kernel_dims_closed_form(n, [0, 0])[0].tolist() == [0, 0]
+        assert kernel_dims_closed_form(n, [-big, -big - 2])[0].tolist() == [1, 1]
+    assert kernel_dims_closed_form(np.arange(-2, 3), np.int64(2))[1].tolist() == [1, 1, 1, 1, 1]
+    assert kernel_dims_closed_form(big, big) == (0, 1)
+    assert kernel_dims_closed_form(-big, -big) == (1, 0)
+
+
+def test_closed_table_beyond_int64_is_exact():
+    big = 2 ** 63
+    for n_range, m_range in ((range(big, big + 2), range(-1, 2)),
+                             (range(-big, -big + 1), range(big - 1, big + 1)),
+                             (range(-1, 2), range(10 ** 20, 10 ** 20 + 1))):
+        table = build_index_table(n_range, m_range)
+        for row, (n, m) in enumerate(zip(table.n, table.m)):
+            assert type(n) is int and type(m) is int
+            assert table.indices[row] == index_closed_form(n, m) == reference_index(n, m)
+
+
 def test_index_examples():
     assert index_closed_form(2, 3) == -1
     assert index_closed_form(0, 0) == 0
@@ -180,9 +210,37 @@ def test_method_both_enforces_agreement():
     assert table.index(2, 2) == -1
 
 
+def test_method_both_names_the_first_disagreement(monkeypatch):
+    real = index_engine.index_numerical
+    flipped = {(-1, 2), (1, -2)}  # in row-major order over n, then m, (-1, 2) comes first
+
+    def flip(n, m, eps, steps):
+        res = dict(real(n, m, eps, steps))
+        for i, key in enumerate(zip(n, m)):
+            if key in flipped:
+                res["d_plus"][i] = 1 - res["d_plus"][i]
+        return res
+
+    monkeypatch.setattr(index_engine, "index_numerical", flip)
+    message = ("route disagreement at (-1, 2): {'dim_ker_plus': 0, 'dim_ker_minus': 1, "
+               "'index': -1} vs {'dim_ker_plus': 1, 'dim_ker_minus': 1, 'index': 0}")
+    with pytest.raises(IndexError_) as info:
+        build_index_table(range(-2, 3), range(-2, 3), method="both")
+    assert str(info.value) == message
+    # the numeric route alone takes its own word for it
+    table = build_index_table(range(-2, 3), range(-2, 3), method="numeric")
+    assert table.index(-1, 2) == 0 and table.index(1, -2) == 0
+
+
 def test_table_invariant_validation():
-    with pytest.raises(IndexError_):
-        IndexTable(entries={(0, 0): {"dim_ker_plus": 1, "dim_ker_minus": 0, "index": 0}})
+    # the index column is derived, so only the dimension columns can be wrong
+    for d_plus, d_minus in (([2], [1]), ([0], [-1]), ([1, 0], [0])):
+        with pytest.raises(IndexError_):
+            IndexTable(n=[0], m=[0], dim_ker_plus=d_plus, dim_ker_minus=d_minus)
+    table = IndexTable(n=[0, 1], m=[0, 0], dim_ker_plus=[1, 0], dim_ker_minus=[1, 0])
+    assert table.indices.tolist() == [0, 0] and table.total_kernel(0, 0) == 2
+    with pytest.raises(KeyError):
+        table.index(2, 0)
     with pytest.raises(IndexError_):
         build_index_table([], range(0, 1))
     with pytest.raises(IndexError_):
@@ -198,7 +256,8 @@ def test_numeric_table_matches_closed_form_small_blocks():
 
 def test_table_block_count_is_bounded(monkeypatch):
     monkeypatch.setattr(index_engine, "MAX_BLOCKS", 6)
-    assert len(build_index_table(range(3), range(-1, 1)).entries) == 6
+    table = build_index_table(range(3), range(-1, 1))
+    assert len(table.n) == len(table.m) == len(table.indices) == 6
     for n_range, m_range in ((range(7), range(1)), (range(3), range(-1, 2)),
                              (range(-10 ** 9, 10 ** 9 + 1), range(0, 1))):
         with pytest.raises(IndexError_, match="more than the 6 allowed"):
