@@ -7,7 +7,7 @@ so c(v)^2 = -|v|^2 for real v.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -44,8 +44,10 @@ class CliffordModule:
 
     @cached_property
     def stacked(self) -> np.ndarray:
-        """The generators as one (q, d, d) array."""
-        return np.stack(self.generators)
+        """The generators as one read-only (q, d, d) array."""
+        out = np.stack(self.generators)
+        out.flags.writeable = False
+        return out
 
 
 def anticommutation_defect(mod: CliffordModule) -> float:
@@ -85,11 +87,15 @@ def _gamma_matrices(q: int) -> list:
     return gammas
 
 
+@cache
 def build_standard_module(q: int) -> CliffordModule:
-    """Standard Cl(q)-module on a fiber of dimension 2**(q//2)."""
+    """Standard Cl(q)-module on a fiber of dimension 2**(q//2), built once per
+    rank and process; its generators are read-only, since every caller shares them."""
     if q < 1:
         raise CliffordError("rank must be positive")
     generators = tuple(1j * g for g in _gamma_matrices(q))
+    for g in generators:
+        g.flags.writeable = False
     return CliffordModule(q=q, fiber_dim=2 ** (q // 2), generators=generators)
 
 

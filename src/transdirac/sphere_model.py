@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from transdirac.transverse_operator import FirstOrderOperator, SingularPointError
+from transdirac.transverse_operator import FirstOrderOperator, SingularPointError, restrict_to_mode
 
 UPPER = "upper"
 LOWER = "lower"
@@ -29,7 +29,8 @@ CHARTS = (UPPER, LOWER)
 CHIRALITIES = ("+", "-")
 
 POLE_EPS = 1e-3
-CHUNK = 128  # labels per batched call in reduction_gaps and build_index_table
+CHUNK = 128  # labels per batched call in build_index_table
+QUOTIENT_BATCH = 16  # blocks per batch in compare_block_reductions: temporaries near 100 kB
 # the most blocks one index table or gap report may span. Peak memory grows
 # by about 0.9 kB per block, so on a 2-core host the 511 x 511 blocks within
 # the bound peak at 258 MB for a closed-form table (2 s) and at 187 MB for
@@ -321,102 +322,99 @@ def matched_global_section(block: SphereBlock):
 # 2x2 operators on the hemisphere
 
 
-def _chiral_pair(upper, lower) -> np.ndarray:
-    """(npts, 2, 2) stack with zero diagonal and the given off-diagonal entries."""
-    out = np.zeros((len(lower), 2, 2), dtype=complex)
-    out[:, 0, 1] = upper
-    out[:, 1, 0] = lower
-    return out
+def _pair_operator(name: str, fields: Callable) -> FirstOrderOperator:
+    """The 2x2 first-order operator in (alpha, theta, phi) with w below the
+    diagonal and -conj(w) above it, without zeroth-order term, where
+    fields(theta, phi) gives the (npts, 3) coefficients of w."""
+
+    def coeff(pts):
+        w = fields(pts[:, 1], pts[:, 2]).T
+        out = np.zeros(w.shape + (2, 2), dtype=complex)
+        out[..., 0, 1], out[..., 1, 0] = -np.conj(w), w
+        return out
+
+    return FirstOrderOperator(chart=name, dim=3, fiber_dim=2, coeff=coeff,
+                              zeroth=lambda pts: np.zeros((len(pts), 2, 2), dtype=complex))
 
 
 def chart_operator(chart: str) -> FirstOrderOperator:
-    """The chartwise kernel operator of both chiralities as a 2x2 first-order
-    operator in (alpha, theta, phi): w = V_1 + i V_2 below the diagonal and
-    -conj(w) above it, without zeroth-order term. The fields do not depend on
-    alpha, along which the frame rotation acts, so restrict_to_mode(op, 0, n)
-    is its weight-n reduction in (theta, phi)."""
+    """The chartwise kernel operator of both chiralities: _pair_operator of
+    w = V_1 + i V_2. The fields do not depend on alpha, along which the frame
+    rotation acts, so restrict_to_mode(op, 0, n) is its weight-n reduction in
+    (theta, phi)."""
+    _check_chart(chart)
+    return _pair_operator("sphere-" + chart, lambda theta, phi: _w_plus(chart, theta, phi))
+
+
+def _orbit_frame_operator(chart: str) -> FirstOrderOperator:
+    """chart_operator(chart) in the frame (T, d_theta, d_phi) of the orbit
+    field T (orbit_field_components), by the one quotient rule d_alpha =
+    (T - T_theta d_theta - T_phi d_phi) / T_alpha, so its axis-0 coefficient
+    is that of T; V_1, V_2 and T come from one pushforward solve."""
     _check_chart(chart)
 
-    def coeff(index):
-        def pair(pts):
-            w = _w_plus(chart, pts[:, 1], pts[:, 2])[:, index]
-            return _chiral_pair(-np.conj(w), w)
+    def fields(theta, phi):
+        pushed = pushforward_components(chart, theta, phi, np.stack([E1, E2, ET]))
+        w, t = pushed[..., 0] + 1j * pushed[..., 1], pushed[..., 2]
+        along_t = w[..., :1] / t[..., :1]
+        return np.concatenate([along_t, w[..., 1:] - along_t * t[..., 1:]], axis=-1)
 
-        return pair
-
-    return FirstOrderOperator(
-        chart="sphere-" + chart, dim=3, fiber_dim=2, coeff=tuple(coeff(k) for k in range(3)),
-        zeroth=lambda pts: np.zeros((len(pts), 2, 2), dtype=complex),
-    )
+    return _pair_operator("orbit-" + chart, fields)
 
 
-def quotient_reduced_operator(m: int) -> FirstOrderOperator:
-    """The weight-m operator on the quotient hemisphere, obtained from the
-    substitution d_alpha -> -d_theta - i m."""
-
-    def a_theta(pts):
-        theta, phi = pts[:, 0], pts[:, 1]
-        val = -1j * np.exp(1j * theta) / np.sin(phi)
-        return _chiral_pair(-np.conj(val), val)
-
-    def a_phi(pts):
-        val = -np.exp(1j * pts[:, 0])
-        return _chiral_pair(-np.conj(val), val)
-
-    def zeroth(pts):
-        theta, phi = pts[:, 0], pts[:, 1]
-        val = -m * np.exp(1j * theta) * (1.0 / np.tan(phi) - 1.0 / np.sin(phi))
-        # the (1,2) entry picks up conj(val), not -conj(val): the d_alpha
-        # substitution happens after the chiral conjugation
-        return _chiral_pair(np.conj(val), val)
-
-    return FirstOrderOperator(
-        chart="quotient-upper", dim=2, fiber_dim=2, coeff=(a_theta, a_phi), zeroth=zeroth
-    )
+def quotient_operator(chart: str, m: int) -> FirstOrderOperator:
+    """The weight-m operator on the quotient hemisphere, in (theta, phi):
+    chart_operator(chart) on the sections s with T s = -i m s, where T is
+    (1, 1, 0) in (alpha, theta, phi) on the upper chart and (-1, 1, 0) on the
+    lower, so that d_alpha acts as (-i m - T_theta d_theta - T_phi d_phi) /
+    T_alpha. The fields are evaluated at alpha = 0; they do not depend on it."""
+    return restrict_to_mode(_orbit_frame_operator(chart), 0, m)
 
 
-def compare_block_reductions(n, m: int, phi_values=None):
-    """Coefficient-level agreement of the two reduction routes.
+def compare_block_reductions(n, m):
+    """Coefficient-level agreement of the two reduction routes on both charts.
 
-    Route 1 restricts the quotient operator to frame weight n; route 2 is
-    the radial table from the sphere-side reduction. Returns the sup over
-    the phi grid of the coefficient discrepancy, across both chiralities:
-    a float for an int n, and one value per entry of an integer array n.
-    The operator is evaluated once on the whole grid, for every n.
+    Route 1 is the quotient: on a block's sections T acts as -i m
+    (quotient_operator) and d_theta as i k, k = theta_weight, so with the
+    coefficients (C_T, C_theta, C_phi) of the operator in the frame (T,
+    d_theta, d_phi), its kernel equation is d_phi psi = r psi with
+    r = -i (k C_theta - m C_T) / C_phi. Route 2 is reduce_block. Returns the
+    sup of |r_1 - r_2| over 201 phis at theta = 0.3, both charts and both
+    chiralities: a float for int n and m, else an array of their broadcast
+    shape. The chart fields are solved once per chart, at alpha = 0; the
+    blocks are compared QUOTIENT_BATCH at a time.
     """
-    if phi_values is None:
-        phi_values = np.linspace(0.05, 0.5 * np.pi, 201)
-    phis = np.atleast_1d(np.asarray(phi_values, dtype=float))
-    op = quotient_reduced_operator(m)
-    pts = np.column_stack([np.full_like(phis, 0.3), phis])
-    a_theta, a_phi = op.coefficients_at(pts)
-    b0 = op.zeroth_at(pts)
-    batched = np.ndim(n) > 0
-    if batched:  # n on the leading axes, the phi grid on the last
-        n = np.asarray(n)[..., None]
-    k = theta_weight(SphereBlock(n=n, m=m), UPPER)  # of sigma_n sections on the upper chart
-    worst = 0.0
-    for chirality, (row, col) in (("+", (1, 0)), ("-", (0, 1))):
-        table_r = reduce_block(SphereBlock(n=n, m=m, chirality=chirality), UPPER).r
-        r1 = -(a_theta[:, row, col] * 1j * k + b0[:, row, col]) / a_phi[:, row, col]
-        worst = np.maximum(worst, np.max(np.abs(r1 - table_r(phis)), axis=-1))
-    return worst if batched else float(worst)
+    pts = np.column_stack([np.zeros(201), np.full(201, 0.3), np.linspace(0.05, 0.5 * np.pi, 201)])
+    shape = np.broadcast_shapes(np.shape(n), np.shape(m))
+    n, m = (np.broadcast_to(v, shape).ravel()[:, None, None] for v in (n, m))
+    worst = np.zeros(len(n))
+    for chart in CHARTS:
+        coeffs = _orbit_frame_operator(chart).coefficients_at(pts)
+        # chirality '+' reads the entry below the diagonal, '-' the one above it
+        c_t, c_theta, c_phi = coeffs[:, :, [1, 0], [0, 1]]
+        per_k, per_m = -1j * c_theta / c_phi, 1j * c_t / c_phi  # r is linear in k and m
+        k = theta_weight(SphereBlock(n, m), chart)
+        odes = [reduce_block(SphereBlock(n, m, chirality), chart) for chirality in CHIRALITIES]
+        for start in range(0, len(n), QUOTIENT_BATCH):
+            rows = slice(start, start + QUOTIENT_BATCH)
+            table_r = np.concatenate([RadialODE(ode.p[rows], ode.q[rows], ode.exponent[rows])
+                                      .r(pts[:, 2:]) for ode in odes], axis=-1)
+            gap = np.max(np.abs(k[rows] * per_k + m[rows] * per_m - table_r), axis=(1, 2))
+            worst[rows] = np.maximum(worst[rows], gap)
+    return worst.reshape(shape) if shape else float(worst[0])
 
 
 def reduction_gaps(n_max: int, m_max: int) -> dict:
     """compare_block_reductions over the blocks |n| <= n_max, |m| <= m_max,
-    keyed by (n, m) in row-major order; an empty range is an error, and so is a
-    range of more than MAX_BLOCKS blocks, which also keeps n - m well inside
-    int64. Each m takes one call per chunk of n values."""
+    keyed by (n, m) in row-major order, from one call; an empty range is an
+    error, and so is a range of more than MAX_BLOCKS blocks, which also keeps
+    n - m well inside int64."""
     if n_max < 0 or m_max < 0:
         raise SphereModelError("empty block range: n_max and m_max must be >= 0")
     count = (2 * n_max + 1) * (2 * m_max + 1)
     if count > MAX_BLOCKS:
         raise SphereModelError("n_max = %d and m_max = %d span %d blocks, more than the %d allowed"
                                % (n_max, m_max, count, MAX_BLOCKS))
-    n_values, m_values = range(-n_max, n_max + 1), range(-m_max, m_max + 1)
-    columns = [np.concatenate([
-        compare_block_reductions(np.arange(start, min(start + CHUNK, n_max + 1)), m)
-        for start in n_values[::CHUNK]]).tolist() for m in m_values]
-    return {(n, m): column[i] for i, n in enumerate(n_values)
-            for m, column in zip(m_values, columns)}
+    n, m = np.meshgrid(np.arange(-n_max, n_max + 1), np.arange(-m_max, m_max + 1), indexing="ij")
+    return dict(zip(zip(n.ravel().tolist(), m.ravel().tolist()),
+                    compare_block_reductions(n, m).ravel().tolist()))

@@ -28,7 +28,6 @@ from transdirac.transverse_operator import (
 )
 
 MIN_GRID = 16
-RANK_ONE = build_standard_module(1)  # c(f_1) acts as i
 MAX_ABS_G = -np.log(np.finfo(float).tiny)  # about 708.4
 
 
@@ -91,8 +90,8 @@ def full_chart_frames(geom: TorusGeometry, along: str = "Q") -> FrameField:
 
 
 def operator_AQ_full(geom: TorusGeometry, along: str = "Q") -> FirstOrderOperator:
-    """A_Q (or A_L) on the full (x, y) chart."""
-    return assemble_AQ(full_chart_frames(geom, along), RANK_ONE)
+    """A_Q (or A_L) on the full (x, y) chart; c(f_1) acts as i."""
+    return assemble_AQ(full_chart_frames(geom, along), build_standard_module(1))
 
 
 def operator_D_full(geom: TorusGeometry, along: str = "Q") -> FirstOrderOperator:
@@ -102,7 +101,7 @@ def operator_D_full(geom: TorusGeometry, along: str = "Q") -> FirstOrderOperator
         mean_curvature = lambda pts: np.zeros((len(pts), 1))
     else:
         mean_curvature = lambda pts: -geom.g_prime(pts[:, 1:])
-    return assemble_DQ(full_chart_frames(geom, along), RANK_ONE, mean_curvature)
+    return assemble_DQ(full_chart_frames(geom, along), build_standard_module(1), mean_curvature)
 
 
 def mode_grid(geom: TorusGeometry, n_points: int):

@@ -34,48 +34,43 @@ class SingularPointError(OperatorError):
 class FirstOrderOperator:
     """Coefficient description sum_k A^k(x) d_k + B0(x) on one chart.
 
-    Array contract: each coefficient callable and zeroth take an
-    (npts, dim) real array of chart points and return the complex
-    (npts, fiber_dim, fiber_dim) stack of matrices at those points.
-    coefficients_at and zeroth_at accept one point (shape (dim,)) or a
-    stack of points (shape (npts, dim)) and return the matching stack
-    shape, with the leading npts axis dropped for a single point.
+    Array contract: coeff and zeroth take an (npts, dim) real array of chart
+    points; coeff returns the complex (dim, npts, fiber_dim, fiber_dim) stack
+    of all dim derivative coefficients, from one evaluation of whatever they
+    are built from, and zeroth the (npts, fiber_dim, fiber_dim) stack.
+    coefficients_at and zeroth_at accept one point (shape (dim,)) or a stack
+    of points (shape (npts, dim)), check the shape and finiteness of what the
+    callables return, and drop the npts axis for a single point.
     """
 
     chart: str
     dim: int
     fiber_dim: int
-    coeff: Sequence[Callable]
+    coeff: Callable
     zeroth: Callable
 
-    def __post_init__(self):
-        if len(self.coeff) != self.dim:
-            raise OperatorError("expected %d derivative coefficients" % self.dim)
-
-    def _evaluate(self, fns, x, what: str) -> np.ndarray:
-        """(len(fns), ...) stack of fn(points), checked for shape and finiteness."""
+    def _evaluate(self, fn, x, lead: tuple, what: str) -> np.ndarray:
+        """fn(points), checked to be the finite lead + (npts, d, d) stack."""
         x = np.asarray(x, dtype=float)
         pts = np.atleast_2d(x)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise OperatorError("points must have shape (%d,) or (npts, %d)" % (self.dim, self.dim))
-        shape = (len(pts), self.fiber_dim, self.fiber_dim)
-        mats = [np.asarray(fn(pts), dtype=complex) for fn in fns]
-        for mat in mats:
-            if mat.shape != shape:
-                raise OperatorError("%s returned shape %s, expected %s" % (what, mat.shape, shape))
-        mats = np.stack(mats)
-        finite = np.all(np.isfinite(mats), axis=(0, 2, 3))
+        shape = lead + (len(pts), self.fiber_dim, self.fiber_dim)
+        mats = np.asarray(fn(pts), dtype=complex)
+        if mats.shape != shape:
+            raise OperatorError("%s returned shape %s, expected %s" % (what, mats.shape, shape))
+        finite = np.all(np.isfinite(mats.reshape((-1,) + shape[-3:])), axis=(0, 2, 3))
         if not np.all(finite):
             raise SingularPointError("%s singular at %s" % (what, pts[np.argmin(finite)]))
-        return mats if x.ndim == 2 else mats[:, 0]
+        return mats if x.ndim == 2 else mats[..., 0, :, :]
 
     def coefficients_at(self, x) -> np.ndarray:
         """The dim derivative coefficients at x: shape (dim, [npts,] d, d)."""
-        return self._evaluate(self.coeff, x, "coefficient")
+        return self._evaluate(self.coeff, x, (self.dim,), "coefficient")
 
     def zeroth_at(self, x) -> np.ndarray:
         """The zeroth-order term at x: shape ([npts,] d, d)."""
-        return self._evaluate((self.zeroth,), x, "zeroth-order term")[0]
+        return self._evaluate(self.zeroth, x, (), "zeroth-order term")
 
 
 @dataclass(frozen=True)
@@ -130,9 +125,9 @@ def assemble_AQ(frames: FrameField, mod: CliffordModule) -> FirstOrderOperator:
 
     fiber = (mod.fiber_dim, mod.fiber_dim)
 
-    def make_coeff(k):
-        return lambda pts: clifford_matrix(
-            mod, _field_stack(frames.components, pts, (frames.q, frames.dim))[:, :, k])
+    def coeff(pts):  # c(f_j) weighted by the k-th components of the f_j, for each k
+        rows = _field_stack(frames.components, pts, (frames.q, frames.dim))
+        return clifford_matrix(mod, np.moveaxis(rows, 2, 0))
 
     def zeroth(pts):
         if frames.connection_term is None:
@@ -143,7 +138,7 @@ def assemble_AQ(frames: FrameField, mod: CliffordModule) -> FirstOrderOperator:
         chart=frames.chart,
         dim=frames.dim,
         fiber_dim=mod.fiber_dim,
-        coeff=tuple(make_coeff(k) for k in range(frames.dim)),
+        coeff=coeff,
         zeroth=zeroth,
     )
 
@@ -177,15 +172,13 @@ def restrict_to_mode(op: FirstOrderOperator, axis: int, n: int) -> FirstOrderOpe
         raise OperatorError("cannot restrict a %d-dimensional operator along axis %r"
                             % (op.dim, axis))
 
-    def lift(fn):
-        return lambda pts: fn(np.insert(pts, axis, 0.0, axis=1))
+    def lift(pts):
+        return np.insert(pts, axis, 0.0, axis=1)
 
-    def zeroth(full):
-        return op.zeroth(full) + (-1j * n) * op.coeff[axis](full)
-
-    coeff = tuple(lift(fn) for k, fn in enumerate(op.coeff) if k != axis)
-    return FirstOrderOperator(chart=op.chart, dim=op.dim - 1, fiber_dim=op.fiber_dim,
-                              coeff=coeff, zeroth=lift(zeroth))
+    return FirstOrderOperator(
+        chart=op.chart, dim=op.dim - 1, fiber_dim=op.fiber_dim,
+        coeff=lambda pts: np.delete(op.coeff(lift(pts)), axis, axis=0),
+        zeroth=lambda pts: op.zeroth(lift(pts)) + (-1j * n) * op.coeff(lift(pts))[axis])
 
 
 def principal_symbol(op: FirstOrderOperator, x, xi) -> np.ndarray:

@@ -114,7 +114,6 @@ def _connection_gaps(p: int, q: int, raw, x, y_q, rot_raw, mod) -> dict:
 
 def suite_connection(trials: int = 100, seed: int = 7, tol: float = 1e-10) -> dict:
     rng = np.random.default_rng(seed)
-    modules = {rank: build_standard_module(rank) for rank in range(2, 7)}  # p + q for p, q in 1..3
     worst = dict.fromkeys(("form", "skew", "residual", "rot", "lin", "mean"), 0.0)
     # per (p, q): arrays for FRAME_BATCH draws (conn, X, Q-block of Y, rotation),
     # reused for every stack, and the number drawn into them so far
@@ -122,7 +121,8 @@ def suite_connection(trials: int = 100, seed: int = 7, tol: float = 1e-10) -> di
 
     def check(p, q):
         count = filled.pop((p, q))
-        gaps = _connection_gaps(p, q, *(a[:count] for a in stacks[p, q]), modules[p + q])
+        gaps = _connection_gaps(p, q, *(a[:count] for a in stacks[p, q]),
+                                build_standard_module(p + q))
         for key, gap in gaps.items():
             worst[key] = max(worst[key], gap)
 

@@ -32,7 +32,7 @@ from transdirac.sphere_model import (
     chart_operator,
     compare_block_reductions,
     pde_residual,
-    quotient_reduced_operator,
+    quotient_operator,
 )
 from transdirac.spectral import fit_exponent, integrate_log_ode
 from transdirac.torus_model import (
@@ -149,7 +149,7 @@ def test_criterion_8_ellipticity_boundary(capsys):
     for phi in (np.pi / 2 - 0.1, np.pi / 2 + 0.1):
         ok = ok and symbol_smallest_singular_value(op, [0.3, phi], [1.0, 0.0]) > 1e-10
     rng = np.random.default_rng(7)
-    qop = quotient_reduced_operator(1)
+    qop = quotient_operator(UPPER, 1)
     for _ in range(100):
         x = [rng.uniform(0, 2 * np.pi), rng.uniform(0.05, np.pi / 2 - 0.01)]
         xi = rng.standard_normal(2)

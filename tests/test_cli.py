@@ -313,8 +313,14 @@ def test_render_json_closed_table_matches_stdlib_layout(capsys, monkeypatch):
     assert code == 0 and len(reports) == 1
     assert len(reports[0]["blocks"]) == 101 * 101
     # the blocks are columnar Records; json.dumps needs them as a list of dicts
-    assert out == render_json(reports[0]) == json.dumps(reports[0], indent=2,
-                                                        default=as_dicts) + "\n"
+    stdlib = json.dumps(reports[0], indent=2, default=as_dicts) + "\n"
+    texts = (out, render_json(reports[0]), stdlib)
+    # lengths and digests first, and the byte equality bound to a name: pytest
+    # would otherwise diff two 1.5 MB strings with difflib, which takes minutes
+    assert len({len(text) for text in texts}) == 1
+    assert len({hashlib.sha256(text.encode()).hexdigest() for text in texts}) == 1
+    identical = texts[0] == texts[1] == texts[2]
+    assert identical
 
 
 def test_render_json_closed_table_bytes_pinned(capsys):

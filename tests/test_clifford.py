@@ -95,3 +95,12 @@ def test_clifford_matrix_stacks():
         clifford_matrix(build_standard_module(2), np.zeros((4, 3)))
     with pytest.raises(CliffordError):
         clifford_matrix(build_standard_module(1), 1.0)
+
+
+def test_standard_module_built_once_and_read_only():
+    mod = build_standard_module(3)
+    assert build_standard_module(3) is mod
+    with pytest.raises(ValueError):
+        mod.generators[0][0, 0] = 0.0
+    with pytest.raises(ValueError):
+        mod.stacked[0, 0, 0] = 0.0

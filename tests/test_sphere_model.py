@@ -8,7 +8,9 @@ from transdirac.sphere_model import (
     CHIRALITIES,
     LOWER,
     MAX_BLOCKS,
+    QUOTIENT_BATCH,
     UPPER,
+    RadialODE,
     SphereBlock,
     SphereModelError,
     apply_chart_operator,
@@ -22,7 +24,7 @@ from transdirac.sphere_model import (
     orbit_field_components,
     pde_residual,
     pushforward_components,
-    quotient_reduced_operator,
+    quotient_operator,
     reduce_block,
     reduction_gaps,
     theta_weight,
@@ -403,13 +405,56 @@ def test_sigma_operator_elliptic_in_phi_direction():
 
 
 def test_quotient_operator_elliptic_inside_hemisphere():
-    rng = np.random.default_rng(3)
-    op = quotient_reduced_operator(1)
-    for _ in range(100):
-        x = [rng.uniform(0, 2 * np.pi), rng.uniform(0.05, np.pi / 2 - 0.01)]
-        xi = rng.standard_normal(2)
-        xi /= np.linalg.norm(xi)
-        assert symbol_smallest_singular_value(op, x, xi) > 0.5
+    for chart in CHARTS:
+        rng = np.random.default_rng(3)
+        op = quotient_operator(chart, 1)
+        for _ in range(100):
+            x = [rng.uniform(0, 2 * np.pi), rng.uniform(0.05, np.pi / 2 - 0.01)]
+            xi = rng.standard_normal(2)
+            xi /= np.linalg.norm(xi)
+            assert symbol_smallest_singular_value(op, x, xi) > 0.5
+
+
+def test_upper_quotient_closed_form():
+    # d_alpha -> -i m - d_theta on the upper chart, where T = (1, 1, 0): the
+    # coefficients of d_theta and d_phi are -i e^{i theta}/sin(phi) and
+    # -e^{i theta} below the diagonal, minus their conjugates above it; the
+    # zeroth-order term is -m e^{i theta} (cot(phi) - csc(phi)) below the
+    # diagonal and its conjugate, without the minus sign, above it, since
+    # d_alpha acts as -i m after the chiral conjugation
+    rng = np.random.default_rng(5)
+    theta, phi = rng.uniform(0, 2 * np.pi, 500), rng.uniform(0.05, np.pi / 2, 500)
+    pts = np.column_stack([theta, phi])
+    rotation = np.exp(1j * theta)
+    a_theta, a_phi = -1j * rotation / np.sin(phi), -rotation
+    for m in (-3, 0, 1, 4):
+        op = quotient_operator(UPPER, m)
+        coeffs, zeroth = op.coefficients_at(pts), op.zeroth_at(pts)
+        b0 = -m * rotation * (1.0 / np.tan(phi) - 1.0 / np.sin(phi))
+        for mats, upper, lower in ((coeffs[0], -np.conj(a_theta), a_theta),
+                                   (coeffs[1], -np.conj(a_phi), a_phi),
+                                   (zeroth, np.conj(b0), b0)):
+            assert np.max(np.abs(mats[:, 0, 1] - upper)) < 1e-13
+            assert np.max(np.abs(mats[:, 1, 0] - lower)) < 1e-13
+            assert not np.any(np.diagonal(mats, axis1=-2, axis2=-1))
+
+
+def test_quotient_is_the_chart_operator_with_d_alpha_substituted():
+    # A_theta - A_alpha T_theta / T_alpha, A_phi - A_alpha T_phi / T_alpha and
+    # -i m A_alpha / T_alpha, from chart_operator and orbit_field_components
+    rng = np.random.default_rng(6)
+    theta, phi = rng.uniform(0, 2 * np.pi, 50), rng.uniform(0.05, np.pi / 2, 50)
+    pts = np.column_stack([theta, phi])
+    for chart, orbit in ((UPPER, [1.0, 1.0, 0.0]), (LOWER, [-1.0, 1.0, 0.0])):
+        t = orbit_field_components(chart, theta, phi)
+        assert np.max(np.abs(t - orbit)) < 1e-14
+        a = chart_operator(chart).coefficients_at(np.column_stack([np.zeros(50), pts]))
+        along_t = a[0] / t[:, :1, None]
+        for m in (-2, 3):
+            op = quotient_operator(chart, m)
+            expected = a[1:] - along_t * np.moveaxis(t[:, 1:], 1, 0)[..., None, None]
+            assert np.max(np.abs(op.coefficients_at(pts) - expected)) < 1e-13
+            assert np.max(np.abs(op.zeroth_at(pts) - (-1j * m) * along_t)) < 1e-13
 
 
 def test_reductions_agree_blockwise():
@@ -427,10 +472,31 @@ def test_batched_reductions_match_per_n():
 def test_reduction_gaps_row_major_over_chunks():
     gaps = reduction_gaps(3, 2)
     assert list(gaps) == [(n, m) for n in range(-3, 4) for m in range(-2, 3)]
-    # 401 values of n take more than one chunk per m
+    # 1203 blocks take many batches; each gap is the one its row of n values
+    # gives, whose batches start at other blocks
     gaps = reduction_gaps(200, 1)
     assert list(gaps) == [(n, m) for n in range(-200, 201) for m in range(-1, 2)]
-    assert all(gap == compare_block_reductions(n, m) for (n, m), gap in gaps.items())
+    for m in range(-1, 2):
+        row = compare_block_reductions(np.arange(-200, 201), m)
+        assert [gaps[n, m] for n in range(-200, 201)] == row.tolist()
+    # and blocks on either side of batch seams are what they are alone
+    blocks = list(gaps)
+    for seam in range(QUOTIENT_BATCH, len(blocks), 8 * QUOTIENT_BATCH):
+        for n, m in blocks[seam - 1:seam + 1]:
+            assert gaps[n, m] == compare_block_reductions(n, m)
+
+
+def test_reductions_checked_on_the_lower_chart(monkeypatch):
+    # a radial table that is wrong only on the lower chart must fail the comparison
+    real = sphere_model.reduce_block
+
+    def shifted(block, chart):
+        ode = real(block, chart)
+        return RadialODE(ode.p + 1, ode.q, ode.exponent) if chart == LOWER else ode
+
+    monkeypatch.setattr(sphere_model, "reduce_block", shifted)
+    assert min(reduction_gaps(2, 2).values()) > 1e-12
+    assert compare_block_reductions(0, 0) > 1e-12
 
 
 def test_reduction_gaps_reject_empty_range():

@@ -125,7 +125,7 @@ def test_singular_coefficient_raises():
 
     op = FirstOrderOperator(
         chart="test", dim=1, fiber_dim=1,
-        coeff=(inverse,),
+        coeff=lambda x: inverse(x)[None],
         zeroth=lambda x: np.zeros((len(x), 1, 1)),
     )
     with pytest.raises(SingularPointError):
@@ -135,7 +135,7 @@ def test_singular_coefficient_raises():
 def test_singular_point_named_in_a_stack():
     op = FirstOrderOperator(
         chart="test", dim=1, fiber_dim=1,
-        coeff=(lambda x: np.where(x < 0.0, np.inf, 1.0)[:, :, None],),
+        coeff=lambda x: np.where(x < 0.0, np.inf, 1.0)[None, :, :, None],
         zeroth=lambda x: np.zeros((len(x), 1, 1)),
     )
     stack = np.array([[0.5], [2.0], [-1.0], [-3.0]])
@@ -157,7 +157,7 @@ def test_coefficients_on_a_stack_match_single_points():
 
 def test_coefficient_shape_contract_enforced():
     op = FirstOrderOperator(chart="test", dim=1, fiber_dim=1,
-                            coeff=(lambda x: np.ones((1, 1)),),
+                            coeff=lambda x: np.ones((1, 1)),
                             zeroth=lambda x: np.zeros((len(x), 1, 1)))
     with pytest.raises(OperatorError):
         op.coefficients_at(np.zeros((3, 1)))
@@ -174,7 +174,7 @@ def test_discretization_evaluates_each_coefficient_once_per_grid():
         return lambda pts: calls.append(len(pts)) or fn(pts)
 
     op = FirstOrderOperator(chart=base.chart, dim=1, fiber_dim=1,
-                            coeff=(counted(base.coeff[0]),), zeroth=counted(base.zeroth))
+                            coeff=counted(base.coeff), zeroth=counted(base.zeroth))
     grid = mode_grid(geom, 32)
     assert np.array_equal(discretize_hermitian(op, grid), discretize_hermitian(base, grid))
     assert calls == [32, 32]
@@ -191,10 +191,13 @@ def test_diagonal_discretization_refuses_a_derivative_part():
 
 
 def test_dimension_mismatch_rejected():
+    # one derivative coefficient for a 2-dimensional operator: no check can see
+    # what the callable returns before it runs, so the first evaluation raises
+    op = FirstOrderOperator(chart="test", dim=2, fiber_dim=1,
+                            coeff=lambda x: np.ones((1, len(x), 1, 1)),
+                            zeroth=lambda x: np.zeros((1, 1)))
     with pytest.raises(OperatorError):
-        FirstOrderOperator(chart="test", dim=2, fiber_dim=1,
-                           coeff=(lambda x: np.eye(1),),
-                           zeroth=lambda x: np.zeros((1, 1)))
+        op.coefficients_at(np.zeros(2))
     geom = TorusGeometry()
     op = restrict_to_mode(operator_D_full(geom, "L"), 0, 0)
     with pytest.raises(OperatorError):
