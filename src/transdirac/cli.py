@@ -217,7 +217,7 @@ def cmd_torus_spectrum(args) -> int:
         "op": args.op,
         "mode": args.mode,
         "N": args.N,
-        "eigenvalues": [float(v) for v in eigenvalues],
+        "eigenvalues": eigenvalues.tolist(),
     }
     _emit(render_json(report), args.out)
     return 0

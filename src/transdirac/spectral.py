@@ -1,8 +1,10 @@
 """Dense numerical kernel: spectral differentiation, Hermitian eigensolver,
-log-ODE integration and indicial-exponent fitting.
+block-circulant symbols, log-ODE integration and indicial-exponent fitting.
 
 The eigensolver and the singular values are LAPACK's, called through
 numpy.linalg; the matrices here are dense and at most a few thousand rows.
+A block-circulant matrix is solved through its Fourier symbols, one FFT of
+its first block column.
 """
 
 from __future__ import annotations
@@ -88,6 +90,23 @@ def hermitian_defect(m: np.ndarray) -> float:
     return float(0.5 * np.max(np.abs(m - np.swapaxes(m, -1, -2).conj())))
 
 
+def _finite_complex(m) -> np.ndarray:
+    """m as a complex array, after checking that every entry is finite."""
+    m = np.asarray(m, dtype=complex)
+    if not np.all(np.isfinite(m)):
+        raise SpectralError(
+            "matrix has non-finite entries (overflow or underflow, e.g. of the warping e^g)"
+        )
+    return m
+
+
+def _check_defect(entries: np.ndarray, defect: float):
+    """Raise SpectralError unless defect <= 1e-8 max|entries|."""
+    scale = max(float(np.max(np.abs(entries))), 1e-300)
+    if defect > 1e-8 * scale:
+        raise SpectralError("matrix is not Hermitian (defect %.3e)" % defect)
+
+
 def check_hermitian(m: np.ndarray) -> np.ndarray:
     """Return m as a complex array after checking that it is finite and
     Hermitian to 1e-8 max|m|; raises SpectralError otherwise.
@@ -95,26 +114,56 @@ def check_hermitian(m: np.ndarray) -> np.ndarray:
     m is a matrix or a stack of blocks; a stack gets the same verdict as the
     block-diagonal matrix it stands for, whose zero off-diagonal blocks
     change neither the defect nor max|m|."""
-    m = np.asarray(m, dtype=complex)
-    if not np.all(np.isfinite(m)):
-        raise SpectralError(
-            "matrix has non-finite entries (overflow or underflow, e.g. of the warping e^g)"
-        )
-    scale = max(float(np.max(np.abs(m))), 1e-300)
-    defect = hermitian_defect(m)
-    if defect > 1e-8 * scale:
-        raise SpectralError("matrix is not Hermitian (defect %.3e)" % defect)
+    m = _finite_complex(m)
+    _check_defect(m, hermitian_defect(m))
     return m
 
 
+def circulant_symbols(m: np.ndarray, d: int) -> np.ndarray:
+    """The (n, d, d) Fourier symbols C^(k) = sum_j C_j e^{-2 pi i k j / n} of
+    an exactly block-circulant Hermitian matrix with d x d blocks, whose
+    block (j, l) is C_{(j - l) mod n}; the matrix's spectrum is the union of
+    the symbols' spectra.
+
+    The matrix gets the verdict of check_hermitian, with the same defect and
+    message, and must equal its block shift exactly: no tolerance. Raises
+    SpectralError naming the first block (row-major) that breaks circulancy.
+    """
+    m = _finite_complex(m)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or d < 1 or m.shape[0] % d:
+        raise SpectralError("need a square matrix of %s x %s blocks, got shape %s"
+                            % (d, d, m.shape))
+    n = m.shape[0] // d
+    # block (j + 1, l + 1) = block (j, l), indices mod n, compared on views of m
+    # without a shifted copy; the first offender is located only on failure
+    shifts = ((slice(d, None), slice(None, -d)), (slice(None, d), slice(-d, None)))
+    blocks = m.reshape(n, d, n, d).swapaxes(1, 2)
+    col = blocks[:, 0]
+    if not all(np.array_equal(m[rows, cols], m[rows_before, cols_before])
+               for rows, rows_before in shifts for cols, cols_before in shifts):
+        lag = (np.arange(n)[:, None] - np.arange(n)) % n
+        j, l = np.argwhere(np.any(blocks != col[lag], axis=(2, 3)))[0]
+        raise SpectralError("matrix is not block-circulant: block (%d, %d) differs from "
+                            "block (%d, 0)" % (j, l, (j - l) % n))
+    # every entry of the matrix and of its conjugate transpose is one of C_j
+    # and C_{-j}^H, so both give the dense matrix's max|m| and defect bit for bit
+    mirror = np.swapaxes(col[-np.arange(n)], 1, 2).conj()
+    _check_defect(col, float(0.5 * np.max(np.abs(col - mirror))))
+    return np.fft.fft(col, axis=0)
+
+
 def hermitian_eigensolve(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, ascending.
+    """Eigenvalues of a Hermitian matrix, ascending; for a stack of blocks,
+    the sorted union of the blocks' eigenvalues, which are those of the
+    block-diagonal matrix it stands for.
 
     The matrix is checked by check_hermitian, symmetrised, and handed to
-    LAPACK through numpy.linalg.eigvalsh; no eigenvectors are computed.
+    LAPACK through numpy.linalg.eigvalsh, one batched call for a stack; no
+    eigenvectors are computed.
     """
     m = check_hermitian(m)
-    return np.linalg.eigvalsh(0.5 * (m + m.conj().T))
+    # halved before the sum, which cannot overflow for finite entries
+    return np.sort(np.linalg.eigvalsh(0.5 * m + 0.5 * np.swapaxes(m, -1, -2).conj()), axis=None)
 
 
 def smallest_singular_value(m: np.ndarray) -> float:

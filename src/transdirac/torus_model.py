@@ -16,7 +16,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from transdirac.clifford import build_standard_module
-from transdirac.spectral import check_hermitian, hermitian_eigensolve, periodic_grid
+from transdirac.spectral import (
+    check_hermitian,
+    circulant_symbols,
+    hermitian_eigensolve,
+    periodic_grid,
+)
 from transdirac.transverse_operator import (
     FirstOrderOperator,
     FrameField,
@@ -123,10 +128,17 @@ def mode_grid(geom: TorusGeometry, n_points: int):
 
 
 def spectrum_DL(geom: TorusGeometry, x_mode: int, n_points: int) -> np.ndarray:
-    """Eigenvalues of D_L on the x-mode subspace; independent of the mode."""
+    """Eigenvalues of D_L on the x-mode subspace; independent of the mode.
+
+    In the weighted orthonormal basis the mean-curvature term g'/2 cancels
+    the weight's w'/(2w), so the discretization of D_L is i times the Fourier
+    differentiation matrix: circulant for every warping. Its eigenvalues are
+    read off the Fourier symbols of the assembled matrix, which is checked
+    to be exactly block-circulant and Hermitian first.
+    """
     grid = mode_grid(geom, n_points)
     op = restrict_to_mode(operator_D_full(geom, "L"), 0, x_mode)
-    return hermitian_eigensolve(discretize_hermitian(op, grid))
+    return hermitian_eigensolve(circulant_symbols(discretize_hermitian(op, grid), op.fiber_dim))
 
 
 def spectrum_DQ_band(geom: TorusGeometry, x_mode: int, n_points: int) -> np.ndarray:

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from transdirac import cli, index_engine
+from transdirac import cli, index_engine, torus_model
 from transdirac.cli import Records, main, parse_g_spec, render_json
 from transdirac.sphere_model import MAX_BLOCKS, reduction_gaps
 
@@ -164,6 +164,24 @@ def test_strong_warping_spectra_without_warnings(capsys):
                                 "--mode", "3", "--N", str(n_points))
             assert code == 0, warping
             assert len(json.loads(out)["eigenvalues"]) == n_points
+
+
+def test_non_circulant_dl_matrix_exits_one(capsys, monkeypatch):
+    # the spectrum is read off the circulant symbols only; a D_L matrix that
+    # is not exactly circulant ends in the structured error, not a dense solve
+    real = torus_model.discretize_hermitian
+
+    def perturbed(op, grid):
+        dense = real(op, grid)
+        dense[3, 3] += 1e-9
+        return dense
+
+    monkeypatch.setattr(torus_model, "discretize_hermitian", perturbed)
+    code = main(["torus-spectrum", "--op", "DL", "--g", "0.3sin", "--N", "64"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert json.loads(captured.err)["error"] == (
+        "matrix is not block-circulant: block (3, 3) differs from block (0, 0)")
 
 
 def test_dq_band_overflow_exits_one_without_warnings(capsys):

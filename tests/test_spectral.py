@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from transdirac.spectral import (
     SpectralError,
     check_hermitian,
+    circulant_symbols,
     fit_exponent,
     fourier_derivative,
     fourier_diff_matrix,
@@ -173,6 +176,22 @@ def test_hermitian_defect_measures_antihermitian_part():
     assert hermitian_defect(np.eye(3)) == 0.0
 
 
+def block_diagonal(stack):
+    n, d, _ = stack.shape
+    dense = np.zeros((n * d, n * d), dtype=complex)
+    for j, block in enumerate(stack):
+        dense[d * j:d * j + d, d * j:d * j + d] = block
+    return dense
+
+
+def verdict(fn, m):
+    try:
+        fn(m)
+    except SpectralError as exc:
+        return str(exc)
+    return "ok"
+
+
 def test_check_hermitian_on_block_stack_matches_block_diagonal():
     rng = np.random.default_rng(8)
     a = rng.standard_normal((6, 3, 3)) + 1j * rng.standard_normal((6, 3, 3))
@@ -182,26 +201,109 @@ def test_check_hermitian_on_block_stack_matches_block_diagonal():
     nan = hermitian.copy()
     nan[2] = np.nan
 
-    def block_diagonal(stack):
-        dense = np.zeros((18, 18), dtype=complex)
-        for j, block in enumerate(stack):
-            dense[3 * j:3 * j + 3, 3 * j:3 * j + 3] = block
-        return dense
-
-    def verdict(m):
-        try:
-            check_hermitian(m)
-        except SpectralError as exc:
-            return str(exc)
-        return "ok"
-
     for stack in (hermitian, skewed):
         assert hermitian_defect(stack) == hermitian_defect(block_diagonal(stack))
-    assert verdict(hermitian) == verdict(block_diagonal(hermitian)) == "ok"
-    assert verdict(skewed) == verdict(block_diagonal(skewed))
-    assert "not Hermitian" in verdict(skewed)
-    assert verdict(nan) == verdict(block_diagonal(nan))
-    assert "non-finite" in verdict(nan)
+    for stack in (hermitian, skewed, nan):
+        assert verdict(check_hermitian, stack) == verdict(check_hermitian, block_diagonal(stack))
+    assert verdict(check_hermitian, hermitian) == "ok"
+    assert "not Hermitian" in verdict(check_hermitian, skewed)
+    assert "non-finite" in verdict(check_hermitian, nan)
+
+
+def test_eigensolve_symmetrisation_does_not_overflow():
+    # entries this large pass check_hermitian; summing m and m^H before halving
+    # overflowed ("overflow encountered in add", an error under pytest here)
+    m = np.array([[1.5e308, 1e307j], [-1e307j, 1.0]])
+    ev = hermitian_eigensolve(m)
+    assert np.all(np.isfinite(ev))
+    assert np.array_equal(ev, np.linalg.eigvalsh(m))
+
+
+def test_eigensolve_matrix_bit_identical_to_summed_symmetrisation():
+    rng = np.random.default_rng(13)
+    a = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
+    m = 0.5 * (a + a.conj().T)
+    m[3, 7] += 1e-12  # a defect the check admits, removed by the symmetrisation
+    assert np.array_equal(hermitian_eigensolve(m), np.linalg.eigvalsh(0.5 * (m + m.conj().T)))
+
+
+def test_eigensolve_stack_equals_block_diagonal():
+    rng = np.random.default_rng(17)
+    for n, d in ((1, 1), (40, 1), (12, 3)):
+        a = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+        stack = 0.5 * (a + np.swapaxes(a, 1, 2).conj())
+        ev = hermitian_eigensolve(stack)
+        assert ev.shape == (n * d,)
+        assert np.all(np.diff(ev) >= 0)
+        assert np.max(np.abs(ev - np.linalg.eigvalsh(block_diagonal(stack)))) < 1e-13
+    with pytest.raises(SpectralError, match="not Hermitian"):
+        hermitian_eigensolve(np.array([[[1.0, 1.0], [0.0, 1.0]]]))
+
+
+def block_circulant(col):
+    """The dense matrix whose block (j, l) is col[(j - l) mod n]."""
+    n, d, _ = col.shape
+    lag = (np.arange(n)[:, None] - np.arange(n)) % n
+    return col[lag].transpose(0, 2, 1, 3).reshape(n * d, n * d)
+
+
+def hermitian_column(rng, n, d):
+    """Blocks C_j with C_{-j} = C_j^H exactly, so block_circulant is Hermitian."""
+    a = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    return 0.5 * (a + np.swapaxes(a[-np.arange(n)], 1, 2).conj())
+
+
+def test_circulant_symbols_spectrum_equals_dense():
+    rng = np.random.default_rng(5)
+    for n, d in ((1, 2), (2, 1), (7, 1), (16, 2), (33, 3)):
+        col = hermitian_column(rng, n, d)
+        dense = block_circulant(col)
+        symbols = circulant_symbols(dense, d)
+        assert symbols.shape == (n, d, d)
+        assert np.array_equal(symbols, np.fft.fft(col, axis=0))
+        ev = hermitian_eigensolve(symbols)
+        assert np.max(np.abs(ev - np.linalg.eigvalsh(dense))) < 1e-12 * n
+
+
+def test_circulant_symbols_refuse_a_perturbed_entry():
+    rng = np.random.default_rng(6)
+    col = hermitian_column(rng, 8, 2)
+    for row, column, block in ((5, 2, "(2, 1) differs from block (1, 0)"),
+                               (0, 15, "(0, 7) differs from block (1, 0)"),
+                               (15, 15, "(7, 7) differs from block (0, 0)")):
+        dense = block_circulant(col)
+        dense[row, column] += 1e-15 * (1 + abs(dense[row, column]))
+        with pytest.raises(SpectralError, match=re.escape("not block-circulant: block " + block)):
+            circulant_symbols(dense, 2)
+
+
+def test_circulant_symbols_hermitian_verdict_matches_dense_check():
+    rng = np.random.default_rng(7)
+    col = hermitian_column(rng, 9, 2)
+    skewed = col.copy()
+    skewed[3, 0, 1] += 1e-3  # C_3 no longer matches C_{-3}^H
+    admitted = col.copy()
+    admitted[0, 0, 0] += 2e-12j  # within 1e-8 max|m|
+    nan = col.copy()
+    nan[4, 1, 0] = np.nan
+    inf = col.copy()
+    inf[0, 0, 0] = np.inf
+    for stack, expected in ((col, "ok"), (skewed, "not Hermitian (defect 5.000e-04)"),
+                            (admitted, "ok"), (nan, "non-finite"), (inf, "non-finite")):
+        dense = block_circulant(stack)
+        assert verdict(lambda m: circulant_symbols(m, 2), dense) == verdict(check_hermitian, dense)
+        assert expected in verdict(check_hermitian, dense)
+    # finiteness is checked before circulancy: a non-finite entry off the
+    # circulant pattern still gets check_hermitian's message
+    dense = block_circulant(col)
+    dense[1, 6] = np.nan
+    assert verdict(lambda m: circulant_symbols(m, 2), dense) == verdict(check_hermitian, dense)
+
+
+def test_circulant_symbols_reject_bad_shapes():
+    for m, d in ((np.eye(4)[:3], 1), (np.eye(6), 4), (np.eye(4), 0), (np.ones((2, 2, 2)), 1)):
+        with pytest.raises(SpectralError, match="square matrix"):
+            circulant_symbols(m, d)
 
 
 def test_smallest_singular_value():

@@ -11,7 +11,13 @@ from transdirac.torus_model import (
     spectrum_DL,
     spectrum_DQ_band,
 )
-from transdirac.spectral import periodic_grid
+from transdirac.spectral import (
+    SpectralError,
+    check_hermitian,
+    circulant_symbols,
+    fourier_diff_matrix,
+    periodic_grid,
+)
 from transdirac.transverse_operator import discretize_hermitian, restrict_to_mode
 
 
@@ -50,6 +56,46 @@ def test_dl_spectrum_integers_at_n512():
     geom = TorusGeometry(sin_coeffs=(0.4,), cos_coeffs=(0.0, 0.2))
     ev = spectrum_DL(geom, 5, 512)
     assert np.max(np.abs(ev - np.arange(-255, 257))) < 1e-8
+
+
+def test_dl_spectrum_matches_dense_eigensolve():
+    # the symbols' eigenvalues against LAPACK on the assembled matrix itself
+    warpings = (TorusGeometry(sin_coeffs=(0.3,)),
+                TorusGeometry(const=0.7, sin_coeffs=(0.4, -0.25), cos_coeffs=(0.1, 0.0, 0.3)),
+                TorusGeometry(sin_coeffs=(30.0,), cos_coeffs=(0.0, 5.0)))
+    for geom in warpings:
+        for n_points in (64, 128, 256, 512):
+            op = restrict_to_mode(operator_D_full(geom, "L"), 0, 2)
+            dense = discretize_hermitian(op, mode_grid(geom, n_points))
+            ev = spectrum_DL(geom, 2, n_points)
+            assert np.max(np.abs(ev - np.linalg.eigvalsh(dense))) <= 1e-11, (geom, n_points)
+
+
+def test_dl_matrix_is_i_times_the_differentiation_matrix():
+    # g'/2 cancels w'/(2w) exactly, so every warping gives the same circulant
+    # matrix, and its Hermitian verdict is that of the dense check
+    for geom in (TorusGeometry(sin_coeffs=(0.3,)), TorusGeometry(sin_coeffs=(400.0,))):
+        dense = discretize_hermitian(restrict_to_mode(operator_D_full(geom, "L"), 0, 1),
+                                     mode_grid(geom, 64))
+        assert np.array_equal(dense, 1j * fourier_diff_matrix(64))
+        assert np.array_equal(check_hermitian(dense), dense)
+        assert circulant_symbols(dense, 1).shape == (64, 1, 1)
+
+
+def test_dl_spectrum_integers_at_n2048():
+    geom = TorusGeometry(sin_coeffs=(0.6,), cos_coeffs=(0.0, -0.3))
+    ev = spectrum_DL(geom, 1, 2048)
+    assert np.max(np.abs(ev - np.arange(-1023, 1025))) < 1e-8
+
+
+def test_circulant_symbols_refuse_the_dq_matrix():
+    # D_Q's coefficient e^{-g} varies along y, so its diagonal is not constant
+    geom = TorusGeometry(sin_coeffs=(0.3,))
+    dense = discretize_hermitian(restrict_to_mode(operator_D_full(geom, "Q"), 0, 2),
+                                 mode_grid(geom, 32))
+    with pytest.raises(SpectralError, match=r"not block-circulant: block \(1, 1\) differs "
+                                            r"from block \(0, 0\)"):
+        circulant_symbols(dense, 1)
 
 
 def test_dq_band_is_sorted_diagonal_at_n1024():
