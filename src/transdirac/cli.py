@@ -8,8 +8,9 @@ formatter is found by one lookup on its exact type, and strings and keys are
 escaped as RFC 8259 requires.  Per-block tables (sphere-index and
 compare-quotient) are handed to it as Records, columns under shared keys: it
 renders them as a JSON array of objects from one row template, formatting a
-column whose values share one exact type by one formatter lookup, and any
-other column value by value.
+column whose values share one exact type by one formatter lookup (each
+distinct value once, unless they are floats), and any other column value by
+value.
 
 Exit codes: 0 all requested checks pass, 1 a check failed (a machine-readable
 failure report is still emitted), 2 usage error.
@@ -72,6 +73,8 @@ _SCALARS = {
     np.int64: _render_int,
     np.bool_: _render_bool,
 }
+# the types whose equal values render alike; not float, as 0.0 == -0.0
+_DISTINCT = frozenset((str, int, bool, type(None), np.int64, np.bool_))
 
 
 class Records:
@@ -96,9 +99,14 @@ class Records:
 
 def _render_column(values, pad) -> list:
     """Each value of a column as JSON: one formatter for the whole column
-    when its values share one exact type that has one, else value by value."""
+    when its values share one exact type that has one, else value by value.
+    A column of a type in _DISTINCT formats each distinct value once."""
     kinds = set(map(type, values))
-    scalar = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+    kind = kinds.pop() if len(kinds) == 1 else None
+    scalar = _SCALARS.get(kind)
+    if kind in _DISTINCT:
+        rendered = {value: scalar(value) for value in set(values)}
+        return list(map(rendered.__getitem__, values))
     if scalar is not None:
         return list(map(scalar, values))
     get = _SCALARS.get

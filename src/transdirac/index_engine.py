@@ -17,7 +17,6 @@ from transdirac.spectral import fit_exponent, integrate_log_ode, simpson_absciss
 from transdirac.sphere_model import (
     CHARTS,
     CHIRALITIES,
-    CHUNK,
     MAX_BLOCKS,
     SphereBlock,
     reduce_block,
@@ -61,6 +60,12 @@ def index_closed_form(n: int, m: int) -> int:
     return d_plus - d_minus
 
 
+# the most integration steps index_numerical accepts: the Simpson grid costs
+# about 31 bytes per step, so on a 2-core host a call at the bound peaks near
+# 152 MB and takes 0.14 s; at 10**7 steps it peaks at 335 MB
+MAX_STEPS = 4 * 10 ** 6
+
+
 def index_numerical(n, m, eps: float = 1e-3, steps: int = 10000) -> dict:
     """ODE oracle for one block (int labels) or a batch (integer arrays of
     one shape): integrate each radial equation toward the pole, snap the
@@ -70,11 +75,14 @@ def index_numerical(n, m, eps: float = 1e-3, steps: int = 10000) -> dict:
 
     A least-squares slope ignores an additive constant, so only the fit
     window phi <= 10 eps of the Simpson grid of [pi/4, eps] is integrated.
+    Simpson's sums and the slope are linear in r = p csc - q cot, so the two
+    label-free samples csc and cot are integrated and fitted once, and every
+    ODE's slope is p s_csc - q s_cot, with p and q from reduce_block.
     """
     if not (1e-4 <= eps <= 1e-2):
         raise IndexError_("eps must lie in [1e-4, 1e-2]")
-    if steps < 10000:
-        raise IndexError_("need at least 1e4 integration steps")
+    if not 10000 <= steps <= MAX_STEPS:
+        raise IndexError_("steps = %d must lie in [10000, %d]" % (steps, MAX_STEPS))
     shape = np.shape(n)
     if np.shape(m) != shape:
         raise IndexError_("n and m must have one shape")
@@ -88,14 +96,14 @@ def index_numerical(n, m, eps: float = 1e-3, steps: int = 10000) -> dict:
     first = int(np.argmax(points[0::2] <= 10.0 * eps))
     window = points[2 * first:]
     sin = np.sin(window)
-    csc, cot, log_sin = 1.0 / sin, np.cos(window) / sin, np.log(sin[0::2])
+    basis = integrate_log_ode(np.stack([1.0 / sin, np.cos(window) / sin]),
+                              window[0], eps, steps - first)
+    s_csc, s_cot = fit_exponent(np.log(sin[0::2]), basis)
     keys = [(chart, chirality) for chirality in CHIRALITIES for chart in CHARTS]
     slopes = np.empty((len(keys), len(n)))
     for row, (chart, chirality) in enumerate(keys):
         ode = reduce_block(SphereBlock(n=n, m=m, chirality=chirality), chart)
-        log_psi = integrate_log_ode(ode.p[:, None] * csc - ode.q[:, None] * cot,
-                                    window[0], eps, steps - first)
-        slopes[row] = fit_exponent(log_sin, log_psi)
+        slopes[row] = ode.p * s_csc - ode.q * s_cot
     snapped = np.round(slopes)
     near = np.abs(slopes - snapped) <= 0.1
     # from 2**49 on the float spacing (>= 0.125) exceeds the tolerance: nearness means nothing
@@ -163,8 +171,7 @@ def build_index_table(n_range, m_range, method: str = "closed",
                       eps: float = 1e-3, steps: int = 10000) -> IndexTable:
     """Index table over finite ranges of at most MAX_BLOCKS blocks; method
     'closed', 'numeric' or 'both' ('both' insists the two routes agree on
-    every block). The closed route takes one call for the whole table, the
-    numeric one a call per CHUNK blocks in row-major order."""
+    every block). Each route takes one call for the whole table."""
     try:
         count = len(n_range) * len(m_range)
     except OverflowError as exc:  # a range longer than sys.maxsize
@@ -184,11 +191,8 @@ def build_index_table(n_range, m_range, method: str = "closed",
         closed = [dims.ravel() for dims in kernel_dims_closed_form(
             np.array(n_values, dtype=object)[:, None], np.array(m_values, dtype=object)[None, :])]
     if method != "closed":
-        numeric = [np.empty(count, dtype=np.int64), np.empty(count, dtype=np.int64)]
-        for start in range(0, count, CHUNK):
-            stop = start + CHUNK
-            res = index_numerical(n_column[start:stop], m_column[start:stop], eps, steps)
-            numeric[0][start:stop], numeric[1][start:stop] = res["d_plus"], res["d_minus"]
+        res = index_numerical(n_column, m_column, eps, steps)
+        numeric = [res["d_plus"], res["d_minus"]]
     if method == "both":
         differ = (closed[0] != numeric[0]) | (closed[1] != numeric[1])
         if np.any(differ):

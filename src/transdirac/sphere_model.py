@@ -29,12 +29,12 @@ CHARTS = (UPPER, LOWER)
 CHIRALITIES = ("+", "-")
 
 POLE_EPS = 1e-3
-CHUNK = 128  # labels per batched call in build_index_table
 QUOTIENT_BATCH = 16  # blocks per batch in compare_block_reductions: temporaries near 100 kB
 # the most blocks one index table or gap report may span. Peak memory grows
-# by about 0.9 kB per block, so on a 2-core host the 511 x 511 blocks within
-# the bound peak at 258 MB for a closed-form table (2 s) and at 187 MB for
-# compare-quotient (7 s); a 601 x 601 table, beyond it, peaks at 352 MB
+# by about 0.7 kB per block, so on a 2-core host the 511 x 511 blocks within
+# the bound peak at 214 MB for a closed-form table (0.7 s) and at 179 MB for
+# compare-quotient (6 s); the numeric route builds that table in 0.4 s at a
+# peak of 88 MB, and renders it at a peak of 225 MB
 MAX_BLOCKS = 2 ** 18
 # the phi mesh and the pass threshold of the kernel PDE residual checks
 RESIDUAL_PHIS = np.linspace(0.05, 0.5 * np.pi, 25)

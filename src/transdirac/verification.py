@@ -27,7 +27,6 @@ from transdirac.frame_geometry import (
 )
 from transdirac.sphere_model import (
     CHARTS,
-    CHUNK,
     CHIRALITIES,
     LOWER,
     RESIDUAL_PHIS,
@@ -44,6 +43,8 @@ from transdirac.sphere_model import (
 # frames of one (p, q) per batched check in suite_connection; a fixed stack
 # size keeps the suite's memory the same for any number of trials
 FRAME_BATCH = 16
+# trials of one rank per stack in suite_clifford, which bounds its memory
+CLIFFORD_BATCH = 128
 
 SUITES = ("clifford", "connection", "clutching", "residual", "quotient")
 
@@ -72,9 +73,9 @@ def suite_clifford(trials: int = 20, seed: int = 7, tol: float = 1e-12) -> dict:
         checks.append(_check("anticommutation q=%d" % q, anticommutation_defect(mod), tol))
         checks.append(_check("skew-adjointness q=%d" % q, skew_adjointness_defect(mod), tol))
         worst = 0.0
-        for start in range(0, trials, CHUNK):  # CHUNK trials at a time bounds the memory
+        for start in range(0, trials, CLIFFORD_BATCH):
             # per trial: v, then the real and imaginary parts of s and of t
-            size = min(CHUNK, trials - start)
+            size = min(CLIFFORD_BATCH, trials - start)
             v, s_re, s_im, t_re, t_im = np.split(rng.standard_normal((size, q + 4 * d)),
                                                  np.cumsum([q, d, d, d]), axis=1)
             s, t = (s_re + 1j * s_im)[..., None], (t_re + 1j * t_im)[..., None]

@@ -292,6 +292,17 @@ def test_deterministic_output(capsys):
     assert first == second
 
 
+def test_numeric_steps_beyond_the_bound_exit_one(capsys):
+    # a billion steps would allocate a 16 GB Simpson grid
+    code = main(["sphere-index", "--n-min", "0", "--n-max", "0", "--m-min", "0", "--m-max", "0",
+                 "--method", "numeric", "--steps", "1000000000"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert json.loads(captured.err) == {
+        "schema_version": 1,
+        "error": "steps = 1000000000 must lie in [10000, %d]" % index_engine.MAX_STEPS}
+
+
 def test_render_json_float_precision():
     text = render_json({"x": 1.0 / 3.0, "k": 5, "flag": True, "items": [1.5]})
     assert '"x": 0.33333333333333331' in text
@@ -475,3 +486,26 @@ def test_render_records_matches_stdlib_layout():
             render_json(Records(("x",), (column,)))
     with pytest.raises(ValueError):
         Records(("a", "b"), ([1], [1, 2]))
+
+
+def test_render_column_formats_repeated_values_per_value():
+    # each distinct value is formatted once: the bytes are those of
+    # formatting every value on its own
+    columns = ([3, -1, 3, 0, -1, 2 ** 70, 2 ** 70], [np.int64(-5), np.int64(7), np.int64(-5)],
+               [True, False, True, True], [np.True_, np.False_, np.True_],
+               ["closed", "both", "closed", 'q"\\n', 'q"\\n'], [None, None])
+    for values in columns:
+        plain = [v.item() if isinstance(v, np.generic) else v for v in values]
+        assert cli._render_column(values, "") == [json.dumps(v) for v in plain]
+    table = Records(("n", "flag", "method"), ([1, 1, 2], np.array([True, True, False]),
+                                               ["closed"] * 3))
+    assert render_json(table) == json.dumps(as_dicts(table), indent=2) + "\n"
+
+
+def test_render_column_keeps_both_zero_spellings():
+    # 0.0 == -0.0, so a float column is not rendered once per distinct value
+    assert cli._render_column([0.0, -0.0, 0.0, -0.0], "") == ["0", "-0", "0", "-0"]
+    assert cli._render_column(np.array([-0.0, 0.0]).tolist(), "") == ["-0", "0"]
+    for column in ([0.0, float("nan"), 0.0], [float("nan")] * 3):
+        with pytest.raises(ValueError):
+            render_json(Records(("x",), (column,)))

@@ -127,21 +127,28 @@ def test_oracle_never_reads_the_closed_form(monkeypatch):
     assert len(reduced) == 4 * len(BRANCH_BLOCKS)
 
 
+def callable_slopes(n, m, eps=1e-3, steps=10000):
+    """Reference slopes: each ODE's r(phi) integrated on its own as a
+    callable over the full span, and fitted on the oracle's window."""
+    phis = simpson_abscissas(0.25 * np.pi, eps, steps)[0::2]
+    window = phis <= 10.0 * eps
+    slopes = {}
+    for chart in CHARTS:
+        for chirality in CHIRALITIES:
+            ode = reduce_block(SphereBlock(n=n, m=m, chirality=chirality), chart)
+            log_psi = integrate_log_ode(ode.r, 0.25 * np.pi, eps, steps)
+            slopes[(chart, chirality)] = (
+                fit_exponent(np.log(np.sin(phis[window])), log_psi[window]), ode.exponent)
+    return slopes
+
+
 def test_shared_grid_slopes_match_callable_integration():
-    # reference: each ODE's r(phi) evaluated as a callable over the full span
-    eps, steps = 1e-3, 10000
     blocks = BRANCH_BLOCKS + ((40, 7), (40, -7), (-40, 7), (-40, -7), (50, 49), (-50, 50))
     for n, m in blocks:
-        slopes = index_numerical(n, m, eps=eps, steps=steps)["slopes"]
-        for chart in CHARTS:
-            for chirality in CHIRALITIES:
-                ode = reduce_block(SphereBlock(n=n, m=m, chirality=chirality), chart)
-                phis = simpson_abscissas(0.25 * np.pi, eps, steps)[0::2]
-                log_psi = integrate_log_ode(ode.r, 0.25 * np.pi, eps, steps)
-                window = phis <= 10.0 * eps
-                reference = fit_exponent(np.log(np.sin(phis[window])), log_psi[window])
-                assert abs(slopes[(chart, chirality)] - reference) <= 1e-9, (n, m, chart)
-                assert abs(reference - ode.exponent) < 0.1
+        slopes = index_numerical(n, m)["slopes"]
+        for key, (reference, exponent) in callable_slopes(n, m).items():
+            assert abs(slopes[key] - reference) <= 1e-9, (n, m, key)
+            assert abs(reference - exponent) < 0.1
 
 
 def test_numerical_batch_matches_single_blocks():
@@ -262,3 +269,58 @@ def test_table_block_count_is_bounded(monkeypatch):
                              (range(-10 ** 9, 10 ** 9 + 1), range(0, 1))):
         with pytest.raises(IndexError_, match="more than the 6 allowed"):
             build_index_table(n_range, m_range, method="numeric")
+
+
+def test_superposed_slopes_match_callable_integration_at_large_labels():
+    # the superposed slope p s_csc - q s_cot carries the relative rounding of p s_csc
+    for n, m in ((3200, -3200), (9000, -9000)):
+        slopes = index_numerical(n, m)["slopes"]
+        for key, (reference, _) in callable_slopes(n, m).items():
+            assert abs(slopes[key] - reference) <= 1e-9 * max(1.0, abs(reference)), (n, m, key)
+
+
+def test_oracle_range_limit_is_unchanged():
+    # the slope's Frobenius bias grows with the labels; from L = 9500 on it
+    # exceeds the 0.1 snapping tolerance, as it did before the superposition
+    message = "slope 19000.1035 too far from an integer for block (9500, -9500)"
+    with pytest.raises(index_engine.ExponentFitError) as info:
+        index_numerical(9500, -9500)
+    assert str(info.value) == message
+
+
+def test_numeric_table_integrates_once(monkeypatch):
+    calls = {"index_numerical": 0, "integrate_log_ode": 0, "fit_exponent": 0}
+
+    def counted(name):
+        real = getattr(index_engine, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(index_engine, name, counted(name))
+    table = build_index_table(range(-10, 11), range(-10, 11), method="numeric")
+    assert len(table.n) == 441
+    assert calls == {"index_numerical": 1, "integrate_log_ode": 1, "fit_exponent": 1}
+
+
+def test_numeric_steps_are_bounded_before_any_grid(monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("the grid was allocated")
+
+    monkeypatch.setattr(index_engine, "simpson_abscissas", no_grid)
+    for steps in (index_engine.MAX_STEPS + 1, 10 ** 9, 9999):
+        with pytest.raises(IndexError_, match="steps = %d must lie in \\[10000, %d\\]"
+                           % (steps, index_engine.MAX_STEPS)):
+            index_numerical(1, 1, steps=steps)
+
+
+def test_both_routes_agree_on_a_wide_table():
+    # 40,401 blocks in one oracle call; 'both' insists on the closed form
+    table = build_index_table(range(-100, 101), range(-100, 101), method="both")
+    assert len(table.n) == 201 * 201
+    assert table.indices.tolist() == [reference_index(n, m) for n, m in zip(table.n, table.m)]
+    assert (table.dim_ker_plus + table.dim_ker_minus).tolist() == [
+        reference_kernel_total(n, m) for n, m in zip(table.n, table.m)]
