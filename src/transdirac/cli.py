@@ -7,10 +7,10 @@ type-dispatched renderer writes the JSON of every command: a scalar's
 formatter is found by one lookup on its exact type, and strings and keys are
 escaped as RFC 8259 requires.  Per-block tables (sphere-index and
 compare-quotient) are handed to it as Records, columns under shared keys: it
-renders them as a JSON array of objects from one row template, formatting a
-column whose values share one exact type by one formatter lookup (each
-distinct value once, unless they are floats), and any other column value by
-value.
+renders them as a JSON array of objects from one row template.  A list and a
+Records column go through one column renderer: values that share one exact
+type get one formatter lookup (each distinct value once, and a column of
+floats one "%.17g" template), any other column is formatted value by value.
 
 Exit codes: 0 all requested checks pass, 1 a check failed (a machine-readable
 failure report is still emitted), 2 usage error.
@@ -98,11 +98,18 @@ class Records:
 
 
 def _render_column(values, pad) -> list:
-    """Each value of a column as JSON: one formatter for the whole column
-    when its values share one exact type that has one, else value by value.
-    A column of a type in _DISTINCT formats each distinct value once."""
+    """Each value of a list or Records column as JSON: one formatter for the
+    whole column when its values share one exact type that has one, else
+    value by value. A column of a type in _DISTINCT formats each distinct
+    value once; a column of floats is formatted by one "%.17g" template and
+    checked finite once."""
     kinds = set(map(type, values))
     kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is float:
+        text = "\n".join(["%.17g"] * len(values)) % tuple(values)
+        if "n" in text:  # %.17g spells inf and nan with an n, and no finite float
+            _render_float(next(value for value in values if not math.isfinite(value)))
+        return text.split("\n")
     scalar = _SCALARS.get(kind)
     if kind in _DISTINCT:
         rendered = {value: scalar(value) for value in set(values)}
@@ -154,10 +161,7 @@ def _json_render(obj, pad="") -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        body = (",\n" + inner).join([
-            fmt(value) if (fmt := get(type(value))) else _json_render(value, inner)
-            for value in obj
-        ])
+        body = (",\n" + inner).join(_render_column(obj, inner))
         return "[\n%s%s\n%s]" % (inner, body, pad)
     # subclasses and other numpy scalars: the same rules by isinstance
     if isinstance(obj, (bool, np.bool_)):

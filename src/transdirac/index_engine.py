@@ -86,12 +86,12 @@ def index_numerical(n, m, eps: float = 1e-3, steps: int = 10000) -> dict:
     shape = np.shape(n)
     if np.shape(m) != shape:
         raise IndexError_("n and m must have one shape")
-    for name, values in (("n", n), ("m", m)):
-        for value in np.ravel(np.asarray(values, dtype=object)).tolist():
-            if not -2 ** 63 < value < 2 ** 63:  # then -value fits int64 as well
-                raise IndexError_("label %s = %d must satisfy |%s| < 2**63"
-                                  % (name, value, name))
-    n, m = np.ravel(np.asarray(n, dtype=np.int64)), np.ravel(np.asarray(m, dtype=np.int64))
+    labels = {"n": _exact_labels(n), "m": _exact_labels(m)}
+    for name, values in labels.items():
+        if values.dtype == object:  # some |label| >= 2**63; below it, -label fits int64
+            value = next(v for v in values.ravel().tolist() if not -2 ** 63 < v < 2 ** 63)
+            raise IndexError_("label %s = %d must satisfy |%s| < 2**63" % (name, value, name))
+    n, m = labels["n"].ravel(), labels["m"].ravel()
     points = simpson_abscissas(0.25 * np.pi, eps, steps)
     first = int(np.argmax(points[0::2] <= 10.0 * eps))
     window = points[2 * first:]

@@ -68,8 +68,10 @@ def fourier_diff_matrix(n: int) -> np.ndarray:
     # antisymmetrising col[m] against conj(col[-m]) makes D + D^H vanish exactly
     col = np.fft.ifft(1j * k)
     col = 0.5 * (col - np.conj(col[-np.arange(n)]))
-    idx = np.arange(n)
-    return col[(idx[:, None] - idx[None, :]) % n]
+    # row j is col[j], col[j - 1], ..., col[j + 1]: the window of length n
+    # that starts at col[j] in the reversed doubled column, copied once
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((col, col))[::-1], n)
+    return windows[n - 1::-1].copy()
 
 
 def fourier_derivative(values) -> np.ndarray:

@@ -197,11 +197,16 @@ def _n_eff(n: int, chart: str) -> int:
 
 def _weights(block: SphereBlock, chart: str):
     """(n_eff, m) of the block on the chart. Int labels stay Python ints; a
-    batch comes back as int64 arrays, once exact integers show that n, m and
-    n_eff - m, and so their negatives, fit int64 for every label pair."""
+    batch comes back as int64 arrays, once n, m and n_eff - m, and so their
+    negatives, are known to fit int64 for every label pair: at once for
+    int64 labels inside (-2**62, 2**62), else from exact Python integers."""
     _check_chart(chart)
     if np.ndim(block.n) == 0 and np.ndim(block.m) == 0:
         return _n_eff(block.n, chart), block.m
+    n, m = np.broadcast_arrays(np.asarray(block.n), np.asarray(block.m))
+    if n.dtype == m.dtype == np.int64 and all(
+            v.size == 0 or -2 ** 62 < v.min() and v.max() < 2 ** 62 for v in (n, m)):
+        return _n_eff(n, chart), m
     n, m = np.broadcast_arrays(np.asarray(block.n, dtype=object), np.asarray(block.m, dtype=object))
     bad = np.any([abs(v) >= 2 ** 63 for v in (n, m, _n_eff(n, chart) - m)], axis=0)
     if np.any(bad):
@@ -327,14 +332,13 @@ def _pair_operator(name: str, fields: Callable) -> FirstOrderOperator:
     diagonal and -conj(w) above it, without zeroth-order term, where
     fields(theta, phi) gives the (npts, 3) coefficients of w."""
 
-    def coeff(pts):
+    def terms(pts):
         w = fields(pts[:, 1], pts[:, 2]).T
         out = np.zeros(w.shape + (2, 2), dtype=complex)
         out[..., 0, 1], out[..., 1, 0] = -np.conj(w), w
-        return out
+        return out, np.zeros((len(pts), 2, 2), dtype=complex)
 
-    return FirstOrderOperator(chart=name, dim=3, fiber_dim=2, coeff=coeff,
-                              zeroth=lambda pts: np.zeros((len(pts), 2, 2), dtype=complex))
+    return FirstOrderOperator(chart=name, dim=3, fiber_dim=2, terms=terms)
 
 
 def chart_operator(chart: str) -> FirstOrderOperator:

@@ -34,43 +34,51 @@ class SingularPointError(OperatorError):
 class FirstOrderOperator:
     """Coefficient description sum_k A^k(x) d_k + B0(x) on one chart.
 
-    Array contract: coeff and zeroth take an (npts, dim) real array of chart
-    points; coeff returns the complex (dim, npts, fiber_dim, fiber_dim) stack
-    of all dim derivative coefficients, from one evaluation of whatever they
-    are built from, and zeroth the (npts, fiber_dim, fiber_dim) stack.
-    coefficients_at and zeroth_at accept one point (shape (dim,)) or a stack
-    of points (shape (npts, dim)), check the shape and finiteness of what the
-    callables return, and drop the npts axis for a single point.
+    Array contract: terms takes an (npts, dim) real array of chart points and
+    returns the pair of the complex (dim, npts, fiber_dim, fiber_dim) stack
+    of all dim derivative coefficients and the (npts, fiber_dim, fiber_dim)
+    stack of the zeroth-order term, from one evaluation of whatever they are
+    built from. coefficients_at and zeroth_at accept one point (shape (dim,))
+    or a stack of points (shape (npts, dim)), check the shape and finiteness
+    of both stacks, and drop the npts axis for a single point.
     """
 
     chart: str
     dim: int
     fiber_dim: int
-    coeff: Callable
-    zeroth: Callable
+    terms: Callable
 
-    def _evaluate(self, fn, x, lead: tuple, what: str) -> np.ndarray:
-        """fn(points), checked to be the finite lead + (npts, d, d) stack."""
+    def coefficients_at(self, x, with_zeroth: bool = False):
+        """The dim derivative coefficients at x, shape (dim, [npts,] d, d);
+        with_zeroth=True gives the pair of them and the zeroth-order term at
+        x, shape ([npts,] d, d), from the same evaluation of terms."""
         x = np.asarray(x, dtype=float)
         pts = np.atleast_2d(x)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise OperatorError("points must have shape (%d,) or (npts, %d)" % (self.dim, self.dim))
-        shape = lead + (len(pts), self.fiber_dim, self.fiber_dim)
-        mats = np.asarray(fn(pts), dtype=complex)
-        if mats.shape != shape:
-            raise OperatorError("%s returned shape %s, expected %s" % (what, mats.shape, shape))
-        finite = np.all(np.isfinite(mats.reshape((-1,) + shape[-3:])), axis=(0, 2, 3))
-        if not np.all(finite):
-            raise SingularPointError("%s singular at %s" % (what, pts[np.argmin(finite)]))
-        return mats if x.ndim == 2 else mats[..., 0, :, :]
-
-    def coefficients_at(self, x) -> np.ndarray:
-        """The dim derivative coefficients at x: shape (dim, [npts,] d, d)."""
-        return self._evaluate(self.coeff, x, (self.dim,), "coefficient")
+        stack = (len(pts), self.fiber_dim, self.fiber_dim)
+        coeffs, zeroth = self.terms(pts)
+        coeffs = _checked(coeffs, (self.dim,) + stack, pts, "coefficient")
+        zeroth = _checked(zeroth, stack, pts, "zeroth-order term")
+        if x.ndim != 2:
+            coeffs, zeroth = coeffs[:, 0], zeroth[0]
+        return (coeffs, zeroth) if with_zeroth else coeffs
 
     def zeroth_at(self, x) -> np.ndarray:
         """The zeroth-order term at x: shape ([npts,] d, d)."""
-        return self._evaluate(self.zeroth, x, (), "zeroth-order term")
+        return self.coefficients_at(x, with_zeroth=True)[1]
+
+
+def _checked(mats, shape: tuple, pts: np.ndarray, what: str) -> np.ndarray:
+    """mats as a complex array, checked to be the finite stack of the given
+    shape, whose third-to-last axis runs over pts."""
+    mats = np.asarray(mats, dtype=complex)
+    if mats.shape != shape:
+        raise OperatorError("%s returned shape %s, expected %s" % (what, mats.shape, shape))
+    finite = np.all(np.isfinite(mats.reshape((-1,) + shape[-3:])), axis=(0, 2, 3))
+    if not np.all(finite):
+        raise SingularPointError("%s singular at %s" % (what, pts[np.argmin(finite)]))
+    return mats
 
 
 @dataclass(frozen=True)
@@ -125,22 +133,16 @@ def assemble_AQ(frames: FrameField, mod: CliffordModule) -> FirstOrderOperator:
 
     fiber = (mod.fiber_dim, mod.fiber_dim)
 
-    def coeff(pts):  # c(f_j) weighted by the k-th components of the f_j, for each k
+    def terms(pts):
+        # c(f_j) weighted by the k-th components of the f_j, for each k
         rows = _field_stack(frames.components, pts, (frames.q, frames.dim))
-        return clifford_matrix(mod, np.moveaxis(rows, 2, 0))
-
-    def zeroth(pts):
+        coeffs = clifford_matrix(mod, np.moveaxis(rows, 2, 0))
         if frames.connection_term is None:
-            return np.zeros((len(pts),) + fiber, dtype=complex)
-        return _field_stack(frames.connection_term, pts, fiber, dtype=complex)
+            return coeffs, np.zeros((len(pts),) + fiber, dtype=complex)
+        return coeffs, _field_stack(frames.connection_term, pts, fiber, dtype=complex)
 
-    return FirstOrderOperator(
-        chart=frames.chart,
-        dim=frames.dim,
-        fiber_dim=mod.fiber_dim,
-        coeff=coeff,
-        zeroth=zeroth,
-    )
+    return FirstOrderOperator(chart=frames.chart, dim=frames.dim, fiber_dim=mod.fiber_dim,
+                              terms=terms)
 
 
 def assemble_DQ(frames: FrameField, mod: CliffordModule, mean_curvature: Callable) -> FirstOrderOperator:
@@ -151,19 +153,18 @@ def assemble_DQ(frames: FrameField, mod: CliffordModule, mean_curvature: Callabl
     """
     aq = assemble_AQ(frames, mod)
 
-    def zeroth(pts):
-        return aq.zeroth(pts) - 0.5 * clifford_matrix(mod, mean_curvature(pts))
+    def terms(pts):
+        coeffs, zeroth = aq.terms(pts)
+        return coeffs, zeroth - 0.5 * clifford_matrix(mod, mean_curvature(pts))
 
-    return FirstOrderOperator(
-        chart=aq.chart, dim=aq.dim, fiber_dim=aq.fiber_dim, coeff=aq.coeff, zeroth=zeroth
-    )
+    return FirstOrderOperator(chart=aq.chart, dim=aq.dim, fiber_dim=aq.fiber_dim, terms=terms)
 
 
 def restrict_to_mode(op: FirstOrderOperator, axis: int, n: int) -> FirstOrderOperator:
     """op on the sections of weight n along the coordinate axis, where d_axis
     acts as -i n: the coefficient of d_axis times -i n joins the zeroth-order
     term, and the other coefficients stay. The result acts on the other dim - 1
-    coordinates; its callables evaluate op with the axis coordinate set to 0.
+    coordinates; its terms evaluate op once, with the axis coordinate set to 0.
 
     This is the restriction of op only if no coefficient depends on the axis
     coordinate, as when a group acts along it; then the 0 filled in is immaterial.
@@ -172,13 +173,12 @@ def restrict_to_mode(op: FirstOrderOperator, axis: int, n: int) -> FirstOrderOpe
         raise OperatorError("cannot restrict a %d-dimensional operator along axis %r"
                             % (op.dim, axis))
 
-    def lift(pts):
-        return np.insert(pts, axis, 0.0, axis=1)
+    def terms(pts):
+        coeffs, zeroth = op.terms(np.insert(pts, axis, 0.0, axis=1))
+        return np.delete(coeffs, axis, axis=0), zeroth + (-1j * n) * coeffs[axis]
 
-    return FirstOrderOperator(
-        chart=op.chart, dim=op.dim - 1, fiber_dim=op.fiber_dim,
-        coeff=lambda pts: np.delete(op.coeff(lift(pts)), axis, axis=0),
-        zeroth=lambda pts: op.zeroth(lift(pts)) + (-1j * n) * op.coeff(lift(pts))[axis])
+    return FirstOrderOperator(chart=op.chart, dim=op.dim - 1, fiber_dim=op.fiber_dim,
+                              terms=terms)
 
 
 def principal_symbol(op: FirstOrderOperator, x, xi) -> np.ndarray:
@@ -204,8 +204,8 @@ def _grid_coefficients(op: FirstOrderOperator, grid: Grid1D):
     """A and B of a 1D operator on the grid points, each an (n, d, d) stack."""
     if op.dim != 1:
         raise OperatorError("only 1D discretization is provided")
-    pts = grid.points[:, None]
-    return op.coefficients_at(pts)[0], op.zeroth_at(pts)
+    coeffs, zeroth = op.coefficients_at(grid.points[:, None], with_zeroth=True)
+    return coeffs[0], zeroth
 
 
 def discretize_hermitian(op: FirstOrderOperator, grid: Grid1D) -> np.ndarray:
@@ -225,7 +225,10 @@ def discretize_hermitian(op: FirstOrderOperator, grid: Grid1D) -> np.ndarray:
     avals, bvals = _grid_coefficients(op, grid)
     rem = _pointwise_remainder(avals, bvals, grid)
     n, d = grid.n, op.fiber_dim
-    full = 0.5 * (avals[:, None] + avals[None, :]) * fourier_diff_matrix(n)[:, :, None, None]
+    # 0.5 (A_j + A_l) D_jl, formed in one (n, n, d, d) buffer
+    full = avals[:, None] + avals[None, :]
+    full *= 0.5
+    full *= fourier_diff_matrix(n)[:, :, None, None]
     full[np.arange(n), np.arange(n)] += rem
     return full.transpose(0, 2, 1, 3).reshape(n * d, n * d)
 

@@ -45,6 +45,10 @@ from transdirac.sphere_model import (
 FRAME_BATCH = 16
 # trials of one rank per stack in suite_clifford, which bounds its memory
 CLIFFORD_BATCH = 128
+# the most trials run_suite accepts: the connection suite's memory does not
+# grow with them, its time does, by about 60 us a trial on a 2-core host, so
+# `verify --suite all` at the bound takes about 9 s
+MAX_TRIALS = 10 ** 5
 
 SUITES = ("clifford", "connection", "clutching", "residual", "quotient")
 
@@ -198,9 +202,10 @@ def check_tol(tol: float) -> float:
 
 def run_suite(name: str, trials: int = 100, seed: int = 7, tol: float = None) -> dict:
     """Run one named suite (or 'all'); tol overrides the pass threshold.
-    trials must be positive, so that no randomized check passes vacuously."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1, got %d" % trials)
+    trials must be positive, so that no randomized check passes vacuously,
+    and at most MAX_TRIALS; both are checked before any suite runs."""
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError("trials = %d must lie in [1, %d]" % (trials, MAX_TRIALS))
     kwargs = {} if tol is None else {"tol": check_tol(tol)}
     if name == "clifford":
         return suite_clifford(trials=min(trials, 100), seed=seed, **kwargs)

@@ -1,11 +1,12 @@
 import hashlib
 import json
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from transdirac import cli, index_engine, torus_model
+from transdirac import cli, index_engine, torus_model, verification
 from transdirac.cli import Records, main, parse_g_spec, render_json
 from transdirac.sphere_model import MAX_BLOCKS, reduction_gaps
 
@@ -509,3 +510,47 @@ def test_render_column_keeps_both_zero_spellings():
     for column in ([0.0, float("nan"), 0.0], [float("nan")] * 3):
         with pytest.raises(ValueError):
             render_json(Records(("x",), (column,)))
+
+
+def test_float_lists_and_columns_render_like_per_value_format():
+    floats = [-0.0, 5e-324, 1e308, -1e308, 1e300, 0.1, 1.0 / 3.0, -2.5e-300, 1e16, 2.0 ** 53 + 2]
+    per_value = [format(v, ".17g") for v in floats]
+    assert cli._render_column(floats, "") == per_value
+    assert render_json(floats) == "[\n  %s\n]\n" % ",\n  ".join(per_value)
+    assert render_json(Records(("x",), (np.array(floats),))) == (
+        "[\n%s\n]\n" % ",\n".join('  {\n    "x": %s\n  }' % v for v in per_value))
+    mixed = [1, 2.5, -0.0, 3, 5e-324, 1e308, 0]
+    expected = [str(v) if type(v) is int else format(v, ".17g") for v in mixed]
+    assert cli._render_column(mixed, "") == expected
+    assert render_json({"x": mixed}) == '{\n  "x": [\n    %s\n  ]\n}\n' % ",\n    ".join(expected)
+
+
+def test_non_finite_floats_keep_their_message():
+    # the first non-finite value is named, in a list and in a Records column
+    inf, nan = float("inf"), float("nan")
+    for values, named in (([1.0, inf], "inf"), ([nan, 0.5], "nan"), ([0.0, -inf, nan], "-inf"),
+                          ([1, 2.5, nan], "nan")):
+        message = "cannot render the non-finite value %s as JSON" % named
+        for obj in ({"x": values}, Records(("x",), (values,))):
+            with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+                render_json(obj)
+
+
+def test_verify_trials_beyond_the_bound_exit_one(capsys, monkeypatch):
+    # checked before any suite runs: a billion trials would take about a day
+    ran = []
+    for name in ("clifford", "connection"):
+        def suite(trials, seed, name=name):
+            ran.append((name, trials))
+            return {"suite": name, "passed": True, "checks": []}
+
+        monkeypatch.setattr(verification, "suite_" + name, suite)
+    bound = verification.MAX_TRIALS
+    for suite, trials in (("all", bound + 1), ("connection", bound + 1), ("clifford", 10 ** 9)):
+        code = main(["verify", "--suite", suite, "--trials", str(trials)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and ran == []
+        assert json.loads(captured.err) == {
+            "schema_version": 1, "error": "trials = %d must lie in [1, %d]" % (trials, bound)}
+    assert main(["verify", "--suite", "connection", "--trials", str(bound)]) == 0
+    assert ran == [("connection", bound)]

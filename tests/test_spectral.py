@@ -84,6 +84,26 @@ def test_fourier_diff_circulant_matches_fft_construction():
         assert np.max(np.abs(d + d.conj().T)) == 0.0
 
 
+def gathered_diff_matrix(n, rows=slice(None)):
+    """Rows of the differentiation matrix by the n x n index gather
+    col[(j - l) % n] that the strided circulant build replaced."""
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    col = np.fft.ifft(1j * k)
+    col = 0.5 * (col - np.conj(col[-np.arange(n)]))
+    idx = np.arange(n)
+    return col[(idx[rows, None] - idx[None, :]) % n]
+
+
+def test_fourier_diff_strided_build_bit_identical_to_gather():
+    for n in (4, 6, 64, 512, 2048):
+        d = fourier_diff_matrix(n)
+        assert d.shape == (n, n) and d.dtype == complex and d.flags.c_contiguous
+        # the reference in bands of rows keeps its index arrays small
+        for start in range(0, n, 256):
+            rows = slice(start, start + 256)
+            assert d[rows].tobytes() == gathered_diff_matrix(n, rows).tobytes(), n
+
+
 def test_fourier_diff_rejects_odd():
     with pytest.raises(SpectralError):
         fourier_diff_matrix(15)

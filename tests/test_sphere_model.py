@@ -347,6 +347,23 @@ def test_batched_labels_must_fit_int64():
         assert batch.exponent.tolist() == [single.exponent]
 
 
+def test_int64_labels_skip_the_exact_range_check_with_the_same_weights():
+    # int64 labels inside (-2**62, 2**62) are used as they are; the same labels
+    # as Python ints take the exact check, and every weight agrees
+    big = 2 ** 62 - 1
+    n = np.array([0, big, -big, big, 7, -3])
+    m = np.array([0, -big, big, big, -2, 5])
+    exact_n, exact_m = n.astype(object), m.astype(object)
+    for chart in CHARTS:
+        for chirality in CHIRALITIES:
+            fast = reduce_block(SphereBlock(n, m, chirality), chart)
+            exact = reduce_block(SphereBlock(exact_n, exact_m, chirality), chart)
+            for a, b in ((fast.p, exact.p), (fast.q, exact.q), (fast.exponent, exact.exponent)):
+                assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
+        assert np.array_equal(theta_weight(SphereBlock(n, m), chart),
+                              theta_weight(SphereBlock(exact_n, exact_m), chart))
+
+
 # ---------------------------------------------------------------------------
 # clutching
 

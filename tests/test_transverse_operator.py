@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from transdirac.clifford import build_standard_module
-from transdirac.spectral import periodic_grid
+from transdirac.spectral import fourier_derivative, fourier_diff_matrix, periodic_grid
 from transdirac.torus_model import (
     TorusGeometry,
     full_chart_frames,
@@ -125,8 +125,7 @@ def test_singular_coefficient_raises():
 
     op = FirstOrderOperator(
         chart="test", dim=1, fiber_dim=1,
-        coeff=lambda x: inverse(x)[None],
-        zeroth=lambda x: np.zeros((len(x), 1, 1)),
+        terms=lambda x: (inverse(x)[None], np.zeros((len(x), 1, 1))),
     )
     with pytest.raises(SingularPointError):
         op.coefficients_at([0.0])
@@ -135,8 +134,8 @@ def test_singular_coefficient_raises():
 def test_singular_point_named_in_a_stack():
     op = FirstOrderOperator(
         chart="test", dim=1, fiber_dim=1,
-        coeff=lambda x: np.where(x < 0.0, np.inf, 1.0)[None, :, :, None],
-        zeroth=lambda x: np.zeros((len(x), 1, 1)),
+        terms=lambda x: (np.where(x < 0.0, np.inf, 1.0)[None, :, :, None],
+                         np.zeros((len(x), 1, 1))),
     )
     stack = np.array([[0.5], [2.0], [-1.0], [-3.0]])
     assert op.coefficients_at(stack[:2]).shape == (1, 2, 1, 1)
@@ -157,27 +156,61 @@ def test_coefficients_on_a_stack_match_single_points():
 
 def test_coefficient_shape_contract_enforced():
     op = FirstOrderOperator(chart="test", dim=1, fiber_dim=1,
-                            coeff=lambda x: np.ones((1, 1)),
-                            zeroth=lambda x: np.zeros((len(x), 1, 1)))
+                            terms=lambda x: (np.ones((1, 1)), np.zeros((len(x), 1, 1))))
     with pytest.raises(OperatorError):
         op.coefficients_at(np.zeros((3, 1)))
     with pytest.raises(OperatorError):
         op.zeroth_at(np.zeros((3, 2)))
+    op = FirstOrderOperator(chart="test", dim=1, fiber_dim=1,
+                            terms=lambda x: (np.ones((1, len(x), 1, 1)), np.zeros((1, 1))))
+    with pytest.raises(OperatorError, match="zeroth-order term returned shape"):
+        op.zeroth_at(np.zeros((3, 1)))
 
 
 def test_discretization_evaluates_each_coefficient_once_per_grid():
+    # one evaluation of the unrestricted operator per grid, for the
+    # coefficients and the zeroth-order term together, through restrict_to_mode
     geom = TorusGeometry(sin_coeffs=(0.3,))
-    base = restrict_to_mode(operator_D_full(geom, "L"), 0, 0)
-    calls = []
-
-    def counted(fn):
-        return lambda pts: calls.append(len(pts)) or fn(pts)
-
-    op = FirstOrderOperator(chart=base.chart, dim=1, fiber_dim=1,
-                            coeff=counted(base.coeff), zeroth=counted(base.zeroth))
     grid = mode_grid(geom, 32)
-    assert np.array_equal(discretize_hermitian(op, grid), discretize_hermitian(base, grid))
-    assert calls == [32, 32]
+    for along, discretize in (("L", discretize_hermitian), ("Q", discretize_diagonal)):
+        full = operator_D_full(geom, along)
+        calls = []
+
+        def terms(pts, full=full):
+            calls.append(pts.shape)
+            return full.terms(pts)
+
+        counted = FirstOrderOperator(chart=full.chart, dim=2, fiber_dim=1, terms=terms)
+        op, base = (restrict_to_mode(o, 0, 3) for o in (counted, full))
+        assert np.array_equal(discretize(op, grid), discretize(base, grid))
+        assert calls == [(32, 2)]
+
+
+def test_discretization_with_fiber_dim_two_matches_blockwise_split_form():
+    # block (j, l) is 0.5 (A_j + A_l) D_jl, plus the pointwise remainder
+    # B - A'/2 - A w'/(2w) on the diagonal, bit for bit
+    def terms(pts):
+        y = pts[:, 0]
+        a = np.stack([np.stack([1j + 0.3j * np.sin(y), 0.2 * np.exp(1j * y)]),
+                      np.stack([-0.2 * np.exp(-1j * y), 0.5j * np.cos(2 * y)])])
+        b = np.stack([np.stack([0.1 * np.cos(y), 0.4j * np.sin(y)]),
+                      np.stack([0.7 + 0.0 * y, -0.3 * np.sin(3 * y)])])
+        return np.moveaxis(a, 2, 0)[None], np.moveaxis(b, 2, 0).astype(complex)
+
+    n, d = 16, 2
+    op = FirstOrderOperator(chart="test", dim=1, fiber_dim=d, terms=terms)
+    grid = periodic_grid(n, 0.2 * np.cos(2.0 * np.pi * np.arange(n) / n))
+    a, b = op.coefficients_at(grid.points[:, None], with_zeroth=True)
+    a = a[0]
+    rem = b - 0.5 * fourier_derivative(a) - 0.5 * grid.log_weight_prime[:, None, None] * a
+    diff = fourier_diff_matrix(n)
+    expected = np.zeros((n * d, n * d), dtype=complex)
+    for j in range(n):
+        for l in range(n):
+            block = 0.5 * (a[j] + a[l]) * diff[j, l]
+            expected[j * d:(j + 1) * d, l * d:(l + 1) * d] = block + rem[j] if j == l else block
+    mat = discretize_hermitian(op, grid)
+    assert mat.tobytes() == expected.tobytes()
 
 
 def test_diagonal_discretization_refuses_a_derivative_part():
@@ -194,8 +227,7 @@ def test_dimension_mismatch_rejected():
     # one derivative coefficient for a 2-dimensional operator: no check can see
     # what the callable returns before it runs, so the first evaluation raises
     op = FirstOrderOperator(chart="test", dim=2, fiber_dim=1,
-                            coeff=lambda x: np.ones((1, len(x), 1, 1)),
-                            zeroth=lambda x: np.zeros((1, 1)))
+                            terms=lambda x: (np.ones((1, len(x), 1, 1)), np.zeros((1, 1))))
     with pytest.raises(OperatorError):
         op.coefficients_at(np.zeros(2))
     geom = TorusGeometry()
