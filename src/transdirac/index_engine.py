@@ -60,9 +60,9 @@ def index_closed_form(n: int, m: int) -> int:
     return d_plus - d_minus
 
 
-# the most integration steps index_numerical accepts: the Simpson grid costs
-# about 31 bytes per step, so on a 2-core host a call at the bound peaks near
-# 152 MB and takes 0.14 s; at 10**7 steps it peaks at 335 MB
+# the most integration steps index_numerical accepts: its fit window costs up
+# to about 13 bytes per step (at eps = 1e-2, where it spans 12 % of the grid),
+# so on a 2-core host a call at the bound peaks near 80 MB and takes 0.08 s
 MAX_STEPS = 4 * 10 ** 6
 
 
@@ -74,10 +74,10 @@ def index_numerical(n, m, eps: float = 1e-3, steps: int = 10000) -> dict:
     alongside the snapped exponents; each value has the labels' shape.
 
     A least-squares slope ignores an additive constant, so only the fit
-    window phi <= 10 eps of the Simpson grid of [pi/4, eps] is integrated.
-    Simpson's sums and the slope are linear in r = p csc - q cot, so the two
-    label-free samples csc and cot are integrated and fitted once, and every
-    ODE's slope is p s_csc - q s_cot, with p and q from reduce_block.
+    window phi <= 10 eps of the Simpson grid of [pi/4, eps] is built and
+    integrated. Simpson's sums and the slope are linear in r = p csc - q cot,
+    so the two label-free samples csc and cot are integrated and fitted once,
+    and every ODE's slope is p s_csc - q s_cot, with p and q from reduce_block.
     """
     if not (1e-4 <= eps <= 1e-2):
         raise IndexError_("eps must lie in [1e-4, 1e-2]")
@@ -92,9 +92,9 @@ def index_numerical(n, m, eps: float = 1e-3, steps: int = 10000) -> dict:
             value = next(v for v in values.ravel().tolist() if not -2 ** 63 < v < 2 ** 63)
             raise IndexError_("label %s = %d must satisfy |%s| < 2**63" % (name, value, name))
     n, m = labels["n"].ravel(), labels["m"].ravel()
-    points = simpson_abscissas(0.25 * np.pi, eps, steps)
-    first = int(np.argmax(points[0::2] <= 10.0 * eps))
-    window = points[2 * first:]
+    h = (eps - 0.25 * np.pi) / steps  # node j of the grid is pi/4 + j h
+    first = int(np.ceil((10.0 * eps - 0.25 * np.pi) / h))  # the first node <= 10 eps
+    window = simpson_abscissas(0.25 * np.pi + first * h, eps, steps - first)
     sin = np.sin(window)
     basis = integrate_log_ode(np.stack([1.0 / sin, np.cos(window) / sin]),
                               window[0], eps, steps - first)

@@ -11,7 +11,8 @@ kernel operator applies w = V_1 + i V_2 (chirality '+') and -conj(w)
 
 Sections are doubly reduced by the weight n of the fiberwise SO(2) rotation
 and the weight m of the lifted circle action, which collapses each chirality
-component to a radial ODE d_phi psi = r(phi) psi on (0, pi/2].
+component to a radial ODE d_phi psi = r(phi) psi on (0, pi/2]; the quotient
+gives r linear in the labels, so the two reductions are compared exactly.
 """
 
 from __future__ import annotations
@@ -29,12 +30,10 @@ CHARTS = (UPPER, LOWER)
 CHIRALITIES = ("+", "-")
 
 POLE_EPS = 1e-3
-QUOTIENT_BATCH = 16  # blocks per batch in compare_block_reductions: temporaries near 100 kB
 # the most blocks one index table or gap report may span. Peak memory grows
-# by about 0.7 kB per block, so on a 2-core host the 511 x 511 blocks within
-# the bound peak at 214 MB for a closed-form table (0.7 s) and at 179 MB for
-# compare-quotient (6 s); the numeric route builds that table in 0.4 s at a
-# peak of 88 MB, and renders it at a peak of 225 MB
+# by about 0.7 kB per block: on a 2-core host the 511 x 511 blocks within the
+# bound peak at 214 MB for a closed-form table (0.7 s), at 148 MB for
+# compare-quotient (0.9 s, mostly rendering), and at 225 MB for a numeric one
 MAX_BLOCKS = 2 ** 18
 # the phi mesh and the pass threshold of the kernel PDE residual checks
 RESIDUAL_PHIS = np.linspace(0.05, 0.5 * np.pi, 25)
@@ -350,11 +349,12 @@ def chart_operator(chart: str) -> FirstOrderOperator:
     return _pair_operator("sphere-" + chart, lambda theta, phi: _w_plus(chart, theta, phi))
 
 
-def _orbit_frame_operator(chart: str) -> FirstOrderOperator:
-    """chart_operator(chart) in the frame (T, d_theta, d_phi) of the orbit
-    field T (orbit_field_components), by the one quotient rule d_alpha =
-    (T - T_theta d_theta - T_phi d_phi) / T_alpha, so its axis-0 coefficient
-    is that of T; V_1, V_2 and T come from one pushforward solve."""
+def quotient_operator(chart: str, m: int) -> FirstOrderOperator:
+    """The weight-m operator on the quotient hemisphere, in (theta, phi):
+    chart_operator(chart) with d_alpha = (T - T_theta d_theta - T_phi d_phi) /
+    T_alpha, T = (1, 1, 0) in (alpha, theta, phi) upper and (-1, 1, 0) lower,
+    from one pushforward solve of V_1, V_2 and T at alpha = 0; then
+    restrict_to_mode sets T to -i m."""
     _check_chart(chart)
 
     def fields(theta, phi):
@@ -363,48 +363,46 @@ def _orbit_frame_operator(chart: str) -> FirstOrderOperator:
         along_t = w[..., :1] / t[..., :1]
         return np.concatenate([along_t, w[..., 1:] - along_t * t[..., 1:]], axis=-1)
 
-    return _pair_operator("orbit-" + chart, fields)
+    return restrict_to_mode(_pair_operator("quotient-" + chart, fields), 0, m)
 
 
-def quotient_operator(chart: str, m: int) -> FirstOrderOperator:
-    """The weight-m operator on the quotient hemisphere, in (theta, phi):
-    chart_operator(chart) on the sections s with T s = -i m s, where T is
-    (1, 1, 0) in (alpha, theta, phi) on the upper chart and (-1, 1, 0) on the
-    lower, so that d_alpha acts as (-i m - T_theta d_theta - T_phi d_phi) /
-    T_alpha. The fields are evaluated at alpha = 0; they do not depend on it."""
-    return restrict_to_mode(_orbit_frame_operator(chart), 0, m)
+def _quotient_fits(chart: str):
+    """On a block's sections the quotient reads d_phi psi = (k P_k + m P_m) psi,
+    P_k = -i C_theta / C_phi and P_m = -Z / C_phi off quotient_operator(chart,
+    1) at theta = 0.3 on 201 phis. Returns the integers ((a_k, a_m), (b_k, b_m))
+    of sin(phi) P = a - b cos(phi) per chirality, and the largest fit residual."""
+    phi = np.linspace(0.05, 0.5 * np.pi, 201)
+    (c_theta, c_phi), zeroth = quotient_operator(chart, 1).coefficients_at(
+        np.column_stack([np.full(201, 0.3), phi]), with_zeroth=True)
+    # chirality '+' reads the entry below the diagonal, '-' the one above it
+    c_theta, c_phi, zeroth = (mats[:, [1, 0], [0, 1]] for mats in (c_theta, c_phi, zeroth))
+    sin_p = np.sin(phi)[:, None, None] * np.stack([-1j * c_theta, -zeroth], -1) / c_phi[..., None]
+    design = np.column_stack([np.ones(201), -np.cos(phi)])
+    fit = np.rint(np.linalg.lstsq(design, sin_p.real.reshape(201, 4), rcond=None)[0])
+    residual = float(np.max(np.abs(sin_p.reshape(201, 4) - design @ fit)))
+    return fit.reshape(2, 2, 2).swapaxes(0, 1).astype(np.int64).tolist(), residual
 
 
 def compare_block_reductions(n, m):
-    """Coefficient-level agreement of the two reduction routes on both charts.
-
-    Route 1 is the quotient: on a block's sections T acts as -i m
-    (quotient_operator) and d_theta as i k, k = theta_weight, so with the
-    coefficients (C_T, C_theta, C_phi) of the operator in the frame (T,
-    d_theta, d_phi), its kernel equation is d_phi psi = r psi with
-    r = -i (k C_theta - m C_T) / C_phi. Route 2 is reduce_block. Returns the
-    sup of |r_1 - r_2| over 201 phis at theta = 0.3, both charts and both
-    chiralities: a float for int n and m, else an array of their broadcast
-    shape. The chart fields are solved once per chart, at alpha = 0; the
-    blocks are compared QUOTIENT_BATCH at a time.
-    """
-    pts = np.column_stack([np.zeros(201), np.full(201, 0.3), np.linspace(0.05, 0.5 * np.pi, 201)])
+    """Exact agreement of the two reduction routes on both charts. Route 1,
+    the quotient, gives sin(phi) r = p_1 - q_1 cos(phi) with p_1 = a_k k +
+    a_m m and q_1 = b_k k + b_m m (k = theta_weight; a, b from _quotient_fits);
+    route 2 is reduce_block's (p, q). A block's discrepancy is the fit
+    residual plus the largest |p_1 - p| + |q_1 - q| over charts and
+    chiralities: a float for int n and m, else an array of their shape."""
     shape = np.broadcast_shapes(np.shape(n), np.shape(m))
-    n, m = (np.broadcast_to(v, shape).ravel()[:, None, None] for v in (n, m))
-    worst = np.zeros(len(n))
-    for chart in CHARTS:
-        coeffs = _orbit_frame_operator(chart).coefficients_at(pts)
-        # chirality '+' reads the entry below the diagonal, '-' the one above it
-        c_t, c_theta, c_phi = coeffs[:, :, [1, 0], [0, 1]]
-        per_k, per_m = -1j * c_theta / c_phi, 1j * c_t / c_phi  # r is linear in k and m
-        k = theta_weight(SphereBlock(n, m), chart)
-        odes = [reduce_block(SphereBlock(n, m, chirality), chart) for chirality in CHIRALITIES]
-        for start in range(0, len(n), QUOTIENT_BATCH):
-            rows = slice(start, start + QUOTIENT_BATCH)
-            table_r = np.concatenate([RadialODE(ode.p[rows], ode.q[rows], ode.exponent[rows])
-                                      .r(pts[:, 2:]) for ode in odes], axis=-1)
-            gap = np.max(np.abs(k[rows] * per_k + m[rows] * per_m - table_r), axis=(1, 2))
-            worst[rows] = np.maximum(worst[rows], gap)
+    n, m = (np.broadcast_to(v, shape).ravel() for v in (n, m))
+    fits, gap = [_quotient_fits(chart) for chart in CHARTS], 0
+    for chart, (rows, _) in zip(CHARTS, fits):
+        for ((a_k, a_m), (b_k, b_m)), chirality in zip(rows, CHIRALITIES):
+            ode = reduce_block(SphereBlock(n, m, chirality), chart)
+            labels = [theta_weight(SphereBlock(n, m), chart), m, ode.p, ode.q]
+            size = max(int(np.max(np.abs(v), initial=1)) for v in labels)
+            # int64 while the sums below stay under 2**63, else exact Python ints
+            exact = (abs(a_k) + abs(a_m) + abs(b_k) + abs(b_m) + 2) * size < 2 ** 63
+            k, m_, p, q = labels if exact else [v.astype(object) for v in labels]
+            gap = np.maximum(gap, abs(a_k * k + a_m * m_ - p) + abs(b_k * k + b_m * m_ - q))
+    worst = np.asarray(max(residual for _, residual in fits) + gap, dtype=float)
     return worst.reshape(shape) if shape else float(worst[0])
 
 

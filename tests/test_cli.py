@@ -83,6 +83,15 @@ def test_compare_quotient(capsys):
     assert len(report["blocks"]) == 25
 
 
+def test_compare_quotient_passes_at_large_frame_weights(capsys):
+    # a float comparison of r failed its 1e-12 gate from |n| = 128 on
+    code, out = run_cli(capsys, "compare-quotient", "--n-max", "2000", "--m-max", "2")
+    report = json.loads(out)
+    assert code == 0 and report["passed"] is True
+    assert report["max_discrepancy"] < 1e-12
+    assert len(report["blocks"]) == 4001 * 5
+
+
 def test_verify_suites_pass(capsys):
     for suite in ("clifford", "connection", "clutching", "quotient"):
         code, out = run_cli(capsys, "verify", "--suite", suite,

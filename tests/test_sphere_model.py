@@ -8,7 +8,6 @@ from transdirac.sphere_model import (
     CHIRALITIES,
     LOWER,
     MAX_BLOCKS,
-    QUOTIENT_BATCH,
     UPPER,
     RadialODE,
     SphereBlock,
@@ -32,6 +31,7 @@ from transdirac.sphere_model import (
 from transdirac import sphere_model
 from transdirac.sphere_model import E1, E2, ET
 from transdirac.transverse_operator import (
+    FirstOrderOperator,
     SingularPointError,
     restrict_to_mode,
     symbol_smallest_singular_value,
@@ -489,18 +489,12 @@ def test_batched_reductions_match_per_n():
 def test_reduction_gaps_row_major_over_chunks():
     gaps = reduction_gaps(3, 2)
     assert list(gaps) == [(n, m) for n in range(-3, 4) for m in range(-2, 3)]
-    # 1203 blocks take many batches; each gap is the one its row of n values
-    # gives, whose batches start at other blocks
+    # each of 1203 gaps is the one its row of n values gives
     gaps = reduction_gaps(200, 1)
     assert list(gaps) == [(n, m) for n in range(-200, 201) for m in range(-1, 2)]
     for m in range(-1, 2):
         row = compare_block_reductions(np.arange(-200, 201), m)
         assert [gaps[n, m] for n in range(-200, 201)] == row.tolist()
-    # and blocks on either side of batch seams are what they are alone
-    blocks = list(gaps)
-    for seam in range(QUOTIENT_BATCH, len(blocks), 8 * QUOTIENT_BATCH):
-        for n, m in blocks[seam - 1:seam + 1]:
-            assert gaps[n, m] == compare_block_reductions(n, m)
 
 
 def test_reductions_checked_on_the_lower_chart(monkeypatch):
@@ -514,6 +508,50 @@ def test_reductions_checked_on_the_lower_chart(monkeypatch):
     monkeypatch.setattr(sphere_model, "reduce_block", shifted)
     assert min(reduction_gaps(2, 2).values()) > 1e-12
     assert compare_block_reductions(0, 0) > 1e-12
+    # p + 1 is as visible at 2**61, where one ulp of the float r is far above 1
+    assert compare_block_reductions(2 ** 61, 1) >= 1
+
+
+def test_reductions_agree_at_large_labels():
+    # the gap of a float r grew with |n|: 1.54e-11 at |n| = 2000, 1.7e4 at 2**61
+    for n, m in ((2 ** 61, 3), (-2 ** 61, -7), (10 ** 15, 10 ** 15)):
+        assert compare_block_reductions(n, m) <= 1e-12
+    gaps = compare_block_reductions(np.array([2 ** 61, -2 ** 61, 10 ** 15, 5]),
+                                    np.array([3, -7, 10 ** 15, -2]))
+    assert np.all(gaps <= 1e-12)
+
+
+def test_quotient_fits_are_integers_on_both_charts():
+    # sin(phi) P_k = 1 and sin(phi) P_m = 1 - cos(phi) for '+', their negatives
+    # for '-': (p, q) = +-(k + m, m), which reduce_block gives as +-(n_eff, m)
+    for chart in CHARTS:
+        ints, residual = sphere_model._quotient_fits(chart)
+        assert ints == [[[1, 1], [0, 1]], [[-1, -1], [0, -1]]]
+        assert residual <= 1e-12
+
+
+def test_comparison_evaluates_the_quotient_once_per_chart(monkeypatch):
+    real = sphere_model.quotient_operator
+    calls = []
+
+    def counted(chart, m):
+        op = real(chart, m)
+
+        def terms(pts):
+            calls.append((chart, m, pts.shape))
+            return op.terms(pts)
+
+        return FirstOrderOperator(chart=op.chart, dim=op.dim, fiber_dim=op.fiber_dim, terms=terms)
+
+    def closed_form_forbidden(*args):
+        raise AssertionError("the comparison read the closed form")
+
+    monkeypatch.setattr(sphere_model, "quotient_operator", counted)
+    monkeypatch.setattr(sphere_model, "closed_form_kernel_section", closed_form_forbidden)
+    for n, m in ((3, -2), (np.arange(-200, 201)[:, None], np.arange(-1, 2))):
+        calls.clear()
+        assert np.all(compare_block_reductions(n, m) <= 1e-12)
+        assert calls == [(chart, 1, (201, 2)) for chart in CHARTS]
 
 
 def test_reduction_gaps_reject_empty_range():
