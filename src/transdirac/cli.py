@@ -6,11 +6,15 @@ with 17 significant digits) or, for the index table, optional CSV.  One
 type-dispatched renderer writes the JSON of every command: a scalar's
 formatter is found by one lookup on its exact type, and strings and keys are
 escaped as RFC 8259 requires.  Per-block tables (sphere-index and
-compare-quotient) are handed to it as Records, columns under shared keys: it
-renders them as a JSON array of objects from one row template.  A list and a
-Records column go through one column renderer: values that share one exact
-type get one formatter lookup (each distinct value once, and a column of
-floats one "%.17g" template), any other column is formatted value by value.
+compare-quotient) are handed to it as Records, columns under shared keys,
+and rendered as a JSON array of objects.  A list and a Records column go
+through one column renderer, which writes a Records column's values after
+their key's head: values that share one exact type get one formatter lookup
+(head + value once per distinct value, read off a table over the span of an
+integer or bool array, and a column of floats one prefixed "%.17g"
+template), any other column is formatted value by value.  A row is then one piece per key and a
+tail, and each column fills its pieces of one preallocated list by a strided
+slice assignment before the list is joined once.
 
 Exit codes: 0 all requested checks pass, 1 a check failed (a machine-readable
 failure report is still emitted), 2 usage error.
@@ -22,7 +26,6 @@ import argparse
 import functools
 import math
 import sys
-from itertools import chain, repeat
 from json.encoder import encode_basestring
 
 import numpy as np
@@ -97,45 +100,65 @@ class Records:
         return [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in self.columns]
 
 
-def _render_column(values, pad) -> list:
-    """Each value of a list or Records column as JSON: one formatter for the
-    whole column when its values share one exact type that has one, else
-    value by value. A column of a type in _DISTINCT formats each distinct
-    value once; a column of floats is formatted by one "%.17g" template and
-    checked finite once."""
+def _render_column(values, pad, prefix="") -> list:
+    """Each value of a list or Records column as JSON after prefix: one
+    formatter for the whole column when its values share one exact type that
+    has one, else value by value. A column of a type in _DISTINCT renders
+    prefix + value once per distinct value, and an integer or bool array
+    whose values span fewer integers than its length once per integer of the
+    span; a column of floats is formatted by one prefixed "%.17g" template
+    and checked finite once."""
+    if isinstance(values, np.ndarray):
+        kind = values.dtype.kind
+        if kind in "iub" and len(values):
+            if kind != "u":  # int64 for bools, and so that values - low cannot wrap
+                values = values.astype(np.int64, copy=False)
+            low, high = int(values.min()), int(values.max())
+            # a table of every value from low to high, no longer than the
+            # column; np.unique would sort, and first touching numpy's sort
+            # code raises the peak RSS of a short run by about 0.3 MB
+            if high - low < len(values):
+                scalar = _render_bool if kind == "b" else str
+                rendered = np.array([prefix + scalar(value) for value in range(low, high + 1)],
+                                    dtype=object)
+                return rendered[values - low].tolist()
+        values = values.tolist()
     kinds = set(map(type, values))
     kind = kinds.pop() if len(kinds) == 1 else None
     if kind is float:
-        text = "\n".join(["%.17g"] * len(values)) % tuple(values)
-        if "n" in text:  # %.17g spells inf and nan with an n, and no finite float
+        # joined by NUL: a prefix holds newlines, and no escaped key holds a NUL
+        text = "\0".join([prefix.replace("%", "%%") + "%.17g"] * len(values)) % tuple(values)
+        # %.17g spells inf and nan with an n, and no finite float
+        if text.count("n") > prefix.count("n") * len(values):
             _render_float(next(value for value in values if not math.isfinite(value)))
-        return text.split("\n")
-    scalar = _SCALARS.get(kind)
+        return text.split("\0")
     if kind in _DISTINCT:
-        rendered = {value: scalar(value) for value in set(values)}
+        scalar = _SCALARS[kind]
+        rendered = {value: prefix + scalar(value) for value in set(values)}
         return list(map(rendered.__getitem__, values))
-    if scalar is not None:
-        return list(map(scalar, values))
     get = _SCALARS.get
-    return [fmt(value) if (fmt := get(type(value))) else _json_render(value, pad)
+    return [prefix + (fmt(value) if (fmt := get(type(value))) else _json_render(value, pad))
             for value in values]
 
 
 def _render_records(records: Records, pad) -> str:
+    rows = len(records)
+    if not rows:
+        return "[]"
     inner = pad + "  "
     field = inner + "  "
-    columns = [_render_column(values, field) for values in records.lists()]
-    if not columns or not columns[0]:
-        return "[]"
-    # the row template: a head before each column's value and a tail after
-    # the last; the first head opens the row with the separator from the row
-    # before, whose comma the array's "[" replaces in the first row
+    # a head before each column's value and a tail after the last; the first
+    # head opens the row with the separator from the row before, whose comma
+    # the array's "[" replaces in the first row
     heads = ["\n%s%s: " % (field, encode_basestring(str(key))) for key in records.keys]
     heads = [",\n%s{%s" % (inner, heads[0])] + ["," + head for head in heads[1:]]
-    template = [part for head, values in zip(heads, columns) for part in (repeat(head), values)]
-    text = chain.from_iterable(zip(*template, repeat("\n%s}" % inner)))
-    next(text)
-    return "".join(chain(("[" + heads[0][1:],), text, ("\n%s]" % pad,)))
+    width = len(heads) + 1
+    pieces = ["\n%s}" % inner] * (rows * width)
+    for j, (head, values) in enumerate(zip(heads, records.columns)):
+        pieces[j::width] = _render_column(values, field, head)
+    pieces[0] = "[" + pieces[0][1:]
+    pieces[-1] += "\n%s]" % pad
+    return "".join(pieces)
 
 
 def _json_render(obj, pad="") -> str:
@@ -294,10 +317,9 @@ def cmd_sphere_kernel(args) -> int:
 
 def cmd_compare_quotient(args) -> int:
     check_tol(args.tol)
-    gaps = reduction_gaps(args.n_max, args.m_max)
-    blocks = Records(("n", "m", "discrepancy"),
-                     ([n for n, _ in gaps], [m for _, m in gaps], list(gaps.values())))
-    worst = max(gaps.values())
+    n, m, gaps = reduction_gaps(args.n_max, args.m_max)
+    blocks = Records(("n", "m", "discrepancy"), (n, m, gaps))
+    worst = float(gaps.max())
     report = {
         "schema_version": SCHEMA_VERSION,
         "tol": args.tol,

@@ -406,17 +406,17 @@ def compare_block_reductions(n, m):
     return worst.reshape(shape) if shape else float(worst[0])
 
 
-def reduction_gaps(n_max: int, m_max: int) -> dict:
+def reduction_gaps(n_max: int, m_max: int) -> tuple:
     """compare_block_reductions over the blocks |n| <= n_max, |m| <= m_max,
-    keyed by (n, m) in row-major order, from one call; an empty range is an
-    error, and so is a range of more than MAX_BLOCKS blocks, which also keeps
-    n - m well inside int64."""
+    from one call, as the row-major columns (n, m, gap): int64, int64 and
+    float64 arrays. An empty range is an error, and so is a range of more
+    than MAX_BLOCKS blocks, which also keeps n - m well inside int64."""
     if n_max < 0 or m_max < 0:
         raise SphereModelError("empty block range: n_max and m_max must be >= 0")
     count = (2 * n_max + 1) * (2 * m_max + 1)
     if count > MAX_BLOCKS:
         raise SphereModelError("n_max = %d and m_max = %d span %d blocks, more than the %d allowed"
                                % (n_max, m_max, count, MAX_BLOCKS))
-    n, m = np.meshgrid(np.arange(-n_max, n_max + 1), np.arange(-m_max, m_max + 1), indexing="ij")
-    return dict(zip(zip(n.ravel().tolist(), m.ravel().tolist()),
-                    compare_block_reductions(n, m).ravel().tolist()))
+    n = np.arange(-n_max, n_max + 1, dtype=np.int64).repeat(2 * m_max + 1)
+    m = np.tile(np.arange(-m_max, m_max + 1, dtype=np.int64), 2 * n_max + 1)
+    return n, m, compare_block_reductions(n, m)

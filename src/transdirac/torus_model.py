@@ -112,6 +112,12 @@ def operator_D_full(geom: TorusGeometry, along: str = "Q") -> FirstOrderOperator
 def mode_grid(geom: TorusGeometry, n_points: int):
     """Periodic y-grid for the volume density w = e^{g(y)}, carrying its
     exact log-derivative w'/w = g'(y)."""
+    return _grid_and_warping(geom, n_points)[0]
+
+
+def _grid_and_warping(geom: TorusGeometry, n_points: int):
+    """mode_grid and the warping g on its points, checked finite and within
+    the float64 range of e^{+-g}."""
     if n_points < MIN_GRID or n_points % 2:
         raise TorusError("grid size must be even and >= %d" % MIN_GRID)
     grid = periodic_grid(n_points)
@@ -124,7 +130,7 @@ def mode_grid(geom: TorusGeometry, n_points: int):
             "warping e^{+-g} overflows or underflows float64: max |g| on the grid is %.6g, "
             "the limit is %.6g" % (np.max(np.abs(g)), MAX_ABS_G)
         )
-    return replace(grid, log_weight_prime=geom.g_prime(grid.points))
+    return replace(grid, log_weight_prime=geom.g_prime(grid.points)), g
 
 
 def spectrum_DL(geom: TorusGeometry, x_mode: int, n_points: int) -> np.ndarray:
@@ -149,8 +155,7 @@ def spectrum_DQ_band(geom: TorusGeometry, x_mode: int, n_points: int) -> np.ndar
     Hermitian matrix and their entries read off without an eigensolve. A
     mode whose band leaves float64 is rejected before the band is formed.
     """
-    grid = mode_grid(geom, n_points)
-    g = geom.g(grid.points)
+    grid, g = _grid_and_warping(geom, n_points)
     # the largest band entry |n| max e^{-g}, in the rounding the band gets;
     # a Python float product overflows to inf without a warning
     peak = float(np.max(np.exp(-g)))

@@ -186,7 +186,7 @@ def suite_residual(tol: float = RESIDUAL_TOL) -> dict:
 
 
 def suite_quotient(n_max: int = 4, m_max: int = 4, tol: float = 1e-12) -> dict:
-    worst = max(reduction_gaps(n_max, m_max).values())
+    worst = reduction_gaps(n_max, m_max)[2].max()
     checks = [_check("reduced-operator coefficient gap (|n|<=%d, |m|<=%d)" % (n_max, m_max),
                      worst, tol)]
     return _report("quotient", checks)

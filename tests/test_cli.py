@@ -15,6 +15,35 @@ def as_dicts(records):
     return [dict(zip(records.keys, row)) for row in zip(*records.lists())]
 
 
+class _Float:
+    def __init__(self, value):
+        self.text = format(float(value), ".17g")
+
+
+def _wrap_floats(obj):
+    if isinstance(obj, dict):
+        return {key: _wrap_floats(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_wrap_floats(value) for value in obj]
+    return _Float(obj) if isinstance(obj, (float, np.floating)) else obj
+
+
+def stdlib_json(obj):
+    """json.dumps(obj, indent=2) and a newline, with non-ASCII kept, numpy
+    scalars as their Python values and every float written "%.17g" as
+    render_json writes it (json.dumps writes repr: -0.0, 5e-324)."""
+    floats = []
+
+    def default(value):
+        if isinstance(value, _Float):
+            floats.append(value.text)
+            return "@float%d@" % (len(floats) - 1)
+        return value.item()
+
+    text = json.dumps(_wrap_floats(obj), indent=2, ensure_ascii=False, default=default)
+    return re.sub(r'"@float(\d+)@"', lambda match: floats[int(match.group(1))], text) + "\n"
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -468,29 +497,33 @@ def test_route_disagreement_exits_one(capsys, monkeypatch):
 def test_compare_quotient_records_match_dict_blocks(capsys):
     # the bytes of the report rendered with a dict per block, as at commit 29b4c54
     code, out = run_cli(capsys, "compare-quotient", "--n-max", "6", "--m-max", "3")
-    gaps = reduction_gaps(6, 3)
-    report = {"schema_version": 1, "tol": 1e-12, "max_discrepancy": max(gaps.values()),
+    columns = [column.tolist() for column in reduction_gaps(6, 3)]
+    report = {"schema_version": 1, "tol": 1e-12, "max_discrepancy": max(columns[2]),
               "passed": True, "blocks": [{"n": n, "m": m, "discrepancy": gap}
-                                         for (n, m), gap in gaps.items()]}
+                                         for n, m, gap in zip(*columns)]}
     assert code == 0 and out == render_json(report)
 
 
 def test_render_records_matches_stdlib_layout():
-    keys = ("n", 'k"%s\\', "nested", "mixed", "flags", "x")
+    keys = ("n", 'k"%s\\', "nested", "mixed", "flags", "x", "int64", "uint8", "bool_",
+            "huge", "zeros%n")
     columns = ([1, 2, 3], np.array([0.5, -2.25, 0.125]), [{"a": [1, {}]}, [], (2, "t")],
-               [np.int64(4), None, 5], np.array([True, False, True]), ["a", "é", "%d"])
+               [np.int64(4), None, 5], np.array([True, False, True]), ["a", "é", "%d"],
+               np.array([-7, -2 ** 63, -7]), np.array([255, 0, 255], dtype=np.uint8),
+               np.array([np.False_, np.False_, np.True_], dtype=np.bool_),
+               np.array([2 ** 64, -2 ** 70, 2 ** 64], dtype=object),
+               np.array([-0.0, 5e-324, -0.0]))
     records = Records(keys, columns)
     expected = [dict(zip(keys, row)) for row in zip(*(list(c) for c in columns))]
-    dumps = lambda obj: json.dumps(obj, indent=2, ensure_ascii=False,
-                                   default=lambda v: v.item()) + "\n"
     assert len(records) == 3 and as_dicts(records) == expected
-    for obj, plain in ((records, expected), ({"r": records, "e": Records(("a",), ([],))},
-                                             {"r": expected, "e": []}),
+    one_row = Records(keys, [column[1:2] for column in columns])
+    for obj, plain in ((records, expected), (one_row, expected[1:2]),
+                       ({"r": records, "e": Records(("a",), ([],))}, {"r": expected, "e": []}),
                        ([Records(("a",), (np.arange(2),))], [[{"a": 0}, {"a": 1}]])):
-        assert render_json(obj) == dumps(plain)
+        assert render_json(obj) == stdlib_json(plain)
     # a list of dicts that do not share their keys takes the generic path
     ragged = [{"a": 1}, {"b": [2.5]}, {}, {"a": None, "c": {"d": "e"}}]
-    assert render_json({"blocks": ragged}) == dumps({"blocks": ragged})
+    assert render_json({"blocks": ragged}) == stdlib_json({"blocks": ragged})
     for column in ([1.0, float("inf")], np.array([np.nan]), [1, np.float64(-np.inf)]):
         with pytest.raises(ValueError):
             render_json(Records(("x",), (column,)))
@@ -504,9 +537,20 @@ def test_render_column_formats_repeated_values_per_value():
     columns = ([3, -1, 3, 0, -1, 2 ** 70, 2 ** 70], [np.int64(-5), np.int64(7), np.int64(-5)],
                [True, False, True, True], [np.True_, np.False_, np.True_],
                ["closed", "both", "closed", 'q"\\n', 'q"\\n'], [None, None])
-    for values in columns:
+    # integer and bool arrays: spans shorter than the column (int8 values
+    # whose difference wraps in int8; uint64 above 2**63) and longer ones,
+    # which are formatted like a list
+    arrays = (np.array([-3, 2, -3, -3]), np.array([9, 0, 9], dtype=np.uint8),
+              np.array([True, True, False]), np.array([True]), np.array([False, False]),
+              np.arange(-100, 101, dtype=np.int8)[::-1], np.array([-2 ** 63, 2 ** 63 - 1, 5]),
+              np.array([2 ** 64 - 1, 2 ** 64 - 3, 2 ** 64 - 1], dtype=np.uint64))
+    prefix = ',\n    "n%s": '
+    for values in columns + arrays:
         plain = [v.item() if isinstance(v, np.generic) else v for v in values]
         assert cli._render_column(values, "") == [json.dumps(v) for v in plain]
+        assert cli._render_column(values, "", prefix) == [prefix + json.dumps(v) for v in plain]
+    floats = [0.5, -0.0, 0.5]
+    assert cli._render_column(floats, "", prefix) == [prefix + "0.5", prefix + "-0", prefix + "0.5"]
     table = Records(("n", "flag", "method"), ([1, 1, 2], np.array([True, True, False]),
                                                ["closed"] * 3))
     assert render_json(table) == json.dumps(as_dicts(table), indent=2) + "\n"
@@ -540,7 +584,8 @@ def test_non_finite_floats_keep_their_message():
     for values, named in (([1.0, inf], "inf"), ([nan, 0.5], "nan"), ([0.0, -inf, nan], "-inf"),
                           ([1, 2.5, nan], "nan")):
         message = "cannot render the non-finite value %s as JSON" % named
-        for obj in ({"x": values}, Records(("x",), (values,))):
+        for obj in ({"x": values}, Records(("x",), (values,)),
+                    Records(("n%s",), (np.array(values, dtype=float),))):
             with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
                 render_json(obj)
 

@@ -487,14 +487,17 @@ def test_batched_reductions_match_per_n():
 
 
 def test_reduction_gaps_row_major_over_chunks():
-    gaps = reduction_gaps(3, 2)
-    assert list(gaps) == [(n, m) for n in range(-3, 4) for m in range(-2, 3)]
+    ns, ms, gaps = reduction_gaps(3, 2)
+    assert (ns.dtype, ms.dtype, gaps.dtype) == (np.int64, np.int64, np.float64)
+    assert list(zip(ns.tolist(), ms.tolist())) == [
+        (n, m) for n in range(-3, 4) for m in range(-2, 3)]
     # each of 1203 gaps is the one its row of n values gives
-    gaps = reduction_gaps(200, 1)
-    assert list(gaps) == [(n, m) for n in range(-200, 201) for m in range(-1, 2)]
+    ns, ms, gaps = reduction_gaps(200, 1)
+    assert list(zip(ns.tolist(), ms.tolist())) == [
+        (n, m) for n in range(-200, 201) for m in range(-1, 2)]
     for m in range(-1, 2):
         row = compare_block_reductions(np.arange(-200, 201), m)
-        assert [gaps[n, m] for n in range(-200, 201)] == row.tolist()
+        assert gaps[ms == m].tolist() == row.tolist()
 
 
 def test_reductions_checked_on_the_lower_chart(monkeypatch):
@@ -506,7 +509,7 @@ def test_reductions_checked_on_the_lower_chart(monkeypatch):
         return RadialODE(ode.p + 1, ode.q, ode.exponent) if chart == LOWER else ode
 
     monkeypatch.setattr(sphere_model, "reduce_block", shifted)
-    assert min(reduction_gaps(2, 2).values()) > 1e-12
+    assert min(reduction_gaps(2, 2)[2]) > 1e-12
     assert compare_block_reductions(0, 0) > 1e-12
     # p + 1 is as visible at 2**61, where one ulp of the float r is far above 1
     assert compare_block_reductions(2 ** 61, 1) >= 1
@@ -555,8 +558,9 @@ def test_comparison_evaluates_the_quotient_once_per_chart(monkeypatch):
 
 
 def test_reduction_gaps_reject_empty_range():
-    gaps = reduction_gaps(1, 2)
-    assert list(gaps) == [(n, m) for n in range(-1, 2) for m in range(-2, 3)]
+    ns, ms, _ = reduction_gaps(1, 2)
+    assert list(zip(ns.tolist(), ms.tolist())) == [
+        (n, m) for n in range(-1, 2) for m in range(-2, 3)]
     for n_max, m_max in ((-1, 0), (0, -1)):
         with pytest.raises(SphereModelError):
             reduction_gaps(n_max, m_max)
@@ -568,7 +572,7 @@ def test_reduction_gaps_reject_empty_range():
 
 def test_reduction_gaps_block_count_is_bounded(monkeypatch):
     monkeypatch.setattr(sphere_model, "MAX_BLOCKS", 15)
-    assert len(reduction_gaps(2, 1)) == 15
+    assert [len(column) for column in reduction_gaps(2, 1)] == [15] * 3
     for n_max, m_max in ((2, 2), (8, 0), (2 ** 62 - 1, 0)):
         with pytest.raises(SphereModelError, match="more than the 15 allowed"):
             reduction_gaps(n_max, m_max)

@@ -115,16 +115,17 @@ def test_dq_band_equals_dense_discretization_diagonal():
         assert np.array_equal(spectrum_DQ_band(geom, mode, n_points), expected)
 
 
-def test_dq_band_evaluates_the_warping_three_times_on_the_grid(monkeypatch):
-    # mode_grid, the overflow guard and one evaluation of the restricted
-    # operator; the frame check adds its two at the 7 samples. Each
-    # coefficient of D_Q once read g afresh: 4 times on the grid, 6 in all
+def test_dq_band_evaluates_the_warping_twice_on_the_grid(monkeypatch):
+    # one evaluation serves mode_grid's range check and the overflow guard,
+    # and one the restricted operator; the frame check adds its two at the 7
+    # samples. The two checks once evaluated g apart (3 times on the grid),
+    # and each coefficient of D_Q read g afresh before that (4 times)
     geom = TorusGeometry(sin_coeffs=(0.3,), cos_coeffs=(0.1,))
     calls = []
     g = TorusGeometry.g
     monkeypatch.setattr(TorusGeometry, "g", lambda self, y: calls.append(np.shape(y)) or g(self, y))
     spectrum_DQ_band(geom, 2, 256)
-    assert sorted(calls) == [(7,), (7,), (256,), (256,), (256,)]
+    assert sorted(calls) == [(7,), (7,), (256,), (256,)]
 
 
 def test_dq_band_memory_is_linear_in_grid_size():
