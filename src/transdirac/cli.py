@@ -5,16 +5,16 @@ verify.  Output is deterministic JSON (fixed field order, floats rendered
 with 17 significant digits) or, for the index table, optional CSV.  One
 type-dispatched renderer writes the JSON of every command: a scalar's
 formatter is found by one lookup on its exact type, and strings and keys are
-escaped as RFC 8259 requires.  Per-block tables (sphere-index and
-compare-quotient) are handed to it as Records, columns under shared keys,
-and rendered as a JSON array of objects.  A list and a Records column go
-through one column renderer, which writes a Records column's values after
-their key's head: values that share one exact type get one formatter lookup
-(head + value once per distinct value, read off a table over the span of an
-integer or bool array, and a column of floats one prefixed "%.17g"
-template), any other column is formatted value by value.  A row is then one piece per key and a
-tail, and each column fills its pieces of one preallocated list by a strided
-slice assignment before the list is joined once.
+escaped as RFC 8259 requires.  It appends the whole document to one list of
+pieces, joined once.  Per-block tables (sphere-index and compare-quotient)
+are handed to it as Records, columns under shared keys, and rendered as a
+JSON array of objects: a row is one piece per key, and each column fills
+its pieces by one strided slice assignment.  A column, and a list that opens
+with a scalar, is rendered by one formatter when its values share one exact
+type: once per distinct value (read off a table over the span of an integer
+or bool array, and once in all for a broadcast array of one value), or by
+one prefixed "%.17g" template for floats; any other is rendered value by
+value.
 
 Exit codes: 0 all requested checks pass, 1 a check failed (a machine-readable
 failure report is still emitted), 2 usage error.
@@ -103,12 +103,15 @@ class Records:
 def _render_column(values, pad, prefix="") -> list:
     """Each value of a list or Records column as JSON after prefix: one
     formatter for the whole column when its values share one exact type that
-    has one, else value by value. A column of a type in _DISTINCT renders
-    prefix + value once per distinct value, and an integer or bool array
-    whose values span fewer integers than its length once per integer of the
-    span; a column of floats is formatted by one prefixed "%.17g" template
-    and checked finite once."""
+    has one, else value by value. An array that holds one value along the
+    column (a stride-0 broadcast) renders it once; a column of a type in
+    _DISTINCT renders prefix + value once per distinct value, and an integer
+    or bool array whose values span fewer integers than its length once per
+    integer of the span; a column of floats is formatted by one prefixed
+    "%.17g" template and checked finite once."""
     if isinstance(values, np.ndarray):
+        if values.strides == (0,) and len(values):
+            return ["".join(_write(values.item(0), pad, [prefix]))] * len(values)
         kind = values.dtype.kind
         if kind in "iub" and len(values):
             if kind != "u":  # int64 for bools, and so that values - low cannot wrap
@@ -137,69 +140,80 @@ def _render_column(values, pad, prefix="") -> list:
         rendered = {value: prefix + scalar(value) for value in set(values)}
         return list(map(rendered.__getitem__, values))
     get = _SCALARS.get
-    return [prefix + (fmt(value) if (fmt := get(type(value))) else _json_render(value, pad))
-            for value in values]
+    return [prefix + fmt(value) if (fmt := get(type(value)))
+            else "".join(_write(value, pad, [prefix])) for value in values]
 
 
-def _render_records(records: Records, pad) -> str:
+def _write_records(records: Records, pad, out: list):
     rows = len(records)
     if not rows:
-        return "[]"
-    inner = pad + "  "
-    field = inner + "  "
-    # a head before each column's value and a tail after the last; the first
-    # head opens the row with the separator from the row before, whose comma
-    # the array's "[" replaces in the first row
+        return out.append("[]")
+    inner, field = pad + "  ", pad + "    "
+    # a head before each column's value; the first head closes the row before
+    # and opens its own, and the array's "[" replaces the close in the first row
+    close = "\n%s}" % inner
     heads = ["\n%s%s: " % (field, encode_basestring(str(key))) for key in records.keys]
-    heads = [",\n%s{%s" % (inner, heads[0])] + ["," + head for head in heads[1:]]
-    width = len(heads) + 1
-    pieces = ["\n%s}" % inner] * (rows * width)
+    heads = ["%s,\n%s{%s" % (close, inner, heads[0])] + ["," + head for head in heads[1:]]
+    width, start = len(heads), len(out)
+    out += [None] * (rows * width)
     for j, (head, values) in enumerate(zip(heads, records.columns)):
-        pieces[j::width] = _render_column(values, field, head)
-    pieces[0] = "[" + pieces[0][1:]
-    pieces[-1] += "\n%s]" % pad
-    return "".join(pieces)
+        out[start + j::width] = _render_column(values, field, head)
+    out[start] = "[" + out[start][len(close) + 1:]
+    out.append("%s\n%s]" % (close, pad))
 
 
-def _json_render(obj, pad="") -> str:
-    """obj as JSON; the lines inside a container are indented by pad plus
-    two spaces. Scalar children are formatted in place, not by recursion."""
+def _write(obj, pad, out: list) -> list:
+    """Append the pieces of obj's JSON to out and return out; the lines
+    inside a container are indented by pad plus two spaces. Each entry of a
+    container opens with ",", which the container's bracket replaces in the
+    first; scalar entries are formatted in place, not by recursion, and a
+    list that opens with a scalar is rendered as one column."""
     scalar = _SCALARS.get(type(obj))
     if scalar is not None:
-        return scalar(obj)
-    if type(obj) is Records:
-        return _render_records(obj, pad)
-    get, inner = _SCALARS.get, pad + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        # the list of lines is freed when join returns and the body is copied
-        # once, so no more than two copies of a large body are alive at a time
-        body = (",\n" + inner).join([
-            encode_basestring(str(key)) + ": "
-            + (fmt(value) if (fmt := get(type(value))) else _json_render(value, inner))
-            for key, value in obj.items()
-        ])
-        return "{\n%s%s\n%s}" % (inner, body, pad)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        body = (",\n" + inner).join(_render_column(obj, inner))
-        return "[\n%s%s\n%s]" % (inner, body, pad)
+        out.append(scalar(obj))
+    elif type(obj) is Records:
+        _write_records(obj, pad, out)
+    elif isinstance(obj, (dict, list, tuple)):
+        inner, start, brackets = pad + "  ", len(out), "{}" if isinstance(obj, dict) else "[]"
+        sep = ",\n" + inner
+        if brackets == "{}":
+            heads, values = [sep + encode_basestring(str(key)) + ": " for key in obj], obj.values()
+        elif obj and type(obj[0]) in _SCALARS:
+            heads = values = ()
+            out += _render_column(obj, inner, sep)
+        else:
+            heads, values = [sep] * len(obj), obj
+        get = _SCALARS.get
+        for head, value in zip(heads, values):
+            if fmt := get(type(value)):
+                out.append(head + fmt(value))
+            else:
+                out.append(head)
+                _write(value, inner, out)
+        if len(out) == start:
+            out.append(brackets)
+        else:
+            out[start] = brackets[0] + out[start][1:]
+            out.append("\n" + pad + brackets[1])
     # subclasses and other numpy scalars: the same rules by isinstance
-    if isinstance(obj, (bool, np.bool_)):
-        return _render_bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return _render_int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return _render_float(obj)
-    return encode_basestring(str(obj))
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append(_render_bool(obj))
+    elif isinstance(obj, (int, np.integer)):
+        out.append(_render_int(obj))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(_render_float(obj))
+    else:
+        out.append(encode_basestring(str(obj)))
+    return out
 
 
 def render_json(obj) -> str:
     """obj as 2-space indented JSON with a final newline: RFC 8259 string
-    escaping, floats to 17 significant digits, ValueError on inf or nan."""
-    return _json_render(obj) + "\n"
+    escaping, floats to 17 significant digits, ValueError on inf or nan.
+    The document's pieces are joined once."""
+    out = _write(obj, "", [])
+    out.append("\n")
+    return "".join(out)
 
 
 def _emit(text: str, out: str):
@@ -268,9 +282,10 @@ def cmd_sphere_index(args) -> int:
         eps=args.eps,
         steps=args.steps,
     )
+    # the method is one value broadcast along the table, rendered once
     blocks = Records(("n", "m", "dim_ker_plus", "dim_ker_minus", "index", "method"),
                      (table.n, table.m, table.dim_ker_plus, table.dim_ker_minus, table.indices,
-                      [args.method] * len(table.n)))
+                      np.broadcast_to(np.array(args.method), len(table.n))))
     if args.format == "csv":
         # labels, dimensions and the method name need no CSV quoting
         template = ",".join(["%s"] * len(blocks.keys))

@@ -38,7 +38,7 @@ def _exact_labels(values):
     if not isinstance(values, np.ndarray):
         values = np.array(values, dtype=object)
     fits = values.size == 0 or -2 ** 63 < int(values.min()) and int(values.max()) < 2 ** 63
-    return values.astype(np.int64 if fits else object)
+    return values.astype(np.int64 if fits else object, copy=False)
 
 
 def kernel_dims_closed_form(n, m):
@@ -130,32 +130,38 @@ def index_numerical(n, m, eps: float = 1e-3, steps: int = 10000) -> dict:
 @dataclass(frozen=True, eq=False)
 class IndexTable:
     """The blocks of a table as row-major columns: block i is (n[i], m[i]),
-    labels as exact Python ints, with int arrays of its kernel dimensions;
-    `indices` = dim_ker_plus - dim_ker_minus is derived from them."""
-    n: list
-    m: list
+    with int arrays of its kernel dimensions; `indices` = dim_ker_plus -
+    dim_ker_minus is derived from them. The label columns are int64 arrays
+    when every label has |label| < 2**63, otherwise both are object arrays
+    of exact Python ints."""
+    n: np.ndarray
+    m: np.ndarray
     dim_ker_plus: np.ndarray
     dim_ker_minus: np.ndarray
     indices: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        n, m = _exact_labels(self.n), _exact_labels(self.m)
+        if n.dtype != m.dtype:  # one column leaves int64: both hold Python ints
+            n, m = n.astype(object), m.astype(object)
         d_plus = np.asarray(self.dim_ker_plus, dtype=np.int64)
         d_minus = np.asarray(self.dim_ker_minus, dtype=np.int64)
-        if not len(self.n) == len(self.m) == len(d_plus) == len(d_minus):
+        if not len(n) == len(m) == len(d_plus) == len(d_minus):
             raise IndexError_("columns of unequal length")
         for name, dims in (("dim_ker_plus", d_plus), ("dim_ker_minus", d_minus)):
             bad = (dims != 0) & (dims != 1)
             if np.any(bad):
                 row = int(np.argmax(bad))
-                raise IndexError_("%s out of range at (%d, %d)" % (name, self.n[row], self.m[row]))
+                raise IndexError_("%s out of range at (%d, %d)" % (name, n[row], m[row]))
         # both dimensions in {0, 1}: every index lies in {-1, 0, 1}
-        object.__setattr__(self, "dim_ker_plus", d_plus)
-        object.__setattr__(self, "dim_ker_minus", d_minus)
-        object.__setattr__(self, "indices", d_plus - d_minus)
+        for name, column in (("n", n), ("m", m), ("dim_ker_plus", d_plus),
+                             ("dim_ker_minus", d_minus), ("indices", d_plus - d_minus)):
+            object.__setattr__(self, name, column)
 
     def _row(self, n: int, m: int) -> int:
         try:
-            return list(zip(self.n, self.m)).index((n, m))
+            # as Python ints: numpy 1.24 compares int64 with 2**63 as floats
+            return list(zip(self.n.tolist(), self.m.tolist())).index((n, m))
         except ValueError:
             raise KeyError((n, m)) from None
 
@@ -185,11 +191,10 @@ def build_index_table(n_range, m_range, method: str = "closed",
     if method not in ("closed", "numeric", "both"):
         raise IndexError_("unknown method %r" % method)
 
-    n_column = [n for n in n_values for _ in m_values]
-    m_column = m_values * len(n_values)
+    n_column = np.repeat(_exact_labels(n_values), len(m_values))
+    m_column = np.tile(_exact_labels(m_values), len(n_values))
     if method != "numeric":
-        closed = [dims.ravel() for dims in kernel_dims_closed_form(
-            np.array(n_values, dtype=object)[:, None], np.array(m_values, dtype=object)[None, :])]
+        closed = kernel_dims_closed_form(n_column, m_column)
     if method != "closed":
         res = index_numerical(n_column, m_column, eps, steps)
         numeric = [res["d_plus"], res["d_minus"]]

@@ -31,9 +31,9 @@ CHIRALITIES = ("+", "-")
 
 POLE_EPS = 1e-3
 # the most blocks one index table or gap report may span. Peak memory grows
-# by about 0.7 kB per block: on a 2-core host the 511 x 511 blocks within the
-# bound peak at 214 MB for a closed-form table (0.7 s), at 148 MB for
-# compare-quotient (0.9 s, mostly rendering), and at 225 MB for a numeric one
+# by about 0.33 kB per block: on a 2-core host the 511 x 511 blocks within
+# the bound peak at 115 MB for a closed-form table (0.14 s) and for a numeric
+# one (0.2 s), and at 96 MB for compare-quotient (0.35 s, mostly rendering)
 MAX_BLOCKS = 2 ** 18
 # the phi mesh and the pass threshold of the kernel PDE residual checks
 RESIDUAL_PHIS = np.linspace(0.05, 0.5 * np.pi, 25)

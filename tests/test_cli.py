@@ -478,6 +478,25 @@ def test_closed_table_beyond_int64(capsys):
                    '  ]\n}\n' % blocks)
 
 
+# SHA-256 of each stdout at commit 6064946, where the label columns were lists
+# of Python ints; 2**63 - 1 fits int64 and 2**63 does not, so both columns
+# hold Python ints
+BEYOND_INT64 = ["sphere-index", "--n-min", str(2 ** 63 - 1), "--n-max", str(2 ** 63),
+                "--m-min", "-1", "--m-max", "0"]
+BEYOND_INT64_DIGESTS = (
+    (BEYOND_INT64, "3252749095948da723d8d10062c86ff7f00d33b35e51ea0dba08f076083a6984"),
+    (BEYOND_INT64 + ["--format", "csv"],
+     "47a03832a2b02eaf096693fb5d7d5caa395d1aedb07cc8e502d82f29f7d52ea6"),
+)
+
+
+def test_table_beyond_int64_bytes_pinned(capsys):
+    for argv, digest in BEYOND_INT64_DIGESTS:
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
 def test_route_disagreement_exits_one(capsys, monkeypatch):
     real = index_engine.index_numerical
 
@@ -554,6 +573,29 @@ def test_render_column_formats_repeated_values_per_value():
     table = Records(("n", "flag", "method"), ([1, 1, 2], np.array([True, True, False]),
                                                ["closed"] * 3))
     assert render_json(table) == json.dumps(as_dicts(table), indent=2) + "\n"
+
+
+def test_equal_values_of_different_types_render_by_type():
+    # 0 == False == 0.0 == -0.0, and a broadcast column holds one value however
+    # long it is: each value renders as its own type, as json.dumps writes it
+    mixed = [0, False, 0.0, -0.0]
+    one = lambda value, rows: np.broadcast_to(np.array(value), rows)
+    cases = [
+        (Records(("x",), (mixed,)), [{"x": value} for value in mixed]),
+        ({"x": mixed, "y": [False, 0, {"z": -0.0}, [0.0]]},
+         {"x": mixed, "y": [False, 0, {"z": -0.0}, [0.0]]}),
+        (Records(("method",), (one("closed", 3),)), [{"method": "closed"}] * 3),
+        (Records(("method",), (["closed"] * 3,)), [{"method": "closed"}] * 3),
+        (Records(("a", "b", "c"), (one(0, 2), one(False, 2), one(-0.0, 2))),
+         [{"a": 0, "b": False, "c": -0.0}] * 2),
+        (Records(("n", "m", "method"), (np.array([2 ** 62]), [False], one('q"\\n', 1))),
+         [{"n": 2 ** 62, "m": False, "method": 'q"\\n'}]),
+        (Records(("n", "method"), (np.array([], dtype=np.int64), one("closed", 0))), []),
+    ]
+    for obj, plain in cases:
+        assert render_json(obj) == stdlib_json(plain)
+    with pytest.raises(ValueError, match="^cannot render the non-finite value nan as JSON$"):
+        render_json(Records(("x",), (one(float("nan"), 3),)))
 
 
 def test_render_column_keeps_both_zero_spellings():

@@ -71,6 +71,40 @@ def test_closed_table_beyond_int64_is_exact():
             assert table.indices[row] == index_closed_form(n, m) == reference_index(n, m)
 
 
+def test_index_table_label_columns():
+    # int64 labels when every label of the table fits; as soon as one label of
+    # either range has |label| >= 2**63, both columns hold exact Python ints
+    big = 2 ** 63
+    table = build_index_table(range(-3, 4), range(big - 3, big - 1))
+    assert table.n.dtype == table.m.dtype == np.int64
+    assert table.n.tolist() == [n for n in range(-3, 4) for _ in range(2)]
+    assert table.m.tolist() == [big - 3, big - 2] * 7
+    # a query one past int64 matches no int64 label (numpy 1.24 would
+    # compare big - 2 and big as equal floats)
+    for n, m in ((0, big), (0, big - 1), (big, 0), (4, big - 3)):
+        with pytest.raises(KeyError):
+            table.index(n, m)
+    ranges = ((range(big - 1, big + 1), range(-1, 1)), (range(-1, 1), range(big - 1, big + 1)),
+              (range(-big, 2 - big), range(0, 2)), (range(-2, 0), range(-10 ** 20, 2 - 10 ** 20)))
+    for n_range, m_range in ranges:
+        table = build_index_table(n_range, m_range)
+        assert table.n.dtype == table.m.dtype == object
+        assert {type(label) for label in [*table.n, *table.m]} == {int}
+        assert table.n.tolist() == [n for n in n_range for _ in m_range]
+        assert table.m.tolist() == list(m_range) * len(n_range)
+        for n in n_range:
+            for m in m_range:
+                assert table.index(n, m) == index_closed_form(n, m) == reference_index(n, m)
+                assert table.total_kernel(n, m) == sum(kernel_dims_closed_form(n, m))
+    # built directly: a list beside an int64 array, one of them beyond int64
+    table = IndexTable(n=np.array([0, 1]), m=[big, -big], dim_ker_plus=[0, 1],
+                       dim_ker_minus=[1, 0])
+    assert table.n.dtype == table.m.dtype == object
+    assert table.index(1, -big) == 1 and table.total_kernel(0, big) == 1
+    table = IndexTable(n=[0, 1], m=np.array([2, 3]), dim_ker_plus=[0, 0], dim_ker_minus=[1, 1])
+    assert table.n.dtype == table.m.dtype == np.int64 and table.index(np.int64(1), 3) == -1
+
+
 def test_index_examples():
     assert index_closed_form(2, 3) == -1
     assert index_closed_form(0, 0) == 0
