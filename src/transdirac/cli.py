@@ -10,11 +10,10 @@ pieces, joined once.  Per-block tables (sphere-index and compare-quotient)
 are handed to it as Records, columns under shared keys, and rendered as a
 JSON array of objects: a row is one piece per key, and each column fills
 its pieces by one strided slice assignment.  A column, and a list that opens
-with a scalar, is rendered by one formatter when its values share one exact
-type: once per distinct value (read off a table over the span of an integer
-or bool array, and once in all for a broadcast array of one value), or by
-one prefixed "%.17g" template for floats; any other is rendered value by
-value.
+with a scalar, is rendered value by value, except that a broadcast array of
+one value is rendered once, an int64 array whose values span fewer integers
+than its length is read off a table of that span, and floats are formatted
+by one prefixed "%.17g" template.
 
 Exit codes: 0 all requested checks pass, 1 a check failed (a machine-readable
 failure report is still emitted), 2 usage error.
@@ -30,7 +29,7 @@ from json.encoder import encode_basestring
 
 import numpy as np
 
-from transdirac.index_engine import build_index_table, index_numerical
+from transdirac.index_engine import DEFAULT_EPS, DEFAULT_STEPS, build_index_table, index_numerical
 from transdirac.sphere_model import (
     CHARTS,
     CHIRALITIES,
@@ -76,8 +75,6 @@ _SCALARS = {
     np.int64: _render_int,
     np.bool_: _render_bool,
 }
-# the types whose equal values render alike; not float, as 0.0 == -0.0
-_DISTINCT = frozenset((str, int, bool, type(None), np.int64, np.bool_))
 
 
 class Records:
@@ -101,44 +98,32 @@ class Records:
 
 
 def _render_column(values, pad, prefix="") -> list:
-    """Each value of a list or Records column as JSON after prefix: one
-    formatter for the whole column when its values share one exact type that
-    has one, else value by value. An array that holds one value along the
-    column (a stride-0 broadcast) renders it once; a column of a type in
-    _DISTINCT renders prefix + value once per distinct value, and an integer
-    or bool array whose values span fewer integers than its length once per
-    integer of the span; a column of floats is formatted by one prefixed
-    "%.17g" template and checked finite once."""
+    """Each value of a list or Records column as JSON after prefix, value by
+    value. An array that holds one value along the column (a stride-0
+    broadcast) renders it once; an int64 array whose values span fewer
+    integers than its length renders prefix + value once per integer of the
+    span; a column of floats is formatted by one prefixed "%.17g" template
+    and checked finite once."""
     if isinstance(values, np.ndarray):
         if values.strides == (0,) and len(values):
             return ["".join(_write(values.item(0), pad, [prefix]))] * len(values)
-        kind = values.dtype.kind
-        if kind in "iub" and len(values):
-            if kind != "u":  # int64 for bools, and so that values - low cannot wrap
-                values = values.astype(np.int64, copy=False)
+        if values.dtype == np.int64 and len(values):
             low, high = int(values.min()), int(values.max())
             # a table of every value from low to high, no longer than the
             # column; np.unique would sort, and first touching numpy's sort
             # code raises the peak RSS of a short run by about 0.3 MB
             if high - low < len(values):
-                scalar = _render_bool if kind == "b" else str
-                rendered = np.array([prefix + scalar(value) for value in range(low, high + 1)],
+                rendered = np.array([prefix + str(value) for value in range(low, high + 1)],
                                     dtype=object)
                 return rendered[values - low].tolist()
         values = values.tolist()
-    kinds = set(map(type, values))
-    kind = kinds.pop() if len(kinds) == 1 else None
-    if kind is float:
+    if set(map(type, values)) == {float}:
         # joined by NUL: a prefix holds newlines, and no escaped key holds a NUL
         text = "\0".join([prefix.replace("%", "%%") + "%.17g"] * len(values)) % tuple(values)
         # %.17g spells inf and nan with an n, and no finite float
         if text.count("n") > prefix.count("n") * len(values):
             _render_float(next(value for value in values if not math.isfinite(value)))
         return text.split("\0")
-    if kind in _DISTINCT:
-        scalar = _SCALARS[kind]
-        rendered = {value: prefix + scalar(value) for value in set(values)}
-        return list(map(rendered.__getitem__, values))
     get = _SCALARS.get
     return [prefix + fmt(value) if (fmt := get(type(value)))
             else "".join(_write(value, pad, [prefix])) for value in values]
@@ -196,8 +181,6 @@ def _write(obj, pad, out: list) -> list:
             out[start] = brackets[0] + out[start][1:]
             out.append("\n" + pad + brackets[1])
     # subclasses and other numpy scalars: the same rules by isinstance
-    elif isinstance(obj, (bool, np.bool_)):
-        out.append(_render_bool(obj))
     elif isinstance(obj, (int, np.integer)):
         out.append(_render_int(obj))
     elif isinstance(obj, (float, np.floating)):
@@ -273,8 +256,6 @@ def cmd_torus_spectrum(args) -> int:
 
 
 def cmd_sphere_index(args) -> int:
-    if args.n_min > args.n_max or args.m_min > args.m_max:
-        raise ValueError("empty block range")
     table = build_index_table(
         range(args.n_min, args.n_max + 1),
         range(args.m_min, args.m_max + 1),
@@ -381,8 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     index.add_argument("--m-min", type=int, required=True)
     index.add_argument("--m-max", type=int, required=True)
     index.add_argument("--method", choices=("closed", "numeric", "both"), default="closed")
-    index.add_argument("--eps", type=float, default=1e-3)
-    index.add_argument("--steps", type=int, default=10000)
+    index.add_argument("--eps", type=float, default=DEFAULT_EPS)
+    index.add_argument("--steps", type=int, default=DEFAULT_STEPS)
     index.add_argument("--format", choices=("json", "csv"), default="json")
     index.add_argument("--out", default=None)
     index.set_defaults(func=cmd_sphere_index)

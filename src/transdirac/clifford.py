@@ -91,8 +91,6 @@ def _gamma_matrices(q: int) -> list:
 def build_standard_module(q: int) -> CliffordModule:
     """Standard Cl(q)-module on a fiber of dimension 2**(q//2), built once per
     rank and process; its generators are read-only, since every caller shares them."""
-    if q < 1:
-        raise CliffordError("rank must be positive")
     generators = tuple(1j * g for g in _gamma_matrices(q))
     for g in generators:
         g.flags.writeable = False

@@ -64,9 +64,13 @@ def index_closed_form(n: int, m: int) -> int:
 # to about 13 bytes per step (at eps = 1e-2, where it spans 12 % of the grid),
 # so on a 2-core host a call at the bound peaks near 80 MB and takes 0.08 s
 MAX_STEPS = 4 * 10 ** 6
+# the oracle's defaults: the pole cutoff eps and the integration steps, the
+# fewest that index_numerical accepts
+DEFAULT_EPS = 1e-3
+DEFAULT_STEPS = 10000
 
 
-def index_numerical(n, m, eps: float = 1e-3, steps: int = 10000) -> dict:
+def index_numerical(n, m, eps: float = DEFAULT_EPS, steps: int = DEFAULT_STEPS) -> dict:
     """ODE oracle for one block (int labels) or a batch (integer arrays of
     one shape): integrate each radial equation toward the pole, snap the
     log-log slope to an integer exponent, and count a kernel dimension for a
@@ -81,8 +85,8 @@ def index_numerical(n, m, eps: float = 1e-3, steps: int = 10000) -> dict:
     """
     if not (1e-4 <= eps <= 1e-2):
         raise IndexError_("eps must lie in [1e-4, 1e-2]")
-    if not 10000 <= steps <= MAX_STEPS:
-        raise IndexError_("steps = %d must lie in [10000, %d]" % (steps, MAX_STEPS))
+    if not DEFAULT_STEPS <= steps <= MAX_STEPS:
+        raise IndexError_("steps = %d must lie in [%d, %d]" % (steps, DEFAULT_STEPS, MAX_STEPS))
     shape = np.shape(n)
     if np.shape(m) != shape:
         raise IndexError_("n and m must have one shape")
@@ -174,7 +178,7 @@ class IndexTable:
 
 
 def build_index_table(n_range, m_range, method: str = "closed",
-                      eps: float = 1e-3, steps: int = 10000) -> IndexTable:
+                      eps: float = DEFAULT_EPS, steps: int = DEFAULT_STEPS) -> IndexTable:
     """Index table over finite ranges of at most MAX_BLOCKS blocks; method
     'closed', 'numeric' or 'both' ('both' insists the two routes agree on
     every block). Each route takes one call for the whole table."""
@@ -182,12 +186,12 @@ def build_index_table(n_range, m_range, method: str = "closed",
         count = len(n_range) * len(m_range)
     except OverflowError as exc:  # a range longer than sys.maxsize
         raise IndexError_("block range too long: %s by %s" % (n_range, m_range)) from exc
+    if count == 0:  # before list(): the other range may be long
+        raise IndexError_("empty block range")
     if count > MAX_BLOCKS:
         raise IndexError_("block range %s by %s spans %d blocks, more than the %d allowed"
                           % (n_range, m_range, count, MAX_BLOCKS))
     n_values, m_values = list(n_range), list(m_range)
-    if not n_values or not m_values:
-        raise IndexError_("ranges must be nonempty")
     if method not in ("closed", "numeric", "both"):
         raise IndexError_("unknown method %r" % method)
 

@@ -169,9 +169,10 @@ def hermitian_eigensolve(m: np.ndarray) -> np.ndarray:
 
 
 def smallest_singular_value(m: np.ndarray) -> float:
-    """Smallest singular value, from LAPACK's SVD of m itself (not of m^H m,
-    which would square the condition number)."""
-    return float(np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)[-1])
+    """Smallest singular value of a matrix, or the least over a stack of
+    them, from LAPACK's SVD of m itself (not of m^H m, which would square the
+    condition number)."""
+    return float(np.min(np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)[..., -1]))
 
 
 def simpson_abscissas(phi_start: float, phi_end: float, steps: int) -> np.ndarray:

@@ -6,7 +6,7 @@ Hermitian-symmetric discretizations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -86,8 +86,7 @@ class FrameField:
     """Chartwise orthonormal Q-frame: coordinate components of f_1..f_q, an
     orthonormal coframe theta_a of the chart metric (which is sum_a theta_a^2,
     so the frame is orthonormal when the rows theta_a(f_j) are; a conformal
-    factor e^{g} enters once, where the metric has e^{2g}), and an optional
-    Cl(Q)-connection term for the bundle.
+    factor e^{g} enters once, where the metric has e^{2g}).
 
     Each callable takes an (npts, dim) array of chart points, like the
     FirstOrderOperator coefficients, and returns an array broadcastable to
@@ -100,12 +99,11 @@ class FrameField:
     components: Callable  # -> (npts, q, dim) real, rows are f_j
     coframe: Callable  # -> (npts, dim, dim) real, rows are theta_a
     samples: Sequence  # points where orthonormality is validated, where finite
-    connection_term: Optional[Callable] = None  # -> (npts, fiber, fiber)
 
 
-def _field_stack(fn: Callable, pts: np.ndarray, shape: tuple, dtype=float) -> np.ndarray:
-    """fn(pts) broadcast to the (npts,) + shape stack."""
-    return np.broadcast_to(np.asarray(fn(pts), dtype=dtype), (len(pts),) + shape)
+def _field_stack(fn: Callable, pts: np.ndarray, shape: tuple) -> np.ndarray:
+    """fn(pts) broadcast to the real (npts,) + shape stack."""
+    return np.broadcast_to(np.asarray(fn(pts), dtype=float), (len(pts),) + shape)
 
 
 def _validate_frame(frames: FrameField):
@@ -131,15 +129,11 @@ def assemble_AQ(frames: FrameField, mod: CliffordModule) -> FirstOrderOperator:
         raise OperatorError("module rank does not match frame count")
     _validate_frame(frames)
 
-    fiber = (mod.fiber_dim, mod.fiber_dim)
-
     def terms(pts):
         # c(f_j) weighted by the k-th components of the f_j, for each k
         rows = _field_stack(frames.components, pts, (frames.q, frames.dim))
         coeffs = clifford_matrix(mod, np.moveaxis(rows, 2, 0))
-        if frames.connection_term is None:
-            return coeffs, np.zeros((len(pts),) + fiber, dtype=complex)
-        return coeffs, _field_stack(frames.connection_term, pts, fiber, dtype=complex)
+        return coeffs, np.zeros((len(pts), mod.fiber_dim, mod.fiber_dim), dtype=complex)
 
     return FirstOrderOperator(chart=frames.chart, dim=frames.dim, fiber_dim=mod.fiber_dim,
                               terms=terms)
@@ -190,6 +184,7 @@ def principal_symbol(op: FirstOrderOperator, x, xi) -> np.ndarray:
 
 
 def symbol_smallest_singular_value(op: FirstOrderOperator, x, xi) -> float:
+    """The symbol's smallest singular value at x, the least over a stack of points."""
     return smallest_singular_value(principal_symbol(op, x, xi))
 
 

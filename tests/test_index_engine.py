@@ -358,3 +358,18 @@ def test_both_routes_agree_on_a_wide_table():
     assert table.indices.tolist() == [reference_index(n, m) for n, m in zip(table.n, table.m)]
     assert (table.dim_ker_plus + table.dim_ker_minus).tolist() == [
         reference_kernel_total(n, m) for n, m in zip(table.n, table.m)]
+
+
+def test_empty_range_is_rejected_before_the_other_range_is_built():
+    # an empty range makes the block count 0, under MAX_BLOCKS: the check
+    # must come before list() of the other range, here 10**18 labels long
+    for ranges in ((range(10 ** 18), range(0)), (range(0), range(10 ** 18))):
+        with pytest.raises(IndexError_, match="^empty block range$"):
+            build_index_table(*ranges)
+
+
+def test_oracle_defaults_are_named_once():
+    assert (index_engine.DEFAULT_EPS, index_engine.DEFAULT_STEPS) == (1e-3, 10000)
+    for fn in (index_numerical, build_index_table):
+        defaults = fn.__defaults__[-2:]
+        assert defaults == (index_engine.DEFAULT_EPS, index_engine.DEFAULT_STEPS)

@@ -3,6 +3,7 @@ import pytest
 
 from transdirac.clifford import build_standard_module
 from transdirac.spectral import fourier_derivative, fourier_diff_matrix, periodic_grid
+from transdirac.sphere_model import UPPER, chart_operator
 from transdirac.torus_model import (
     TorusGeometry,
     full_chart_frames,
@@ -303,3 +304,21 @@ def test_restriction_rejects_bad_axes():
             restrict_to_mode(op, axis, 1)
     with pytest.raises(OperatorError, match="1-dimensional"):
         restrict_to_mode(restrict_to_mode(op, 0, 1), 0, 1)
+
+
+def test_symbol_smallest_singular_value_on_a_stack_is_the_least():
+    # one call on a stack of points gives the least of the per-point values
+    rng = np.random.default_rng(5)
+    torus = operator_AQ_full(TorusGeometry(sin_coeffs=(0.3,), cos_coeffs=(0.1,)))
+    sphere = chart_operator(UPPER)
+    cases = ((torus, rng.uniform(0.0, 2 * np.pi, (5, 2)), [0.7, -0.4]),
+             (sphere, np.column_stack([rng.uniform(0.0, 2 * np.pi, (5, 2)),
+                                       rng.uniform(0.05, 1.5, 5)]), [0.2, 1.0, -0.5]))
+    for op, pts, xi in cases:
+        per_point = [symbol_smallest_singular_value(op, x, xi) for x in pts]
+        assert len(set(per_point)) > 1
+        # vectorised sin and exp may round a stack and a single point 1 ulp apart
+        assert symbol_smallest_singular_value(op, pts, xi) == pytest.approx(min(per_point),
+                                                                             rel=1e-13)
+        assert symbol_smallest_singular_value(op, pts[2:3], xi) == pytest.approx(per_point[2],
+                                                                                  rel=1e-13)
