@@ -280,10 +280,9 @@ def cmd_sphere_index(args) -> int:
 
 def cmd_sphere_kernel(args) -> int:
     numeric = index_numerical(args.n, args.m)
-    charts = []
-    for chart in CHARTS:
-        residuals = pde_residual(args.n, args.m, chart, RESIDUAL_PHIS)
-        for chirality, residual in zip(CHIRALITIES, residuals.tolist()):
+    residuals, charts = pde_residual(args.n, args.m, CHARTS, RESIDUAL_PHIS).tolist(), []
+    for chart, chart_residuals in zip(CHARTS, residuals):
+        for chirality, residual in zip(CHIRALITIES, chart_residuals):
             block = SphereBlock(n=args.n, m=args.m, chirality=chirality)
             section = closed_form_kernel_section(block, chart)
             charts.append({

@@ -70,6 +70,13 @@ DEFAULT_EPS = 1e-3
 DEFAULT_STEPS = 10000
 
 
+def _check_oracle(eps: float, steps: int):
+    if not (1e-4 <= eps <= 1e-2):
+        raise IndexError_("eps must lie in [1e-4, 1e-2]")
+    if not DEFAULT_STEPS <= steps <= MAX_STEPS:
+        raise IndexError_("steps = %d must lie in [%d, %d]" % (steps, DEFAULT_STEPS, MAX_STEPS))
+
+
 def index_numerical(n, m, eps: float = DEFAULT_EPS, steps: int = DEFAULT_STEPS) -> dict:
     """ODE oracle for one block (int labels) or a batch (integer arrays of
     one shape): integrate each radial equation toward the pole, snap the
@@ -83,10 +90,7 @@ def index_numerical(n, m, eps: float = DEFAULT_EPS, steps: int = DEFAULT_STEPS) 
     so the two label-free samples csc and cot are integrated and fitted once,
     and every ODE's slope is p s_csc - q s_cot, with p and q from reduce_block.
     """
-    if not (1e-4 <= eps <= 1e-2):
-        raise IndexError_("eps must lie in [1e-4, 1e-2]")
-    if not DEFAULT_STEPS <= steps <= MAX_STEPS:
-        raise IndexError_("steps = %d must lie in [%d, %d]" % (steps, DEFAULT_STEPS, MAX_STEPS))
+    _check_oracle(eps, steps)
     shape = np.shape(n)
     if np.shape(m) != shape:
         raise IndexError_("n and m must have one shape")
@@ -194,6 +198,7 @@ def build_index_table(n_range, m_range, method: str = "closed",
     n_values, m_values = list(n_range), list(m_range)
     if method not in ("closed", "numeric", "both"):
         raise IndexError_("unknown method %r" % method)
+    _check_oracle(eps, steps)  # for every method, though only the oracle uses them
 
     n_column = np.repeat(_exact_labels(n_values), len(m_values))
     m_column = np.tile(_exact_labels(m_values), len(n_values))

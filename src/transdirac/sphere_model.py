@@ -2,12 +2,12 @@
 
 The frame bundle is charted by two hemisphere charts (theta, phi, alpha);
 the horizontal fields V_1, V_2 and the orbit field T are left translates of
-the so(3) elements E1, E2 and ET. Each chart is built from rotations
-exp(t K) of these generators and its (basis, flip) pair, and every field
-component on either chart comes from one pushforward solve of the chart's
-partials, several generators sharing it as right-hand sides. The chartwise
-kernel operator applies w = V_1 + i V_2 (chirality '+') and -conj(w)
-(chirality '-'), so one field evaluation serves both chiralities.
+the so(3) elements E1, E2 and ET. Each chart sees the transport P(theta,
+phi) from the pole through its (basis, flip) pair, so the field components
+of both charts come from one transport and one pushforward solve, with the
+generators as right-hand sides. The chartwise kernel operator applies
+w = V_1 + i V_2 (chirality '+') and -conj(w) (chirality '-'), so one field
+evaluation serves both chiralities and both charts.
 
 Sections are doubly reduced by the weight n of the fiberwise SO(2) rotation
 and the weight m of the lifted circle action, which collapses each chirality
@@ -50,9 +50,10 @@ class SphereModelError(ValueError):
     pass
 
 
-def _check_chart(chart: str):
+def _check_chart(chart: str) -> str:
     if chart not in CHARTS:
         raise SphereModelError("unknown chart %r" % chart)
+    return chart
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,9 @@ class RadialODE:
 # charts of SO(3) and pushforward of the invariant fields
 #
 # Angles may be scalars or broadcastable arrays; matrices come back as
-# (..., 3, 3) stacks over the broadcast shape.
+# (..., 3, 3) stacks over the broadcast shape. The chart-field functions take
+# one chart, or a sequence of charts (CHARTS) that puts a leading chart axis
+# on their result.
 
 
 def _t(m: np.ndarray) -> np.ndarray:
@@ -104,20 +107,13 @@ def _rotation(generator: np.ndarray, t) -> np.ndarray:
     return np.eye(3) + square + np.sin(t) * generator - np.cos(t) * square
 
 
-# columns (e3, e1, e2) of each chart's basis: parallel transport of these
-# gives the rows (point, X, Y) of the frame matrix, then the flip
+# columns (e3, e1, e2) of each chart's basis B: parallel transport of these
+# gives the rows (point, X, Y) of the frame matrix, then its flip F = diag(f)
 _CHART_FRAMES = {
-    UPPER: (np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]), np.eye(3)),
+    UPPER: (np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]), np.ones(3)),
     LOWER: (np.array([[0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]),
-            np.diag([1.0, 1.0, -1.0])),
+            np.array([1.0, 1.0, -1.0])),
 }
-
-
-def _chart_frame(chart: str, transport: np.ndarray) -> np.ndarray:
-    """The chart's frame matrix carried by a transport matrix; linear in it,
-    so the transport's partials give the frame's."""
-    basis, flip = _CHART_FRAMES[chart]
-    return _t(transport @ basis) @ flip
 
 
 def _transport(theta, phi):
@@ -130,33 +126,36 @@ def _transport(theta, phi):
 
 
 def chart_matrix(chart: str, theta, phi, alpha=0.0) -> np.ndarray:
-    """The SO(3) element of the hemisphere chart at (theta, phi, alpha)."""
+    """The SO(3) element U = exp(alpha E2) B^T P^T F of the hemisphere chart
+    at (theta, phi, alpha)."""
     _check_chart(chart)
-    return _rotation(E2, alpha) @ _chart_frame(chart, _transport(theta, phi)[0])
-
-
-def _chart_partials(chart: str, theta, phi, alpha):
-    """The chart matrix U and its partials (d_alpha U, d_theta U, d_phi U)."""
-    p, (p_theta, p_phi) = _transport(theta, phi)
-    la, frame = _rotation(E2, alpha), _chart_frame(chart, p)
-    return la @ frame, (la @ E2 @ frame,
-                        la @ _chart_frame(chart, p_theta), la @ _chart_frame(chart, p_phi))
+    basis, flip = _CHART_FRAMES[chart]
+    return _rotation(E2, alpha) @ (_t(_transport(theta, phi)[0] @ basis) * flip)
 
 
 def _vec_skew(w: np.ndarray) -> np.ndarray:
     return np.stack([w[..., 0, 1], w[..., 0, 2], w[..., 1, 2]], axis=-1)
 
 
-def pushforward_components(chart: str, theta, phi, generator: np.ndarray,
-                           alpha=0.0) -> np.ndarray:
-    """Components of the left-invariant field A -> A*generator in the chart
+# per chart, K = B E2 B^T and the signs f_i f_j that F puts on the skew entries
+# (0, 1), (0, 2), (1, 2); written out, as deriving them at import cost 0.1 MB
+_CHART_FORMS = {UPPER: (ET, np.ones(3)), LOWER: (-ET, np.array([1.0, -1.0, -1.0]))}
+
+
+def pushforward_components(chart, theta, phi, generator: np.ndarray) -> np.ndarray:
+    """Components c of the left-invariant field A -> A*generator in the chart
     coordinate basis (d_alpha, d_theta, d_phi), shape (..., 3) over the
-    broadcast shape of the angles. A (k, 3, 3) stack of generators gives
-    (..., 3, k), one column per generator, from the same solve: one batched
-    solve of the (..., 3, 3) pushforward systems with k right-hand sides."""
-    _check_chart(chart)
-    u, partials = _chart_partials(chart, theta, phi, alpha)
-    cols = np.stack([_vec_skew(_t(u) @ d) for d in partials], axis=-1)
+    broadcast shape of the angles; a (k, 3, 3) stack of generators gives
+    (..., 3, k), one column per generator. c solves U^T dU c = generator in
+    so(3), where exp(alpha E2) cancels, so c does not depend on alpha: U^T dU
+    is F (P dP^T) F along theta and phi and F (P K P^T) F along alpha, so one
+    transport P serves every chart and one batched solve every generator."""
+    charts = (chart,) if isinstance(chart, str) else chart
+    p, partials = _transport(theta, phi)
+    forms, signs = (np.stack(v) for v in zip(*(_CHART_FORMS[_check_chart(c)] for c in charts)))
+    lead = (slice(None),) + (None,) * (p.ndim - 2)
+    skews = [_vec_skew(w) for w in [p @ forms[lead] @ _t(p)] + [p @ _t(d) for d in partials]]
+    cols = np.stack(np.broadcast_arrays(*skews), axis=-1) * signs[lead][..., None]
     generator = np.asarray(generator, dtype=float)
     rhs = _vec_skew(generator.reshape(-1, 3, 3)).T
     try:
@@ -165,15 +164,15 @@ def pushforward_components(chart: str, theta, phi, generator: np.ndarray,
         worst = np.argmin(np.abs(np.linalg.det(cols)).ravel())
         bad_phi = np.broadcast_to(phi, cols.shape[:-2]).ravel()[worst]
         raise SingularPointError("chart degenerate at phi=%g" % bad_phi) from err
-    return out[..., 0] if generator.ndim == 2 else out
+    out = out[..., 0] if generator.ndim == 2 else out
+    return out[0] if isinstance(chart, str) else out
 
 
-def lifted_vector_fields(chart: str, theta, phi):
+def lifted_vector_fields(chart, theta, phi):
     """Component triples of V_1, V_2 in (d_alpha, d_theta, d_phi), each of
-    shape (..., 3) over the broadcast shape of theta and phi: on either
-    chart, one pushforward solve with E1 and E2 as its two right-hand sides.
+    shape (..., 3) over the broadcast shape of theta and phi: on every chart,
+    one pushforward solve with E1 and E2 as its two right-hand sides.
     """
-    _check_chart(chart)
     pole = np.abs(np.sin(phi)) < 1e-12
     if np.any(pole):
         raise SingularPointError("coordinate pole at phi=%g" % np.asarray(phi, dtype=float)[pole][0])
@@ -258,51 +257,57 @@ def closed_form_kernel_section(block: SphereBlock, chart: str) -> KernelSection:
 # full chartwise operator and residual diagnostics
 
 
-def _w_plus(chart: str, theta, phi) -> np.ndarray:
+def _w_plus(chart, theta, phi) -> np.ndarray:
     v1, v2 = lifted_vector_fields(chart, theta, phi)
     return v1 + 1j * v2
 
 
-def apply_chart_operator(n, chart: str, value, d_theta, d_phi, theta, phi):
+def apply_chart_operator(n, chart, value, d_theta, d_phi, theta, phi):
     """Apply the chartwise kernel operator of both chiralities to a weight-n
     section with the given value and partial derivatives d_theta, d_phi at the
     broadcast (theta, phi), from one evaluation of the chart fields.
 
     Chirality '+' applies w = V_1 + i V_2, chirality '-' applies -conj(w);
     d_alpha acts as multiplication by -i n. The result carries the
-    chiralities, in the order of CHIRALITIES, on a new last axis, and n,
-    value, d_theta and d_phi broadcast against it: a scalar serves both, a
-    trailing axis of length 2 gives each chirality its own input.
+    chiralities, in the order of CHIRALITIES, on a new last axis (and a
+    sequence of charts on a leading one), and n, value, d_theta and d_phi
+    broadcast against it: a scalar serves both, a trailing axis of length 2
+    gives each chirality its own input.
     """
     w = _w_plus(chart, theta, phi)
     w = np.stack([w, -np.conj(w)], axis=-1)
-    return w[..., 0, :] * (-1j * n) * value + w[..., 1, :] * d_theta + w[..., 2, :] * d_phi
+    # one contraction with (d_alpha, d_theta, d_phi): no full-size product per term
+    coefs = np.stack(np.broadcast_arrays(*np.atleast_1d(-1j * n * value, d_theta, d_phi)), axis=-2)
+    return np.einsum("...kc,...kc->...c", w, coefs)
 
 
-def pde_residual(n, m, chart: str, phi_values) -> np.ndarray:
+def pde_residual(n, m, chart, phi_values) -> np.ndarray:
     """Max relative residual |Ds|/|s| of the closed-form kernel sections s of
     the blocks (n, m) under the full chartwise operator on the mesh of six
     thetas by the given phis, away from the poles; D acts on s/s = 1 with the
     exact log-derivatives of s, so s (which can overflow) is never formed.
 
     n and m are ints or integer arrays of one broadcast shape; the result has
-    shape (len(CHIRALITIES),) + that shape, both chiralities of every block
-    from one evaluation of the chart fields.
+    shape (len(CHIRALITIES),) + that shape after the chart axis, if any: both
+    chiralities of every block on every chart from one field evaluation.
     """
+    charts = (chart,) if isinstance(chart, str) else chart
     phi_values = np.atleast_1d(np.asarray(phi_values, dtype=float))
     if phi_values.size == 0:
         raise SphereModelError("empty phi grid")
     if np.min(phi_values) < POLE_EPS:
         raise SphereModelError("grid touches the coordinate pole")
-    # labels on leading axes, then the (theta, phi) mesh, then the chirality
-    n, m = np.asarray(n)[..., None, None], np.asarray(m)[..., None, None]
-    theta = np.linspace(0.0, 2.0 * np.pi, 7)[:-1, None]
+    # the chart, the labels, the (theta, phi) mesh, then the chirality
+    n, m = np.broadcast_arrays(np.asarray(n)[..., None, None], np.asarray(m)[..., None, None])
+    theta = np.linspace(0.0, 2.0 * np.pi, 7)[:-1, None][(None,) * (n.ndim - 2)]
     phi = phi_values[None, :]
-    logs = [closed_form_kernel_section(SphereBlock(n, m, chirality), chart).log_derivatives(phi)
-            for chirality in CHIRALITIES]
-    d_theta, d_phi = (np.stack(pair, axis=-1) for pair in zip(*logs))
-    out = apply_chart_operator(n[..., None], chart, 1.0, d_theta, d_phi, theta, phi)
-    return np.moveaxis(np.max(np.abs(out), axis=(-3, -2)), -1, 0)
+    logs = [[closed_form_kernel_section(SphereBlock(n, m, chirality), c).log_derivatives(phi)
+             for chirality in CHIRALITIES] for c in charts]
+    d_theta, d_phi = (np.stack([np.stack([pair[i] for pair in row], axis=-1) for row in logs])
+                      for i in (0, 1))
+    out = apply_chart_operator(n[..., None], charts, 1.0, d_theta, d_phi, theta, phi)
+    out = np.moveaxis(np.max(np.abs(out), axis=(-3, -2)), -1, 1)
+    return out[0] if isinstance(chart, str) else out
 
 
 def clutching_check(n: int, psi_upper: Callable, psi_lower: Callable,

@@ -11,7 +11,7 @@ by n e^{-g(y)} with spectrum n [min e^{-g}, max e^{-g}].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -120,8 +120,8 @@ def _grid_and_warping(geom: TorusGeometry, n_points: int):
     the float64 range of e^{+-g}."""
     if n_points < MIN_GRID or n_points % 2:
         raise TorusError("grid size must be even and >= %d" % MIN_GRID)
-    grid = periodic_grid(n_points)
-    g = geom.g(grid.points)
+    y = 2.0 * np.pi * np.arange(n_points) / n_points  # the points of periodic_grid
+    g = geom.g(y)
     if not np.all(np.isfinite(g)):
         raise TorusError("warping g is not finite on the grid")
     # the D_Q band e^{-g} must be a normal float, and then the coframe's e^{g} is finite
@@ -130,7 +130,7 @@ def _grid_and_warping(geom: TorusGeometry, n_points: int):
             "warping e^{+-g} overflows or underflows float64: max |g| on the grid is %.6g, "
             "the limit is %.6g" % (np.max(np.abs(g)), MAX_ABS_G)
         )
-    return replace(grid, log_weight_prime=geom.g_prime(grid.points)), g
+    return periodic_grid(n_points, geom.g_prime(y)), g
 
 
 def spectrum_DL(geom: TorusGeometry, x_mode: int, n_points: int) -> np.ndarray:

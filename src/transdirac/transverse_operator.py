@@ -188,13 +188,6 @@ def symbol_smallest_singular_value(op: FirstOrderOperator, x, xi) -> float:
     return smallest_singular_value(principal_symbol(op, x, xi))
 
 
-def _pointwise_remainder(avals: np.ndarray, bvals: np.ndarray, grid: Grid1D) -> np.ndarray:
-    """The (n, d, d) diagonal blocks B - A'/2 - A w'/(2w) of the split-form
-    discretization, from A and B sampled on the grid and its w'/w."""
-    a_prime = fourier_derivative(avals)  # d/dy of the coefficient
-    return bvals - 0.5 * a_prime - 0.5 * grid.log_weight_prime[:, None, None] * avals
-
-
 def _grid_coefficients(op: FirstOrderOperator, grid: Grid1D):
     """A and B of a 1D operator on the grid points, each an (n, d, d) stack."""
     if op.dim != 1:
@@ -218,7 +211,7 @@ def discretize_hermitian(op: FirstOrderOperator, grid: Grid1D) -> np.ndarray:
     log_weight_prime.
     """
     avals, bvals = _grid_coefficients(op, grid)
-    rem = _pointwise_remainder(avals, bvals, grid)
+    rem = bvals - 0.5 * fourier_derivative(avals) - 0.5 * grid.log_weight_prime[:, None, None] * avals
     n, d = grid.n, op.fiber_dim
     # 0.5 (A_j + A_l) D_jl, formed in one (n, n, d, d) buffer
     full = avals[:, None] + avals[None, :]
@@ -229,16 +222,14 @@ def discretize_hermitian(op: FirstOrderOperator, grid: Grid1D) -> np.ndarray:
 
 
 def discretize_diagonal(op: FirstOrderOperator, grid: Grid1D) -> np.ndarray:
-    """The (n, d, d) diagonal blocks of discretize_hermitian(op, grid) for an
-    operator without derivative part, whose matrix has nothing else.
-
-    Raises OperatorError unless every derivative coefficient is exactly 0 on
-    the grid; no n x n array is built.
-    """
+    """The (n, d, d) diagonal blocks of discretize_hermitian(op, grid), which
+    has nothing else for an operator without derivative part: B - A'/2 -
+    A w'/(2w) at A = 0, the zeroth-order coefficients B. Raises OperatorError
+    unless every derivative coefficient is exactly 0 on the grid."""
     avals, bvals = _grid_coefficients(op, grid)
     if np.any(avals != 0):
         raise OperatorError("operator has a derivative part; its discretization is not diagonal")
-    return _pointwise_remainder(avals, bvals, grid)
+    return bvals
 
 
 def hermitian_discretization_defect(op: FirstOrderOperator, grid: Grid1D) -> float:

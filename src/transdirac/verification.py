@@ -179,7 +179,7 @@ def suite_clutching(tol: float = 1e-10) -> dict:
 
 def suite_residual(tol: float = RESIDUAL_TOL) -> dict:
     n, m = np.array(BRANCH_BLOCKS).T
-    worst = np.max([pde_residual(n, m, chart, RESIDUAL_PHIS) for chart in CHARTS], axis=(0, 1))
+    worst = pde_residual(n, m, CHARTS, RESIDUAL_PHIS).max(axis=(0, 1))
     checks = [_check("kernel PDE residual (n=%d, m=%d)" % nm, value, tol)
               for nm, value in zip(BRANCH_BLOCKS, worst)]
     return _report("residual", checks)

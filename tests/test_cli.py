@@ -342,6 +342,21 @@ def test_numeric_steps_beyond_the_bound_exit_one(capsys):
         "error": "steps = 1000000000 must lie in [10000, %d]" % index_engine.MAX_STEPS}
 
 
+@pytest.mark.parametrize("method", ["closed", "both"])
+@pytest.mark.parametrize("flag, value, error", [
+    ("--eps", "0.1", "eps must lie in [1e-4, 1e-2]"),
+    ("--steps", "100000000", "steps = 100000000 must lie in [10000, %d]" % index_engine.MAX_STEPS),
+])
+def test_oracle_settings_are_checked_for_every_method(capsys, method, flag, value, error):
+    # the closed route ignores eps and steps, but a value the oracle rejects
+    # is rejected whichever route the table takes
+    code = main(["sphere-index", "--n-min", "0", "--n-max", "1", "--m-min", "0", "--m-max", "1",
+                 "--method", method, flag, value])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert json.loads(captured.err) == {"schema_version": 1, "error": error}
+
+
 def test_render_json_float_precision():
     text = render_json({"x": 1.0 / 3.0, "k": 5, "flag": True, "items": [1.5]})
     assert '"x": 0.33333333333333331' in text

@@ -115,6 +115,11 @@ def test_batched_fields_match_per_point():
             assert np.max(np.abs(v2[i, j] - p2)) < 1e-12
             single = pushforward_components(chart, theta[i, j], phi[i, j], E1)
             assert np.max(np.abs(pushed[i, j] - single)) < 1e-12
+    # a sequence of charts leads with a chart axis, from one solve
+    fields = np.stack(lifted_vector_fields(CHARTS, theta, phi), axis=1)
+    assert fields.shape == (len(CHARTS), 2, 5, 8, 3)
+    for chart, both in zip(CHARTS, fields):
+        assert np.max(np.abs(both - np.stack(lifted_vector_fields(chart, theta, phi)))) < 1e-14
 
 
 def test_batched_chart_operator_matches_per_point():
@@ -141,7 +146,8 @@ def test_batched_chart_operator_matches_per_point():
 def test_pushforward_recombines_chart_partials():
     # sum_i c_i d_i U = U G for the components c of pushforward_components,
     # with the partials d_i U of chart_matrix in (alpha, theta, phi) taken by
-    # central differences: chart_matrix and the solve describe one map
+    # central differences: chart_matrix and the solve describe one map. The
+    # components take no alpha, so this holds at every alpha with the same c
     rng = np.random.default_rng(5)
     h = 1e-6
     generic = 0.3 * E1 - 1.1 * E2 + 0.7 * ET
@@ -157,11 +163,10 @@ def test_pushforward_recombines_chart_partials():
                 partials.append((chart_matrix(chart, plus[1], plus[2], plus[0])
                                  - chart_matrix(chart, minus[1], minus[2], minus[0])) / (2 * h))
             u = chart_matrix(chart, theta, phi, alpha)
-            stacked = pushforward_components(chart, theta, phi, np.stack([E1, E2, ET, generic]),
-                                             alpha=alpha)
+            stacked = pushforward_components(chart, theta, phi, np.stack([E1, E2, ET, generic]))
             assert stacked.shape == (3, 4)
             for col, generator in enumerate((E1, E2, ET, generic)):
-                c = pushforward_components(chart, theta, phi, generator, alpha=alpha)
+                c = pushforward_components(chart, theta, phi, generator)
                 assert np.max(np.abs(c - stacked[:, col])) < 1e-12
                 recombined = sum(c[i] * partials[i] for i in range(3))
                 assert np.max(np.abs(recombined - u @ generator)) < 1e-8
@@ -319,7 +324,8 @@ def test_residual_rows_follow_chiralities():
 
 
 def test_residual_evaluates_chart_fields_once(monkeypatch):
-    # both chiralities of every block come from one pushforward solve per chart
+    # both chiralities of every block come from one pushforward solve per
+    # call, for one chart and for both
     charts = []
     original = sphere_model.pushforward_components
     monkeypatch.setattr(sphere_model, "pushforward_components",
@@ -329,7 +335,21 @@ def test_residual_evaluates_chart_fields_once(monkeypatch):
     for chart in CHARTS:
         pde_residual(n, m, chart, np.linspace(0.05, np.pi / 2, 25))
         pde_residual(2, 3, chart, [0.4, 1.2])
-    assert charts == [chart for chart in CHARTS for _ in range(2)]
+    assert charts == [(chart,) for chart in CHARTS for _ in range(2)]
+    charts.clear()
+    pde_residual(n, m, CHARTS, np.linspace(0.05, np.pi / 2, 25))
+    assert charts == [CHARTS]
+
+
+def test_residual_over_charts_stacks_the_per_chart_calls():
+    blocks = BRANCH_BLOCKS + ((400, 3), (-40, 7))
+    n, m = np.array(blocks).T
+    phis = np.linspace(0.05, np.pi / 2, 25)
+    both = pde_residual(n, m, CHARTS, phis)
+    per_chart = np.stack([pde_residual(n, m, chart, phis) for chart in CHARTS])
+    assert both.shape == per_chart.shape == (len(CHARTS), len(CHIRALITIES), len(blocks))
+    assert np.max(np.abs(both - per_chart)) < 1e-13
+    assert pde_residual(2, 3, CHARTS, phis).shape == (len(CHARTS), len(CHIRALITIES))
 
 
 def test_batched_labels_must_fit_int64():
