@@ -211,28 +211,36 @@ def _emit(text: str, out: str):
 # subcommands
 
 
+def _number(text: str, option: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError("%s: %r is not a number" % (option, text)) from None
+
+
 def parse_g_spec(shorthand: str, coeffs: str) -> TorusGeometry:
-    """Warping from '--g 0.3sin,0.1cos' shorthand or '--g-coeffs c,a1,...;b1,...'."""
+    """Warping from '--g 0.3sin,0.1cos' shorthand or '--g-coeffs c;a1,...;b1,...'."""
     if shorthand and coeffs:
         raise ValueError("give either --g or --g-coeffs, not both")
     if coeffs:
         parts = coeffs.split(";")
-        const = float(parts[0])
-        sins = tuple(float(v) for v in parts[1].split(",")) if len(parts) > 1 and parts[1] else ()
-        coss = tuple(float(v) for v in parts[2].split(",")) if len(parts) > 2 and parts[2] else ()
+        if len(parts) > 3:
+            raise ValueError("--g-coeffs: %r has %d ';'-separated parts, more than the 3 of "
+                             "c;a1,...;b1,..." % (coeffs, len(parts)))
+        const, sins, coss = parts + [""] * (3 - len(parts))
+        const = _number(const, "--g-coeffs")
+        sins, coss = (tuple(_number(v, "--g-coeffs") for v in part.split(",")) if part else ()
+                      for part in (sins, coss))
         return TorusGeometry(const=const, sin_coeffs=sins, cos_coeffs=coss)
     if not shorthand:
         return TorusGeometry()
-    sins, coss = [], []
+    terms = {"sin": [], "cos": []}
     for term in shorthand.split(","):
         term = term.strip()
-        if term.endswith("sin"):
-            sins.append(float(term[:-3]))
-        elif term.endswith("cos"):
-            coss.append(float(term[:-3]))
-        else:
-            raise ValueError("term %r must end in 'sin' or 'cos'" % term)
-    return TorusGeometry(sin_coeffs=tuple(sins), cos_coeffs=tuple(coss))
+        if term[-3:] not in terms:
+            raise ValueError("--g: term %r must end in 'sin' or 'cos'" % term)
+        terms[term[-3:]].append(_number(term[:-3], "--g"))
+    return TorusGeometry(sin_coeffs=tuple(terms["sin"]), cos_coeffs=tuple(terms["cos"]))
 
 
 def cmd_torus_spectrum(args) -> int:
@@ -256,13 +264,8 @@ def cmd_torus_spectrum(args) -> int:
 
 
 def cmd_sphere_index(args) -> int:
-    table = build_index_table(
-        range(args.n_min, args.n_max + 1),
-        range(args.m_min, args.m_max + 1),
-        method=args.method,
-        eps=args.eps,
-        steps=args.steps,
-    )
+    table = build_index_table(range(args.n_min, args.n_max + 1), range(args.m_min, args.m_max + 1),
+                              method=args.method, eps=args.eps, steps=args.steps)
     # the method is one value broadcast along the table, rendered once
     blocks = Records(("n", "m", "dim_ker_plus", "dim_ker_minus", "index", "method"),
                      (table.n, table.m, table.dim_ker_plus, table.dim_ker_minus, table.indices,
@@ -328,9 +331,7 @@ def cmd_compare_quotient(args) -> int:
 
 def cmd_verify(args) -> int:
     report = run_suite(args.suite, trials=args.trials, seed=args.seed, tol=args.tol)
-    out = {"schema_version": SCHEMA_VERSION}
-    out.update(report)
-    _emit(render_json(out), args.out)
+    _emit(render_json({"schema_version": SCHEMA_VERSION, **report}), args.out)
     return 0 if report["passed"] else 1
 
 
@@ -352,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     torus.add_argument("--g-coeffs", default="", help="explicit 'const;sin1,sin2;cos1,...'")
     torus.add_argument("--N", type=int, required=True, help="grid size (even)")
     torus.add_argument("--mode", type=int, default=0, help="x-Fourier mode, |mode| < 2**63")
-    torus.add_argument("--out", default=None)
     torus.set_defaults(func=cmd_torus_spectrum)
 
     index = sub.add_parser("sphere-index", help="equivariant index table over (n, m) blocks")
@@ -364,13 +364,11 @@ def build_parser() -> argparse.ArgumentParser:
     index.add_argument("--eps", type=float, default=DEFAULT_EPS)
     index.add_argument("--steps", type=int, default=DEFAULT_STEPS)
     index.add_argument("--format", choices=("json", "csv"), default="json")
-    index.add_argument("--out", default=None)
     index.set_defaults(func=cmd_sphere_index)
 
     kernel = sub.add_parser("sphere-kernel", help="kernel sections and exponents for one block")
     kernel.add_argument("--n", type=int, required=True)
     kernel.add_argument("--m", type=int, required=True)
-    kernel.add_argument("--out", default=None)
     kernel.set_defaults(func=cmd_sphere_kernel)
 
     quotient = sub.add_parser("compare-quotient",
@@ -378,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     quotient.add_argument("--n-max", type=int, default=4)
     quotient.add_argument("--m-max", type=int, default=4)
     quotient.add_argument("--tol", type=float, default=1e-12)
-    quotient.add_argument("--out", default=None)
     quotient.set_defaults(func=cmd_compare_quotient)
 
     verify = sub.add_parser("verify", help="run a self-check suite")
@@ -387,9 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=7)
     verify.add_argument("--tol", type=float, default=None,
                         help="override the suite pass threshold")
-    verify.add_argument("--out", default=None)
     verify.set_defaults(func=cmd_verify)
 
+    for command in (torus, index, kernel, quotient, verify):
+        command.add_argument("--out", default=None)
     return parser
 
 

@@ -2,12 +2,13 @@
 
 The frame bundle is charted by two hemisphere charts (theta, phi, alpha);
 the horizontal fields V_1, V_2 and the orbit field T are left translates of
-the so(3) elements E1, E2 and ET. Each chart sees the transport P(theta,
-phi) from the pole through its (basis, flip) pair, so the field components
-of both charts come from one transport and one pushforward solve, with the
-generators as right-hand sides. The chartwise kernel operator applies
-w = V_1 + i V_2 (chirality '+') and -conj(w) (chirality '-'), so one field
-evaluation serves both chiralities and both charts.
+the so(3) elements E1, E2 and ET. Through its constant (basis, flip, sign)
+record, each chart reads its Maurer-Cartan columns off P ET P^T and Rz E1
+Rz^T, for the transport P from the pole, so both charts' field components
+come from one transport and one solve, the generators its right-hand
+sides. The chartwise kernel operator applies w = V_1 + i V_2 (chirality
+'+') and -conj(w) (chirality '-'), so one field evaluation serves both
+chiralities and both charts.
 
 Sections are doubly reduced by the weight n of the fiberwise SO(2) rotation
 and the weight m of the lifted circle action, which collapses each chirality
@@ -39,6 +40,10 @@ MAX_BLOCKS = 2 ** 18
 RESIDUAL_PHIS = np.linspace(0.05, 0.5 * np.pi, 25)
 RESIDUAL_PHIS.flags.writeable = False
 RESIDUAL_TOL = 1e-6
+# the theta and the phi grid on which _quotient_fits reads the quotient operator
+QUOTIENT_THETA = 0.3
+QUOTIENT_PHIS = np.linspace(0.05, 0.5 * np.pi, 201)
+QUOTIENT_PHIS.flags.writeable = False
 
 # so(3) generators of the two horizontal directions and the orbit direction
 E1 = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
@@ -107,39 +112,34 @@ def _rotation(generator: np.ndarray, t) -> np.ndarray:
     return np.eye(3) + square + np.sin(t) * generator - np.cos(t) * square
 
 
-# columns (e3, e1, e2) of each chart's basis B: parallel transport of these
-# gives the rows (point, X, Y) of the frame matrix, then its flip F = diag(f)
+# per chart: basis B (transport carries its columns (e3, e1, e2) to the frame
+# rows (point, X, Y)), flip F = diag(f) and the sign s of B E2 B^T = s ET;
+# written out, as @ at import costs 0.1-0.4 MB of RSS in OpenBLAS pages
 _CHART_FRAMES = {
-    UPPER: (np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]), np.ones(3)),
+    UPPER: (np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]), np.ones(3), 1.0),
     LOWER: (np.array([[0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]),
-            np.array([1.0, 1.0, -1.0])),
+            np.array([1.0, 1.0, -1.0]), -1.0),
 }
 
 
 def _transport(theta, phi):
     """Parallel transport P = Rz(theta) Ry(phi) Rz(-theta) from the pole, with
-    Rz(t) = exp(-t ET) and Ry(t) = exp(t E1), and its partials
-    (d_theta P, d_phi P) = (P ET - ET P, Rz(theta) Ry(phi) E1 Rz(-theta))."""
-    rz, ry = _rotation(-ET, theta), _rotation(E1, phi)
-    p = rz @ ry @ _t(rz)
-    return p, (p @ ET - ET @ p, rz @ ry @ E1 @ _t(rz))
+    Rz(t) = exp(-t ET) and Ry(t) = exp(t E1), and Rz(theta). P's partials
+    need not be formed: d_theta P = P ET - ET P gives P d_theta P^T = ET -
+    P ET P^T, and as Ry commutes with E1, P d_phi P^T = -Rz E1 Rz^T."""
+    rz = _rotation(-ET, theta)
+    return rz @ _rotation(E1, phi) @ _t(rz), rz
 
 
 def chart_matrix(chart: str, theta, phi, alpha=0.0) -> np.ndarray:
     """The SO(3) element U = exp(alpha E2) B^T P^T F of the hemisphere chart
     at (theta, phi, alpha)."""
-    _check_chart(chart)
-    basis, flip = _CHART_FRAMES[chart]
+    basis, flip, _ = _CHART_FRAMES[_check_chart(chart)]
     return _rotation(E2, alpha) @ (_t(_transport(theta, phi)[0] @ basis) * flip)
 
 
 def _vec_skew(w: np.ndarray) -> np.ndarray:
     return np.stack([w[..., 0, 1], w[..., 0, 2], w[..., 1, 2]], axis=-1)
-
-
-# per chart, K = B E2 B^T and the signs f_i f_j that F puts on the skew entries
-# (0, 1), (0, 2), (1, 2); written out, as deriving them at import cost 0.1 MB
-_CHART_FORMS = {UPPER: (ET, np.ones(3)), LOWER: (-ET, np.array([1.0, -1.0, -1.0]))}
 
 
 def pushforward_components(chart, theta, phi, generator: np.ndarray) -> np.ndarray:
@@ -148,14 +148,18 @@ def pushforward_components(chart, theta, phi, generator: np.ndarray) -> np.ndarr
     broadcast shape of the angles; a (k, 3, 3) stack of generators gives
     (..., 3, k), one column per generator. c solves U^T dU c = generator in
     so(3), where exp(alpha E2) cancels, so c does not depend on alpha: U^T dU
-    is F (P dP^T) F along theta and phi and F (P K P^T) F along alpha, so one
-    transport P serves every chart and one batched solve every generator."""
+    is F X F, with X = P B E2 B^T P^T = s P ET P^T along alpha and X = P dP^T
+    along theta and phi, so one batched solve serves every chart and generator."""
     charts = (chart,) if isinstance(chart, str) else chart
-    p, partials = _transport(theta, phi)
-    forms, signs = (np.stack(v) for v in zip(*(_CHART_FORMS[_check_chart(c)] for c in charts)))
+    _, flips, k_signs = map(np.array, zip(*(_CHART_FRAMES[_check_chart(c)] for c in charts)))
+    p, rz = _transport(theta, phi)
+    spin = _vec_skew(p @ ET @ _t(p))
+    # the chart axis ahead of the angles' axes and the skew entries
     lead = (slice(None),) + (None,) * (p.ndim - 2)
-    skews = [_vec_skew(w) for w in [p @ forms[lead] @ _t(p)] + [p @ _t(d) for d in partials]]
-    cols = np.stack(np.broadcast_arrays(*skews), axis=-1) * signs[lead][..., None]
+    cols = np.stack(np.broadcast_arrays(k_signs[lead][..., None] * spin, _vec_skew(ET) - spin,
+                                        -_vec_skew(rz @ E1 @ _t(rz))), axis=-1)
+    # F's signs f_i f_j on the skew entries (0, 1), (0, 2), (1, 2) of every column
+    cols *= (flips[:, [0, 0, 1]] * flips[:, [1, 2, 2]])[lead][..., None]
     generator = np.asarray(generator, dtype=float)
     rhs = _vec_skew(generator.reshape(-1, 3, 3)).T
     try:
@@ -374,17 +378,17 @@ def quotient_operator(chart: str, m: int) -> FirstOrderOperator:
 def _quotient_fits(chart: str):
     """On a block's sections the quotient reads d_phi psi = (k P_k + m P_m) psi,
     P_k = -i C_theta / C_phi and P_m = -Z / C_phi off quotient_operator(chart,
-    1) at theta = 0.3 on 201 phis. Returns the integers ((a_k, a_m), (b_k, b_m))
-    of sin(phi) P = a - b cos(phi) per chirality, and the largest fit residual."""
-    phi = np.linspace(0.05, 0.5 * np.pi, 201)
+    1) at QUOTIENT_THETA on QUOTIENT_PHIS. Returns the integers ((a_k, a_m), (b_k,
+    b_m)) of sin(phi) P = a - b cos(phi) per chirality, and the largest fit residual."""
+    phi = QUOTIENT_PHIS
     (c_theta, c_phi), zeroth = quotient_operator(chart, 1).coefficients_at(
-        np.column_stack([np.full(201, 0.3), phi]), with_zeroth=True)
+        np.column_stack([np.full_like(phi, QUOTIENT_THETA), phi]), with_zeroth=True)
     # chirality '+' reads the entry below the diagonal, '-' the one above it
     c_theta, c_phi, zeroth = (mats[:, [1, 0], [0, 1]] for mats in (c_theta, c_phi, zeroth))
     sin_p = np.sin(phi)[:, None, None] * np.stack([-1j * c_theta, -zeroth], -1) / c_phi[..., None]
-    design = np.column_stack([np.ones(201), -np.cos(phi)])
-    fit = np.rint(np.linalg.lstsq(design, sin_p.real.reshape(201, 4), rcond=None)[0])
-    residual = float(np.max(np.abs(sin_p.reshape(201, 4) - design @ fit)))
+    design = np.column_stack([np.ones_like(phi), -np.cos(phi)])
+    fit = np.rint(np.linalg.lstsq(design, sin_p.real.reshape(-1, 4), rcond=None)[0])
+    residual = float(np.max(np.abs(sin_p.reshape(-1, 4) - design @ fit)))
     return fit.reshape(2, 2, 2).swapaxes(0, 1).astype(np.int64).tolist(), residual
 
 

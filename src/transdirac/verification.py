@@ -207,17 +207,13 @@ def run_suite(name: str, trials: int = 100, seed: int = 7, tol: float = None) ->
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError("trials = %d must lie in [1, %d]" % (trials, MAX_TRIALS))
     kwargs = {} if tol is None else {"tol": check_tol(tol)}
-    if name == "clifford":
-        return suite_clifford(trials=min(trials, 100), seed=seed, **kwargs)
-    if name == "connection":
-        return suite_connection(trials=trials, seed=seed, **kwargs)
-    if name == "clutching":
-        return suite_clutching(**kwargs)
-    if name == "residual":
-        return suite_residual(**kwargs)
-    if name == "quotient":
-        return suite_quotient(**kwargs)
     if name == "all":
         reports = [run_suite(s, trials=trials, seed=seed, tol=tol) for s in SUITES]
         return {"suite": "all", "passed": all(r["passed"] for r in reports), "suites": reports}
-    raise ValueError("unknown suite %r" % name)
+    suite = {"clifford": suite_clifford, "connection": suite_connection, "clutching": suite_clutching,
+             "residual": suite_residual, "quotient": suite_quotient}.get(name)
+    if suite is None:
+        raise ValueError("unknown suite %r" % name)
+    if suite in (suite_clifford, suite_connection):
+        kwargs.update(trials=trials, seed=seed)
+    return suite(**kwargs)

@@ -444,6 +444,21 @@ def test_parse_g_spec():
         parse_g_spec("0.3tan", "")
     with pytest.raises(ValueError):
         parse_g_spec("0.3sin", "0.1;;")
+    # more than three parts, and malformed numbers, are named by their option
+    for shorthand, coeffs, option in (("", "0;0.3;0.1;9", "--g-coeffs"), ("", "a", "--g-coeffs"),
+                                      ("", "0;0.3,x", "--g-coeffs"), ("", ";1", "--g-coeffs"),
+                                      ("sin", "", "--g"), ("0.1cos,xsin", "", "--g"),
+                                      ("0.3tan", "", "--g")):
+        with pytest.raises(ValueError, match="^" + option + ": "):
+            parse_g_spec(shorthand, coeffs)
+
+
+def test_extra_g_coeffs_part_exits_one(capsys):
+    code = main(["torus-spectrum", "--op", "DQ", "--N", "16", "--mode", "1",
+                 "--g-coeffs", "0;0.3;0.1;9"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "--g-coeffs" in json.loads(captured.err)["error"]
 
 
 # SHA-256 of each command's stdout at commit 29b4c54, where every block was a dict

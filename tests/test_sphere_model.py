@@ -177,6 +177,16 @@ def test_fields_singular_at_pole():
         lifted_vector_fields(UPPER, 0.3, 0.0)
 
 
+@pytest.mark.parametrize("chart", [UPPER, LOWER, CHARTS])
+@pytest.mark.parametrize("theta", [0.0, 0.3, 1.1, 2.5])
+def test_pushforward_solve_detects_the_pole(chart, theta):
+    # the solve itself, not lifted_vector_fields' check: at phi = 0 the theta
+    # column of U^T dU vanishes exactly, alone and beside regular points
+    for phi in (0.0, np.array([0.7, 0.0, 1.2])):
+        with pytest.raises(SingularPointError, match="phi=0"):
+            pushforward_components(chart, theta, phi, np.stack([E1, E2]))
+
+
 def test_orbit_field_is_alpha_plus_theta():
     # the rotation action moves alpha and theta together; the alpha component
     # flips sign on the lower chart (orientation of the chart pole)

@@ -92,6 +92,12 @@ def test_clifford_suite_matches_per_trial_loop(seed, trials):
     assert np.max(np.abs(np.subtract(pairing, reference_pairing(trials, seed)))) <= 1e-14
 
 
+@pytest.mark.parametrize("seed", (5, 11, 826482643))
+def test_run_suite_runs_every_clifford_trial(seed):
+    assert verification.run_suite("clifford", trials=150, seed=seed) == suite_clifford(
+        trials=150, seed=seed)
+
+
 def test_mean_curvature_check_catches_one_direction_mutant(monkeypatch):
     # H^L from the first L direction alone is not invariant under L-frame rotations
     monkeypatch.setattr(verification, "mean_curvature_L",
