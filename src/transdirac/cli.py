@@ -22,6 +22,7 @@ failure report is still emitted), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import sys
@@ -29,20 +30,10 @@ from json.encoder import encode_basestring
 
 import numpy as np
 
-from transdirac.index_engine import DEFAULT_EPS, DEFAULT_STEPS, build_index_table, index_numerical
-from transdirac.sphere_model import (
-    CHARTS,
-    CHIRALITIES,
-    RESIDUAL_PHIS,
-    RESIDUAL_TOL,
-    SphereBlock,
-    closed_form_kernel_section,
-    pde_residual,
-    reduce_block,
-    reduction_gaps,
-)
-from transdirac.torus_model import TorusGeometry, spectrum_DL, spectrum_DQ_band
-from transdirac.verification import SUITES, check_tol, run_suite
+# the parser's defaults and choices, defined with the package, not in the
+# modules that use them: each command imports its modules where it runs, so
+# importing cli and building its parser loads no other transdirac module
+from transdirac import DEFAULT_EPS, DEFAULT_STEPS, SUITES
 
 SCHEMA_VERSION = 1
 
@@ -199,12 +190,16 @@ def render_json(obj) -> str:
     return "".join(out)
 
 
+# characters per write: the text layer encodes each write into a copy of its
+# own, so writing in slices bounds that copy by the slice, not the document;
+# a document of up to 4 Mi characters is still one write
+WRITE_SLICE = 4 * 2 ** 20
+
+
 def _emit(text: str, out: str):
-    if out:
-        with open(out, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as handle:
+        for start in range(0, len(text), WRITE_SLICE):
+            handle.write(text[start:start + WRITE_SLICE])
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +213,11 @@ def _number(text: str, option: str) -> float:
         raise ValueError("%s: %r is not a number" % (option, text)) from None
 
 
-def parse_g_spec(shorthand: str, coeffs: str) -> TorusGeometry:
-    """Warping from '--g 0.3sin,0.1cos' shorthand or '--g-coeffs c;a1,...;b1,...'."""
+def parse_g_spec(shorthand: str, coeffs: str):
+    """Warping, a torus_model.TorusGeometry, from '--g 0.3sin,0.1cos'
+    shorthand or '--g-coeffs c;a1,...;b1,...'."""
+    from transdirac.torus_model import TorusGeometry
+
     if shorthand and coeffs:
         raise ValueError("give either --g or --g-coeffs, not both")
     if coeffs:
@@ -244,6 +242,8 @@ def parse_g_spec(shorthand: str, coeffs: str) -> TorusGeometry:
 
 
 def cmd_torus_spectrum(args) -> int:
+    from transdirac.torus_model import spectrum_DL, spectrum_DQ_band
+
     if not -2 ** 63 < args.mode < 2 ** 63:
         raise ValueError("--mode = %d must satisfy |mode| < 2**63" % args.mode)
     geom = parse_g_spec(args.g, args.g_coeffs)
@@ -264,6 +264,8 @@ def cmd_torus_spectrum(args) -> int:
 
 
 def cmd_sphere_index(args) -> int:
+    from transdirac.index_engine import build_index_table
+
     table = build_index_table(range(args.n_min, args.n_max + 1), range(args.m_min, args.m_max + 1),
                               method=args.method, eps=args.eps, steps=args.steps)
     # the method is one value broadcast along the table, rendered once
@@ -282,6 +284,18 @@ def cmd_sphere_index(args) -> int:
 
 
 def cmd_sphere_kernel(args) -> int:
+    from transdirac.index_engine import index_numerical
+    from transdirac.sphere_model import (
+        CHARTS,
+        CHIRALITIES,
+        RESIDUAL_PHIS,
+        RESIDUAL_TOL,
+        SphereBlock,
+        closed_form_kernel_section,
+        pde_residual,
+        reduce_block,
+    )
+
     numeric = index_numerical(args.n, args.m)
     residuals, charts = pde_residual(args.n, args.m, CHARTS, RESIDUAL_PHIS).tolist(), []
     for chart, chart_residuals in zip(CHARTS, residuals):
@@ -314,6 +328,9 @@ def cmd_sphere_kernel(args) -> int:
 
 
 def cmd_compare_quotient(args) -> int:
+    from transdirac.sphere_model import reduction_gaps
+    from transdirac.verification import check_tol
+
     check_tol(args.tol)
     n, m, gaps = reduction_gaps(args.n_max, args.m_max)
     blocks = Records(("n", "m", "discrepancy"), (n, m, gaps))
@@ -330,9 +347,22 @@ def cmd_compare_quotient(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from transdirac.verification import run_suite
+
     report = run_suite(args.suite, trials=args.trials, seed=args.seed, tol=args.tol)
     _emit(render_json({"schema_version": SCHEMA_VERSION, **report}), args.out)
     return 0 if report["passed"] else 1
+
+
+def __getattr__(name):
+    # cli.build_index_table, which perfbench/selftest.py reads, is looked up
+    # in index_engine at each read, loading it then: cli imports no module
+    # of the package at its top
+    if name == "build_index_table":
+        from transdirac.index_engine import build_index_table
+
+        return build_index_table
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 # ---------------------------------------------------------------------------

@@ -85,17 +85,23 @@ def compute_BX_Qframe(data: LocalFrameData, mod: CliffordModule, x_index) -> np.
 def verify_compatibility(data: LocalFrameData, mod: CliffordModule, x_index, y):
     """Residual of c((1-pi) nabla_X Y) = [c(Y), B_X] for Y in the Q-span:
     a float for one frame, an array over a stack."""
-    _check_module(data, mod)
+    residual = _compatibility_residual(data, mod, x_index, y, compute_BX_Lframe(data, mod, x_index))
+    return float(residual) if residual.ndim == 0 else residual
+
+
+def _compatibility_residual(data: LocalFrameData, mod: CliffordModule, x_index, y,
+                            bx: np.ndarray) -> np.ndarray:
+    """verify_compatibility's residual as an array, given its B_X =
+    compute_BX_Lframe(data, mod, x_index), so a caller that holds B_X
+    already does not build it twice."""
     y = np.asarray(y, dtype=float)
     if y.shape[-1:] != (data.rank,) or np.max(np.abs(y[..., data.q:])) > 0:
         raise FrameDataError("Y must be given in full frame coordinates with zero L-block")
     nabla_y = np.einsum("...b,...bc->...c", y, _x_slot(data, x_index))
     nabla_y[..., : data.q] = 0.0  # 1 - pi keeps the L-block
     lhs = clifford_matrix(mod, nabla_y)
-    bx = compute_BX_Lframe(data, mod, x_index)
     cy = clifford_matrix(mod, y)
-    residual = np.max(np.abs(lhs - (cy @ bx - bx @ cy)), axis=(-2, -1))
-    return float(residual) if residual.ndim == 0 else residual
+    return np.max(np.abs(lhs - (cy @ bx - bx @ cy)), axis=(-2, -1))
 
 
 def mean_curvature_L(data: LocalFrameData) -> np.ndarray:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from transdirac import DEFAULT_EPS, DEFAULT_STEPS
 from transdirac.spectral import fit_exponent, integrate_log_ode, simpson_abscissas
 from transdirac.sphere_model import (
     CHARTS,
@@ -64,10 +65,6 @@ def index_closed_form(n: int, m: int) -> int:
 # to about 13 bytes per step (at eps = 1e-2, where it spans 12 % of the grid),
 # so on a 2-core host a call at the bound peaks near 80 MB and takes 0.08 s
 MAX_STEPS = 4 * 10 ** 6
-# the oracle's defaults: the pole cutoff eps and the integration steps, the
-# fewest that index_numerical accepts
-DEFAULT_EPS = 1e-3
-DEFAULT_STEPS = 10000
 
 
 def _check_oracle(eps: float, steps: int):

@@ -32,9 +32,10 @@ CHIRALITIES = ("+", "-")
 
 POLE_EPS = 1e-3
 # the most blocks one index table or gap report may span. Peak memory grows
-# by about 0.33 kB per block: on a 2-core host the 511 x 511 blocks within
-# the bound peak at 115 MB for a closed-form table (0.14 s) and for a numeric
-# one (0.2 s), and at 96 MB for compare-quotient (0.35 s, mostly rendering)
+# by about 0.24 kB per block: on a 2-core host the 511 x 511 blocks within
+# the bound peak at 92 MB for a closed-form table (0.15 s) and 93 MB for a
+# numeric one (0.2 s), and at 96 MB for compare-quotient (0.4 s, mostly
+# rendering); the CLI writes the document in slices, not one encoded copy
 MAX_BLOCKS = 2 ** 18
 # the phi mesh and the pass threshold of the kernel PDE residual checks
 RESIDUAL_PHIS = np.linspace(0.05, 0.5 * np.pi, 25)
@@ -149,7 +150,12 @@ def pushforward_components(chart, theta, phi, generator: np.ndarray) -> np.ndarr
     (..., 3, k), one column per generator. c solves U^T dU c = generator in
     so(3), where exp(alpha E2) cancels, so c does not depend on alpha: U^T dU
     is F X F, with X = P B E2 B^T P^T = s P ET P^T along alpha and X = P dP^T
-    along theta and phi, so one batched solve serves every chart and generator."""
+    along theta and phi, so one batched solve serves every chart and generator.
+    The theta column of U^T dU vanishes with sin(phi), so a phi at either
+    pole (|sin phi| < 1e-12) raises SingularPointError."""
+    pole = np.abs(np.sin(phi)) < 1e-12
+    if np.any(pole):
+        raise SingularPointError("coordinate pole at phi=%g" % np.asarray(phi, dtype=float)[pole][0])
     charts = (chart,) if isinstance(chart, str) else chart
     _, flips, k_signs = map(np.array, zip(*(_CHART_FRAMES[_check_chart(c)] for c in charts)))
     p, rz = _transport(theta, phi)
@@ -162,12 +168,7 @@ def pushforward_components(chart, theta, phi, generator: np.ndarray) -> np.ndarr
     cols *= (flips[:, [0, 0, 1]] * flips[:, [1, 2, 2]])[lead][..., None]
     generator = np.asarray(generator, dtype=float)
     rhs = _vec_skew(generator.reshape(-1, 3, 3)).T
-    try:
-        out = np.linalg.solve(cols, np.broadcast_to(rhs, cols.shape[:-1] + rhs.shape[-1:]))
-    except np.linalg.LinAlgError as err:
-        worst = np.argmin(np.abs(np.linalg.det(cols)).ravel())
-        bad_phi = np.broadcast_to(phi, cols.shape[:-2]).ravel()[worst]
-        raise SingularPointError("chart degenerate at phi=%g" % bad_phi) from err
+    out = np.linalg.solve(cols, np.broadcast_to(rhs, cols.shape[:-1] + rhs.shape[-1:]))
     out = out[..., 0] if generator.ndim == 2 else out
     return out[0] if isinstance(chart, str) else out
 
@@ -177,9 +178,6 @@ def lifted_vector_fields(chart, theta, phi):
     shape (..., 3) over the broadcast shape of theta and phi: on every chart,
     one pushforward solve with E1 and E2 as its two right-hand sides.
     """
-    pole = np.abs(np.sin(phi)) < 1e-12
-    if np.any(pole):
-        raise SingularPointError("coordinate pole at phi=%g" % np.asarray(phi, dtype=float)[pole][0])
     fields = pushforward_components(chart, theta, phi, np.stack([E1, E2]))
     return fields[..., 0], fields[..., 1]
 

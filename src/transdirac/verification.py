@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from transdirac import SUITES
 from transdirac.clifford import (
     anticommutation_defect,
     build_standard_module,
@@ -17,13 +18,13 @@ from transdirac.clifford import (
 )
 from transdirac.frame_geometry import (
     LocalFrameData,
+    _compatibility_residual,
     compute_BX_Lframe,
     compute_BX_Qframe,
     compute_BX_rotated_eframe,
     mean_curvature_L,
     metric_frame_data,
     rotate_L_frame,
-    verify_compatibility,
 )
 from transdirac.sphere_model import (
     CHARTS,
@@ -49,8 +50,6 @@ CLIFFORD_BATCH = 128
 # grow with them, its time does, by about 60 us a trial on a 2-core host, so
 # `verify --suite all` at the bound takes about 9 s
 MAX_TRIALS = 10 ** 5
-
-SUITES = ("clifford", "connection", "clutching", "residual", "quotient")
 
 # blocks spanning every branch of the index formula and kernel table
 BRANCH_BLOCKS = (
@@ -99,7 +98,7 @@ def _connection_gaps(p: int, q: int, raw, x, y_q, rot_raw, mod) -> dict:
     gaps = {
         "form": np.max(np.abs(b_l - compute_BX_Qframe(data, mod, x))),
         "skew": np.max(np.abs(b_l + np.swapaxes(b_l, 1, 2).conj())),
-        "residual": np.max(verify_compatibility(data, mod, x, y)),
+        "residual": np.max(_compatibility_residual(data, mod, x, y, b_l)),
         "rot": np.max(np.abs(compute_BX_rotated_eframe(data, mod, x, rot) - b_l)),
         "mean": np.max(np.abs(mean_curvature_L(rotate_L_frame(data, rot))
                               - mean_curvature_L(data))),

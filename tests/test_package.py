@@ -91,10 +91,33 @@ def test_readme_name_check_flags_a_stale_name():
     assert not _resolves("np.no_such_name") and not _resolves("no_module.build_index_table")
 
 
-def test_importing_the_package_loads_no_submodule():
-    code = ("import sys, transdirac; "
-            "print([m for m in sys.modules if m.startswith('transdirac.')])")
+def _loaded_submodules(code: str, *args) -> list:
+    """The transdirac submodules loaded in a fresh interpreter after code runs."""
+    code += "\nprint(sorted(m for m in sys.modules if m.startswith('transdirac.')))"
     env = dict(os.environ, PYTHONPATH=str(Path(transdirac.__file__).parent.parent))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    out = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
                          env=env, check=True).stdout
-    assert out == "[]\n"
+    return ast.literal_eval(out)
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert _loaded_submodules("import sys, transdirac") == []
+
+
+def test_each_command_loads_only_its_modules():
+    assert _loaded_submodules("import sys, transdirac.cli as cli; cli.build_parser()") == [
+        "transdirac.cli"]
+    # the command's JSON goes to a buffer, so stdout holds only the module list
+    run = ("import contextlib, io, sys, transdirac.cli as cli\n"
+           "with contextlib.redirect_stdout(io.StringIO()):\n"
+           "    assert cli.main(sys.argv[1:]) == 0")
+    never = {
+        ("torus-spectrum", "--op", "DL", "--g", "0.3sin", "--N", "16"):
+            ("sphere_model", "index_engine", "verification", "frame_geometry"),
+        ("sphere-index", "--n-min", "-1", "--n-max", "1", "--m-min", "-1", "--m-max", "1",
+         "--method", "both"): ("torus_model", "verification", "frame_geometry"),
+    }
+    for argv, modules in never.items():
+        loaded = _loaded_submodules(run, *argv)
+        assert "transdirac.cli" in loaded
+        assert not {"transdirac." + module for module in modules} & set(loaded), (argv, loaded)

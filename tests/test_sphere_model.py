@@ -180,11 +180,23 @@ def test_fields_singular_at_pole():
 @pytest.mark.parametrize("chart", [UPPER, LOWER, CHARTS])
 @pytest.mark.parametrize("theta", [0.0, 0.3, 1.1, 2.5])
 def test_pushforward_solve_detects_the_pole(chart, theta):
-    # the solve itself, not lifted_vector_fields' check: at phi = 0 the theta
-    # column of U^T dU vanishes exactly, alone and beside regular points
+    # pushforward_components' own check, not lifted_vector_fields': at phi = 0 the
+    # theta column of U^T dU vanishes exactly, alone and beside regular points
     for phi in (0.0, np.array([0.7, 0.0, 1.2])):
         with pytest.raises(SingularPointError, match="phi=0"):
             pushforward_components(chart, theta, phi, np.stack([E1, E2]))
+
+
+@pytest.mark.parametrize("chart", CHARTS)
+@pytest.mark.parametrize("generator", [E1, ET], ids=["E1", "ET"])
+def test_pushforward_detects_the_far_pole(chart, generator):
+    # at phi = pi the theta column is only rounded to about 1e-16, so the
+    # solve succeeds with components near 1e15 unless the pole is checked
+    for phi in (np.pi, np.array([0.7, np.pi])):
+        with pytest.raises(SingularPointError, match="phi=3.14159"):
+            pushforward_components(chart, 0.3, phi, generator)
+    with pytest.raises(SingularPointError, match="phi=3.14159"):
+        orbit_field_components(chart, 0.3, np.pi)
 
 
 def test_orbit_field_is_alpha_plus_theta():
