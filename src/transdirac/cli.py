@@ -15,8 +15,10 @@ one value is rendered once, an int64 array whose values span fewer integers
 than its length is read off a table of that span, and floats are formatted
 by one prefixed "%.17g" template.
 
-Exit codes: 0 all requested checks pass, 1 a check failed (a machine-readable
-failure report is still emitted), 2 usage error.
+Each command returns its document and its verdict; main alone puts
+schema_version first, writes the document and then turns the verdict into
+the exit code: 0 all requested checks pass, 1 a check failed (the document
+is still written in full), 2 usage error.
 """
 
 from __future__ import annotations
@@ -241,7 +243,7 @@ def parse_g_spec(shorthand: str, coeffs: str):
     return TorusGeometry(sin_coeffs=tuple(terms["sin"]), cos_coeffs=tuple(terms["cos"]))
 
 
-def cmd_torus_spectrum(args) -> int:
+def cmd_torus_spectrum(args):
     from transdirac.torus_model import spectrum_DL, spectrum_DQ_band
 
     if not -2 ** 63 < args.mode < 2 ** 63:
@@ -251,19 +253,16 @@ def cmd_torus_spectrum(args) -> int:
         eigenvalues = spectrum_DL(geom, args.mode, args.N)
     else:
         eigenvalues = spectrum_DQ_band(geom, args.mode, args.N)
-    report = {
-        "schema_version": SCHEMA_VERSION,
+    return {
         "g_coeffs": geom.coefficient_list(),
         "op": args.op,
         "mode": args.mode,
         "N": args.N,
         "eigenvalues": eigenvalues.tolist(),
-    }
-    _emit(render_json(report), args.out)
-    return 0
+    }, True
 
 
-def cmd_sphere_index(args) -> int:
+def cmd_sphere_index(args):
     from transdirac.index_engine import build_index_table
 
     table = build_index_table(range(args.n_min, args.n_max + 1), range(args.m_min, args.m_max + 1),
@@ -276,14 +275,11 @@ def cmd_sphere_index(args) -> int:
         # labels, dimensions and the method name need no CSV quoting
         template = ",".join(["%s"] * len(blocks.keys))
         lines = [",".join(blocks.keys)] + [template % row for row in zip(*blocks.lists())]
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        report = {"schema_version": SCHEMA_VERSION, "method": args.method, "blocks": blocks}
-        _emit(render_json(report), args.out)
-    return 0
+        return "\n".join(lines) + "\n", True
+    return {"method": args.method, "blocks": blocks}, True
 
 
-def cmd_sphere_kernel(args) -> int:
+def cmd_sphere_kernel(args):
     from transdirac.index_engine import index_numerical
     from transdirac.sphere_model import (
         CHARTS,
@@ -312,46 +308,38 @@ def cmd_sphere_kernel(args) -> int:
                 "estimated_exponent": numeric["estimated_exponents"][(chart, chirality)],
                 "pde_residual": residual,
             })
-    report = {
-        "schema_version": SCHEMA_VERSION,
+    passed = all(c["indicial_exponent"] == c["estimated_exponent"]
+                 and c["pde_residual"] < RESIDUAL_TOL for c in charts)
+    return {
         "n": args.n,
         "m": args.m,
         "dim_ker_plus": numeric["d_plus"],
         "dim_ker_minus": numeric["d_minus"],
         "index": numeric["index"],
         "sections": charts,
-    }
-    _emit(render_json(report), args.out)
-    ok = all(c["indicial_exponent"] == c["estimated_exponent"] for c in charts)
-    ok = ok and all(c["pde_residual"] < RESIDUAL_TOL for c in charts)
-    return 0 if ok else 1
+    }, passed
 
 
-def cmd_compare_quotient(args) -> int:
-    from transdirac.sphere_model import reduction_gaps
-    from transdirac.verification import check_tol
+def cmd_compare_quotient(args):
+    from transdirac.sphere_model import check_tol, reduction_gaps
 
     check_tol(args.tol)
     n, m, gaps = reduction_gaps(args.n_max, args.m_max)
-    blocks = Records(("n", "m", "discrepancy"), (n, m, gaps))
     worst = float(gaps.max())
-    report = {
-        "schema_version": SCHEMA_VERSION,
+    passed = bool(worst < args.tol)
+    return {
         "tol": args.tol,
         "max_discrepancy": worst,
-        "passed": bool(worst < args.tol),
-        "blocks": blocks,
-    }
-    _emit(render_json(report), args.out)
-    return 0 if worst < args.tol else 1
+        "passed": passed,
+        "blocks": Records(("n", "m", "discrepancy"), (n, m, gaps)),
+    }, passed
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     from transdirac.verification import run_suite
 
     report = run_suite(args.suite, trials=args.trials, seed=args.seed, tol=args.tol)
-    _emit(render_json({"schema_version": SCHEMA_VERSION, **report}), args.out)
-    return 0 if report["passed"] else 1
+    return report, report["passed"]
 
 
 def __getattr__(name):
@@ -379,8 +367,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     torus = sub.add_parser("torus-spectrum", help="per-mode spectrum on the warped torus")
     torus.add_argument("--op", choices=("DL", "DQ"), required=True)
-    torus.add_argument("--g", default="", help="warping shorthand, e.g. '0.3sin,0.1cos'")
-    torus.add_argument("--g-coeffs", default="", help="explicit 'const;sin1,sin2;cos1,...'")
+    torus.add_argument("--g", default="", help="warping shorthand, e.g. '0.3sin,0.1cos'; "
+                       "a negative first term needs '=': --g=-0.3sin")
+    torus.add_argument("--g-coeffs", default="", help="explicit 'const;sin1,sin2;cos1,...'; "
+                       "a leading '-' needs '=': --g-coeffs=-0.5;0.3;")
     torus.add_argument("--N", type=int, required=True, help="grid size (even)")
     torus.add_argument("--mode", type=int, default=0, help="x-Fourier mode, |mode| < 2**63")
     torus.set_defaults(func=cmd_torus_spectrum)
@@ -431,11 +421,14 @@ def _shared_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
-        return args.func(args)
+        document, passed = args.func(args)
+        if not isinstance(document, str):
+            document = render_json({"schema_version": SCHEMA_VERSION, **document})
+        _emit(document, args.out)
     except (ValueError, OverflowError, OSError) as exc:
-        report = {"schema_version": SCHEMA_VERSION, "error": str(exc)}
-        sys.stderr.write(render_json(report))
+        sys.stderr.write(render_json({"schema_version": SCHEMA_VERSION, "error": str(exc)}))
         return 1
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -56,6 +56,14 @@ class SphereModelError(ValueError):
     pass
 
 
+def check_tol(tol: float) -> float:
+    """tol, if it is a positive finite pass threshold: an infinite one passes
+    every check vacuously, and NaN or a non-positive one none."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be a positive finite number, got %r" % tol)
+    return tol
+
+
 def _check_chart(chart: str) -> str:
     if chart not in CHARTS:
         raise SphereModelError("unknown chart %r" % chart)

@@ -35,6 +35,7 @@ from transdirac.sphere_model import (
     UPPER,
     SphereBlock,
     chart_matrix,
+    check_tol,
     clutching_check,
     matched_global_section,
     pde_residual,
@@ -191,20 +192,15 @@ def suite_quotient(n_max: int = 4, m_max: int = 4, tol: float = 1e-12) -> dict:
     return _report("quotient", checks)
 
 
-def check_tol(tol: float) -> float:
-    """tol, if it is a positive finite pass threshold: an infinite one passes
-    every check vacuously, and NaN or a non-positive one none."""
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be a positive finite number, got %r" % tol)
-    return tol
-
-
 def run_suite(name: str, trials: int = 100, seed: int = 7, tol: float = None) -> dict:
     """Run one named suite (or 'all'); tol overrides the pass threshold.
     trials must be positive, so that no randomized check passes vacuously,
-    and at most MAX_TRIALS; both are checked before any suite runs."""
+    and at most MAX_TRIALS, and seed must be non-negative, as numpy's
+    generators require; all are checked before any suite runs."""
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError("trials = %d must lie in [1, %d]" % (trials, MAX_TRIALS))
+    if seed < 0:
+        raise ValueError("seed = %d must be non-negative" % seed)
     kwargs = {} if tol is None else {"tol": check_tol(tol)}
     if name == "all":
         reports = [run_suite(s, trials=trials, seed=seed, tol=tol) for s in SUITES]

@@ -2,11 +2,12 @@ import hashlib
 import json
 import re
 import warnings
+from pathlib import PurePosixPath
 
 import numpy as np
 import pytest
 
-from transdirac import cli, index_engine, torus_model, verification
+from transdirac import cli, index_engine, sphere_model, torus_model, verification
 from transdirac.cli import Records, main, parse_g_spec, render_json
 from transdirac.sphere_model import MAX_BLOCKS, reduction_gaps
 
@@ -136,6 +137,26 @@ def test_verify_failing_tolerance_exits_one(capsys):
     report = json.loads(out)
     assert report["passed"] is False
     assert any(not c["passed"] for c in report["checks"])
+
+
+def test_failing_verdict_still_writes_the_whole_document(tmp_path, capsys, monkeypatch):
+    # no residual lies below 0, and the blocks' gaps of about 4.5e-16 lie above 1e-300
+    monkeypatch.setattr(sphere_model, "RESIDUAL_TOL", 0.0)
+    out_file = tmp_path / "report.json"
+    for argv, keys, rows in (
+            (["sphere-kernel", "--n", "2", "--m", "3"], ["schema_version", "n", "m",
+              "dim_ker_plus", "dim_ker_minus", "index", "sections"], ("sections", 4)),
+            (["compare-quotient", "--n-max", "1", "--m-max", "1", "--tol", "1e-300"],
+             ["schema_version", "tol", "max_discrepancy", "passed", "blocks"], ("blocks", 9))):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == "", argv
+        report = json.loads(captured.out)
+        assert list(report) == keys and len(report[rows[0]]) == rows[1], argv
+        assert report.get("passed", False) is False
+        assert main(argv + ["--out", str(out_file)]) == 1
+        assert capsys.readouterr() == ("", "")
+        assert out_file.read_text() == captured.out
 
 
 def test_usage_error_exits_two(capsys):
@@ -421,6 +442,23 @@ def test_render_json_round_trips_numpy_scalars():
     assert json.loads(render_json(obj)) == expected
 
 
+class _Label(int):
+    pass
+
+
+@pytest.mark.parametrize("value, text", [
+    # an int subclass and numpy integers other than int64
+    (_Label(-7), "-7"), (np.int32(-5), "-5"), (np.uint64(2 ** 64 - 1), "18446744073709551615"),
+    (np.int8(-128), "-128"),
+    # any other object: its str, as a JSON string
+    (PurePosixPath('a/"b'), '"a/\\"b"'), (1 + 2j, '"(1+2j)"'),
+])
+def test_render_json_falls_back_by_isinstance(value, text):
+    assert render_json(value) == text + "\n"
+    assert render_json({"x": value}) == '{\n  "x": %s\n}\n' % text
+    assert render_json([{}, value]) == "[\n  {},\n  %s\n]\n" % text
+
+
 def test_render_json_numpy_bool():
     assert render_json({"a": np.True_, "b": [np.False_]}) == \
         '{\n  "a": true,\n  "b": [\n    false\n  ]\n}\n'
@@ -451,6 +489,19 @@ def test_parse_g_spec():
                                       ("0.3tan", "", "--g")):
         with pytest.raises(ValueError, match="^" + option + ": "):
             parse_g_spec(shorthand, coeffs)
+
+
+def test_negative_leading_warping_coefficient(capsys):
+    # argparse takes "-0.3sin" after a space for an option; after "=" it is the value
+    for flag, coeffs in (("--g=-0.3sin", [0.0, [-0.3], []]),
+                         ("--g-coeffs=-0.5;0.3;", [-0.5, [0.3], []])):
+        code, out = run_cli(capsys, "torus-spectrum", "--op", "DQ", "--N", "16", "--mode", "1",
+                            flag)
+        assert code == 0 and json.loads(out)["g_coeffs"] == coeffs, flag
+    with pytest.raises(SystemExit) as info:
+        main(["torus-spectrum", "--op", "DQ", "--N", "16", "--g", "-0.3sin"])
+    assert info.value.code == 2
+    assert "argument --g: expected one argument" in capsys.readouterr().err
 
 
 def test_extra_g_coeffs_part_exits_one(capsys):
@@ -660,6 +711,17 @@ def test_non_finite_floats_keep_their_message():
                     Records(("n%s",), (np.array(values, dtype=float),))):
             with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
                 render_json(obj)
+
+
+@pytest.mark.parametrize("suite", verification.SUITES + ("all",))
+def test_verify_negative_seed_exits_one(capsys, suite):
+    # checked before any suite runs: numpy's generators would reject it
+    # without naming the option, and the unseeded suites ignore it
+    code = main(["verify", "--suite", suite, "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert json.loads(captured.err) == {"schema_version": 1,
+                                        "error": "seed = -1 must be non-negative"}
 
 
 def test_verify_trials_beyond_the_bound_exit_one(capsys, monkeypatch):

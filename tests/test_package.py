@@ -116,6 +116,8 @@ def test_each_command_loads_only_its_modules():
             ("sphere_model", "index_engine", "verification", "frame_geometry"),
         ("sphere-index", "--n-min", "-1", "--n-max", "1", "--m-min", "-1", "--m-max", "1",
          "--method", "both"): ("torus_model", "verification", "frame_geometry"),
+        ("compare-quotient", "--n-max", "1", "--m-max", "1"):
+            ("verification", "frame_geometry", "index_engine", "torus_model"),
     }
     for argv, modules in never.items():
         loaded = _loaded_submodules(run, *argv)
