@@ -6,14 +6,10 @@ the frame bundle of the two-sphere), and an equivariant index engine with
 an independent numerical oracle. Import each name from its module, as in
 ``from transdirac.cli import main``; importing the package loads none of them.
 
-The three constants below are defined here, not in the modules that use
-them, so that the CLI can build its parser without loading a module:
-index_engine and verification import them from here.
+The constant below is defined here, not in the module that uses it, so
+that the CLI can build its parser without loading a module: verification
+imports it from here.
 """
 
-# the index oracle's defaults (index_engine): the pole cutoff eps and the
-# integration steps, the fewest that index_numerical accepts
-DEFAULT_EPS = 1e-3
-DEFAULT_STEPS = 10000
 # the self-check suites that run_suite runs (verification), in report order
 SUITES = ("clifford", "connection", "clutching", "residual", "quotient")

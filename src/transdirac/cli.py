@@ -32,10 +32,10 @@ from json.encoder import encode_basestring
 
 import numpy as np
 
-# the parser's defaults and choices, defined with the package, not in the
-# modules that use them: each command imports its modules where it runs, so
-# importing cli and building its parser loads no other transdirac module
-from transdirac import DEFAULT_EPS, DEFAULT_STEPS, SUITES
+# the suite choices, defined with the package, not in the module that uses
+# them: each command imports its modules where it runs, so importing cli and
+# building its parser loads no other transdirac module
+from transdirac import SUITES
 
 SCHEMA_VERSION = 1
 
@@ -266,7 +266,7 @@ def cmd_sphere_index(args):
     from transdirac.index_engine import build_index_table
 
     table = build_index_table(range(args.n_min, args.n_max + 1), range(args.m_min, args.m_max + 1),
-                              method=args.method, eps=args.eps, steps=args.steps)
+                              method=args.method)
     # the method is one value broadcast along the table, rendered once
     blocks = Records(("n", "m", "dim_ker_plus", "dim_ker_minus", "index", "method"),
                      (table.n, table.m, table.dim_ker_plus, table.dim_ker_minus, table.indices,
@@ -381,8 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     index.add_argument("--m-min", type=int, required=True)
     index.add_argument("--m-max", type=int, required=True)
     index.add_argument("--method", choices=("closed", "numeric", "both"), default="closed")
-    index.add_argument("--eps", type=float, default=DEFAULT_EPS)
-    index.add_argument("--steps", type=int, default=DEFAULT_STEPS)
     index.add_argument("--format", choices=("json", "csv"), default="json")
     index.set_defaults(func=cmd_sphere_index)
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from transdirac import DEFAULT_EPS, DEFAULT_STEPS
 from transdirac.spectral import fit_exponent, integrate_log_ode, simpson_abscissas
 from transdirac.sphere_model import (
     CHARTS,
@@ -29,7 +28,8 @@ class IndexError_(ValueError):
 
 
 class ExponentFitError(IndexError_):
-    """The log-log slope did not land near an integer (grid too coarse)."""
+    """The log-log slope did not land within 0.1 of an integer: below
+    MAX_LABEL, the slope's bias passes the tolerance from |n| of about 9,200."""
 
 
 def _exact_labels(values):
@@ -61,48 +61,49 @@ def index_closed_form(n: int, m: int) -> int:
     return d_plus - d_minus
 
 
-# the most integration steps index_numerical accepts: its fit window costs up
-# to about 13 bytes per step (at eps = 1e-2, where it spans 12 % of the grid),
-# so on a 2-core host a call at the bound peaks near 80 MB and takes 0.08 s
-MAX_STEPS = 4 * 10 ** 6
+# the oracle integrates each radial ODE from pi/4 down to the pole cutoff
+# ORACLE_EPS in ORACLE_STEPS Simpson steps, and fits its slope on phi <= 10 ORACLE_EPS
+ORACLE_EPS = 1e-3
+ORACLE_STEPS = 10000
+# the largest |n| and |m| the oracle accepts. Its slopes carry a bias of
+# about 1.09e-5 |n| + 1.2e-8 |m| (measured along (L, +-L), (L, 0) and (0, L)),
+# which snaps a slope to the wrong integer from |n| of about 82,700 on (bias
+# 0.9); at the bound it is about 0.36, so a block within it gets the right
+# exponents or an ExponentFitError, never a wrong table, and every slope is
+# far below 2**49, where the float spacing would pass the 0.1 tolerance
+MAX_LABEL = 2 ** 15
 
 
-def _check_oracle(eps: float, steps: int):
-    if not (1e-4 <= eps <= 1e-2):
-        raise IndexError_("eps must lie in [1e-4, 1e-2]")
-    if not DEFAULT_STEPS <= steps <= MAX_STEPS:
-        raise IndexError_("steps = %d must lie in [%d, %d]" % (steps, DEFAULT_STEPS, MAX_STEPS))
-
-
-def index_numerical(n, m, eps: float = DEFAULT_EPS, steps: int = DEFAULT_STEPS) -> dict:
+def index_numerical(n, m) -> dict:
     """ODE oracle for one block (int labels) or a batch (integer arrays of
     one shape): integrate each radial equation toward the pole, snap the
     log-log slope to an integer exponent, and count a kernel dimension for a
     chirality iff it is regular in both charts. The raw slopes are returned
-    alongside the snapped exponents; each value has the labels' shape.
+    alongside the snapped exponents; each value has the labels' shape. A
+    label with |label| > MAX_LABEL is an error, raised before any integration.
 
     A least-squares slope ignores an additive constant, so only the fit
-    window phi <= 10 eps of the Simpson grid of [pi/4, eps] is built and
-    integrated. Simpson's sums and the slope are linear in r = p csc - q cot,
-    so the two label-free samples csc and cot are integrated and fitted once,
-    and every ODE's slope is p s_csc - q s_cot, with p and q from reduce_block.
+    window phi <= 10 ORACLE_EPS of the Simpson grid of [pi/4, ORACLE_EPS] is
+    built and integrated. Simpson's sums and the slope are linear in r = p csc
+    - q cot, so the two label-free samples csc and cot are integrated and
+    fitted once, and every ODE's slope is p s_csc - q s_cot, with p and q from
+    reduce_block.
     """
-    _check_oracle(eps, steps)
     shape = np.shape(n)
     if np.shape(m) != shape:
         raise IndexError_("n and m must have one shape")
-    labels = {"n": _exact_labels(n), "m": _exact_labels(m)}
-    for name, values in labels.items():
-        if values.dtype == object:  # some |label| >= 2**63; below it, -label fits int64
-            value = next(v for v in values.ravel().tolist() if not -2 ** 63 < v < 2 ** 63)
-            raise IndexError_("label %s = %d must satisfy |%s| < 2**63" % (name, value, name))
-    n, m = labels["n"].ravel(), labels["m"].ravel()
-    h = (eps - 0.25 * np.pi) / steps  # node j of the grid is pi/4 + j h
-    first = int(np.ceil((10.0 * eps - 0.25 * np.pi) / h))  # the first node <= 10 eps
-    window = simpson_abscissas(0.25 * np.pi + first * h, eps, steps - first)
+    n, m = _exact_labels(n).ravel(), _exact_labels(m).ravel()
+    past = (abs(n) > MAX_LABEL) | (abs(m) > MAX_LABEL)
+    if np.any(past):
+        block = int(np.argmax(past))
+        raise IndexError_("block (%d, %d) is past the oracle's label bound |n|, |m| <= "
+                          "MAX_LABEL = %d" % (n[block], m[block], MAX_LABEL))
+    h = (ORACLE_EPS - 0.25 * np.pi) / ORACLE_STEPS  # node j of the grid is pi/4 + j h
+    first = int(np.ceil((10.0 * ORACLE_EPS - 0.25 * np.pi) / h))  # the first node <= 10 eps
+    window = simpson_abscissas(0.25 * np.pi + first * h, ORACLE_EPS, ORACLE_STEPS - first)
     sin = np.sin(window)
     basis = integrate_log_ode(np.stack([1.0 / sin, np.cos(window) / sin]),
-                              window[0], eps, steps - first)
+                              window[0], ORACLE_EPS, ORACLE_STEPS - first)
     s_csc, s_cot = fit_exponent(np.log(sin[0::2]), basis)
     keys = [(chart, chirality) for chirality in CHIRALITIES for chart in CHARTS]
     slopes = np.empty((len(keys), len(n)))
@@ -110,15 +111,12 @@ def index_numerical(n, m, eps: float = DEFAULT_EPS, steps: int = DEFAULT_STEPS) 
         ode = reduce_block(SphereBlock(n=n, m=m, chirality=chirality), chart)
         slopes[row] = ode.p * s_csc - ode.q * s_cot
     snapped = np.round(slopes)
-    near = np.abs(slopes - snapped) <= 0.1
-    # from 2**49 on the float spacing (>= 0.125) exceeds the tolerance: nearness means nothing
-    bad = ~near | (np.abs(slopes) >= 2.0 ** 49)
+    bad = ~(np.abs(slopes - snapped) <= 0.1)
     if np.any(bad):
         block = int(np.argmax(np.any(bad, axis=0)))
         row = int(np.argmax(bad[:, block]))
-        raise ExponentFitError("slope %.4f %s an integer for block (%d, %d)" % (
-            slopes[row, block], "too large to resolve" if near[row, block] else "too far from",
-            n[block], m[block]))
+        raise ExponentFitError("slope %.4f too far from an integer for block (%d, %d)"
+                               % (slopes[row, block], n[block], m[block]))
     exponents = snapped.astype(np.int64)
     regular = (exponents >= 0).reshape(len(CHIRALITIES), len(CHARTS), -1).all(axis=1)
     d_plus, d_minus = regular.astype(np.int64)
@@ -178,8 +176,7 @@ class IndexTable:
         return int(self.dim_ker_plus[row] + self.dim_ker_minus[row])
 
 
-def build_index_table(n_range, m_range, method: str = "closed",
-                      eps: float = DEFAULT_EPS, steps: int = DEFAULT_STEPS) -> IndexTable:
+def build_index_table(n_range, m_range, method: str = "closed") -> IndexTable:
     """Index table over finite ranges of at most MAX_BLOCKS blocks; method
     'closed', 'numeric' or 'both' ('both' insists the two routes agree on
     every block). Each route takes one call for the whole table."""
@@ -195,14 +192,13 @@ def build_index_table(n_range, m_range, method: str = "closed",
     n_values, m_values = list(n_range), list(m_range)
     if method not in ("closed", "numeric", "both"):
         raise IndexError_("unknown method %r" % method)
-    _check_oracle(eps, steps)  # for every method, though only the oracle uses them
 
     n_column = np.repeat(_exact_labels(n_values), len(m_values))
     m_column = np.tile(_exact_labels(m_values), len(n_values))
     if method != "numeric":
         closed = kernel_dims_closed_form(n_column, m_column)
     if method != "closed":
-        res = index_numerical(n_column, m_column, eps, steps)
+        res = index_numerical(n_column, m_column)
         numeric = [res["d_plus"], res["d_minus"]]
     if method == "both":
         differ = (closed[0] != numeric[0]) | (closed[1] != numeric[1])

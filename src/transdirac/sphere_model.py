@@ -29,6 +29,9 @@ UPPER = "upper"
 LOWER = "lower"
 CHARTS = (UPPER, LOWER)
 CHIRALITIES = ("+", "-")
+# the (row, column) entry of the 2x2 chart operator that holds each
+# chirality's field, in the order of CHIRALITIES: '+' below the diagonal
+PAIR_SLOTS = ((1, 0), (0, 1))
 
 POLE_EPS = 1e-3
 # the most blocks one index table or gap report may span. Peak memory grows
@@ -190,10 +193,6 @@ def lifted_vector_fields(chart, theta, phi):
     return fields[..., 0], fields[..., 1]
 
 
-def orbit_field_components(chart: str, theta, phi) -> np.ndarray:
-    return pushforward_components(chart, theta, phi, ET)
-
-
 # ---------------------------------------------------------------------------
 # isotypic reduction to radial ODEs
 
@@ -267,9 +266,12 @@ def closed_form_kernel_section(block: SphereBlock, chart: str) -> KernelSection:
 # full chartwise operator and residual diagnostics
 
 
-def _w_plus(chart, theta, phi) -> np.ndarray:
-    v1, v2 = lifted_vector_fields(chart, theta, phi)
-    return v1 + 1j * v2
+def chiral_pair(v1, v2) -> np.ndarray:
+    """The fields (w, -conj(w)), w = V_1 + i V_2, that chiralities '+' and
+    '-' apply, from V_1's and V_2's components, on a new last axis in the
+    order of CHIRALITIES."""
+    w = v1 + 1j * v2
+    return np.stack([w, -np.conj(w)], axis=-1)
 
 
 def apply_chart_operator(n, chart, value, d_theta, d_phi, theta, phi):
@@ -277,15 +279,14 @@ def apply_chart_operator(n, chart, value, d_theta, d_phi, theta, phi):
     section with the given value and partial derivatives d_theta, d_phi at the
     broadcast (theta, phi), from one evaluation of the chart fields.
 
-    Chirality '+' applies w = V_1 + i V_2, chirality '-' applies -conj(w);
-    d_alpha acts as multiplication by -i n. The result carries the
-    chiralities, in the order of CHIRALITIES, on a new last axis (and a
+    Chirality '+' applies w = V_1 + i V_2, chirality '-' applies -conj(w)
+    (chiral_pair); d_alpha acts as multiplication by -i n. The result carries
+    the chiralities, in the order of CHIRALITIES, on a new last axis (and a
     sequence of charts on a leading one), and n, value, d_theta and d_phi
     broadcast against it: a scalar serves both, a trailing axis of length 2
     gives each chirality its own input.
     """
-    w = _w_plus(chart, theta, phi)
-    w = np.stack([w, -np.conj(w)], axis=-1)
+    w = chiral_pair(*lifted_vector_fields(chart, theta, phi))
     # one contraction with (d_alpha, d_theta, d_phi): no full-size product per term
     coefs = np.stack(np.broadcast_arrays(*np.atleast_1d(-1j * n * value, d_theta, d_phi)), axis=-2)
     return np.einsum("...kc,...kc->...c", w, coefs)
@@ -331,25 +332,21 @@ def clutching_check(n: int, psi_upper: Callable, psi_lower: Callable,
     return bool(np.all(gap <= tol * max(np.max(np.abs(upper)), 1e-300)))
 
 
-def matched_global_section(block: SphereBlock):
-    """Kernel sections on both charts; with C = 1 both are 1 at theta = 0 on
-    the equator, so they need no rescaling to be matched there."""
-    return closed_form_kernel_section(block, UPPER), closed_form_kernel_section(block, LOWER)
-
-
 # ---------------------------------------------------------------------------
 # 2x2 operators on the hemisphere
 
 
 def _pair_operator(name: str, fields: Callable) -> FirstOrderOperator:
-    """The 2x2 first-order operator in (alpha, theta, phi) with w below the
-    diagonal and -conj(w) above it, without zeroth-order term, where
-    fields(theta, phi) gives the (npts, 3) coefficients of w."""
+    """The 2x2 first-order operator in (alpha, theta, phi) with each
+    chirality's field in its PAIR_SLOTS entry, without zeroth-order term,
+    where fields(theta, phi) gives the (npts, 3, 2) coefficients of the chiral
+    pair."""
 
     def terms(pts):
-        w = fields(pts[:, 1], pts[:, 2]).T
-        out = np.zeros(w.shape + (2, 2), dtype=complex)
-        out[..., 0, 1], out[..., 1, 0] = -np.conj(w), w
+        pair = np.moveaxis(fields(pts[:, 1], pts[:, 2]), 1, 0)
+        out = np.zeros(pair.shape[:-1] + (2, 2), dtype=complex)
+        rows, columns = zip(*PAIR_SLOTS)
+        out[..., rows, columns] = pair
         return out, np.zeros((len(pts), 2, 2), dtype=complex)
 
     return FirstOrderOperator(chart=name, dim=3, fiber_dim=2, terms=terms)
@@ -357,26 +354,28 @@ def _pair_operator(name: str, fields: Callable) -> FirstOrderOperator:
 
 def chart_operator(chart: str) -> FirstOrderOperator:
     """The chartwise kernel operator of both chiralities: _pair_operator of
-    w = V_1 + i V_2. The fields do not depend on alpha, along which the frame
-    rotation acts, so restrict_to_mode(op, 0, n) is its weight-n reduction in
-    (theta, phi)."""
+    the chiral pair of V_1 and V_2. The fields do not depend on alpha, along
+    which the frame rotation acts, so restrict_to_mode(op, 0, n) is its
+    weight-n reduction in (theta, phi)."""
     _check_chart(chart)
-    return _pair_operator("sphere-" + chart, lambda theta, phi: _w_plus(chart, theta, phi))
+    return _pair_operator("sphere-" + chart,
+                          lambda theta, phi: chiral_pair(*lifted_vector_fields(chart, theta, phi)))
 
 
 def quotient_operator(chart: str, m: int) -> FirstOrderOperator:
     """The weight-m operator on the quotient hemisphere, in (theta, phi):
     chart_operator(chart) with d_alpha = (T - T_theta d_theta - T_phi d_phi) /
     T_alpha, T = (1, 1, 0) in (alpha, theta, phi) upper and (-1, 1, 0) lower,
-    from one pushforward solve of V_1, V_2 and T at alpha = 0; then
-    restrict_to_mode sets T to -i m."""
+    from one pushforward solve of V_1, V_2 and T at alpha = 0, applied to the
+    chiral pair (T is real, so it commutes with -conj); then restrict_to_mode
+    sets T to -i m."""
     _check_chart(chart)
 
     def fields(theta, phi):
         pushed = pushforward_components(chart, theta, phi, np.stack([E1, E2, ET]))
-        w, t = pushed[..., 0] + 1j * pushed[..., 1], pushed[..., 2]
-        along_t = w[..., :1] / t[..., :1]
-        return np.concatenate([along_t, w[..., 1:] - along_t * t[..., 1:]], axis=-1)
+        pair, t = chiral_pair(pushed[..., 0], pushed[..., 1]), pushed[..., 2:]
+        along_t = pair[..., :1, :] / t[..., :1, :]
+        return np.concatenate([along_t, pair[..., 1:, :] - along_t * t[..., 1:, :]], axis=-2)
 
     return restrict_to_mode(_pair_operator("quotient-" + chart, fields), 0, m)
 
@@ -389,8 +388,9 @@ def _quotient_fits(chart: str):
     phi = QUOTIENT_PHIS
     (c_theta, c_phi), zeroth = quotient_operator(chart, 1).coefficients_at(
         np.column_stack([np.full_like(phi, QUOTIENT_THETA), phi]), with_zeroth=True)
-    # chirality '+' reads the entry below the diagonal, '-' the one above it
-    c_theta, c_phi, zeroth = (mats[:, [1, 0], [0, 1]] for mats in (c_theta, c_phi, zeroth))
+    # each chirality reads its PAIR_SLOTS entry
+    rows, columns = zip(*PAIR_SLOTS)
+    c_theta, c_phi, zeroth = (mats[:, rows, columns] for mats in (c_theta, c_phi, zeroth))
     sin_p = np.sin(phi)[:, None, None] * np.stack([-1j * c_theta, -zeroth], -1) / c_phi[..., None]
     design = np.column_stack([np.ones_like(phi), -np.cos(phi)])
     fit = np.rint(np.linalg.lstsq(design, sin_p.real.reshape(-1, 4), rcond=None)[0])

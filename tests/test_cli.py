@@ -352,30 +352,32 @@ def test_deterministic_output(capsys):
     assert first == second
 
 
-def test_numeric_steps_beyond_the_bound_exit_one(capsys):
-    # a billion steps would allocate a 16 GB Simpson grid
-    code = main(["sphere-index", "--n-min", "0", "--n-max", "0", "--m-min", "0", "--m-max", "0",
-                 "--method", "numeric", "--steps", "1000000000"])
-    captured = capsys.readouterr()
-    assert code == 1 and captured.out == ""
-    assert json.loads(captured.err) == {
-        "schema_version": 1,
-        "error": "steps = 1000000000 must lie in [10000, %d]" % index_engine.MAX_STEPS}
+def test_numeric_labels_beyond_the_bound_exit_one(capsys):
+    # past MAX_LABEL the oracle's slope bias can snap to a wrong integer: at
+    # (84103, -84103) it gave dimensions (0, 0) with exit 0, where the closed
+    # form gives (1, 0); every command that runs the oracle refuses the block
+    error = ("block (84103, -84103) is past the oracle's label bound |n|, |m| <= "
+             "MAX_LABEL = %d" % index_engine.MAX_LABEL)
+    block = ["--n-min", "84103", "--n-max", "84103", "--m-min", "-84103", "--m-max", "-84103"]
+    for argv in (["sphere-index", *block, "--method", "numeric"],
+                 ["sphere-index", *block, "--method", "both"],
+                 ["sphere-kernel", "--n", "84103", "--m", "-84103"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "", argv
+        assert json.loads(captured.err) == {"schema_version": 1, "error": error}, argv
+    code, out = run_cli(capsys, "sphere-index", *block)
+    assert code == 0 and json.loads(out)["blocks"][0]["dim_ker_plus"] == 1
 
 
-@pytest.mark.parametrize("method", ["closed", "both"])
-@pytest.mark.parametrize("flag, value, error", [
-    ("--eps", "0.1", "eps must lie in [1e-4, 1e-2]"),
-    ("--steps", "100000000", "steps = 100000000 must lie in [10000, %d]" % index_engine.MAX_STEPS),
-])
-def test_oracle_settings_are_checked_for_every_method(capsys, method, flag, value, error):
-    # the closed route ignores eps and steps, but a value the oracle rejects
-    # is rejected whichever route the table takes
-    code = main(["sphere-index", "--n-min", "0", "--n-max", "1", "--m-min", "0", "--m-max", "1",
-                 "--method", method, flag, value])
-    captured = capsys.readouterr()
-    assert code == 1 and captured.out == ""
-    assert json.loads(captured.err) == {"schema_version": 1, "error": error}
+@pytest.mark.parametrize("option", ["--eps", "--steps"])
+def test_oracle_settings_are_not_options(capsys, option):
+    # the oracle has one setting, so the CLI takes none: a usage error
+    with pytest.raises(SystemExit) as info:
+        main(["sphere-index", "--n-min", "0", "--n-max", "1", "--m-min", "0", "--m-max", "1",
+              "--method", "numeric", option, "1"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: %s 1" % option in capsys.readouterr().err
 
 
 def test_render_json_float_precision():
@@ -581,8 +583,8 @@ def test_table_beyond_int64_bytes_pinned(capsys):
 def test_route_disagreement_exits_one(capsys, monkeypatch):
     real = index_engine.index_numerical
 
-    def flip(n, m, eps, steps):
-        res = dict(real(n, m, eps, steps))
+    def flip(n, m):
+        res = dict(real(n, m))
         res["d_minus"] = 1 - res["d_minus"]
         return res
 

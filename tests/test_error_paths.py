@@ -46,6 +46,10 @@ CASES = {
     "index label shapes": (
         lambda: index_numerical(np.array([1, 2]), np.array([1])),
         IndexError_, "n and m must have one shape"),
+    "index label bound": (
+        lambda: index_numerical(np.array([0, -40000]), np.array([0, 5])),
+        IndexError_, "block (-40000, 5) is past the oracle's label bound |n|, |m| <= "
+                     "MAX_LABEL = 32768"),
     "grid shapes": (
         lambda: Grid1D(points=np.arange(3.0), log_weight_prime=np.zeros(2)),
         SpectralError, "points/log_weight_prime shape mismatch"),

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -161,9 +162,10 @@ def test_oracle_never_reads_the_closed_form(monkeypatch):
     assert len(reduced) == 4 * len(BRANCH_BLOCKS)
 
 
-def callable_slopes(n, m, eps=1e-3, steps=10000):
+def callable_slopes(n, m):
     """Reference slopes: each ODE's r(phi) integrated on its own as a
     callable over the full span, and fitted on the oracle's window."""
+    eps, steps = index_engine.ORACLE_EPS, index_engine.ORACLE_STEPS
     phis = simpson_abscissas(0.25 * np.pi, eps, steps)[0::2]
     window = phis <= 10.0 * eps
     slopes = {}
@@ -197,13 +199,6 @@ def test_numerical_batch_matches_single_blocks():
         for key in single["slopes"]:
             assert batch["estimated_exponents"][key][i, j] == single["estimated_exponents"][key]
             assert abs(batch["slopes"][key][i, j] - single["slopes"][key]) <= 1e-12
-
-
-def test_numerical_parameter_validation():
-    with pytest.raises(IndexError_):
-        index_numerical(1, 1, eps=1e-5)
-    with pytest.raises(IndexError_):
-        index_numerical(1, 1, steps=100)
 
 
 def test_table_row_n2():
@@ -255,8 +250,8 @@ def test_method_both_names_the_first_disagreement(monkeypatch):
     real = index_engine.index_numerical
     flipped = {(-1, 2), (1, -2)}  # in row-major order over n, then m, (-1, 2) comes first
 
-    def flip(n, m, eps, steps):
-        res = dict(real(n, m, eps, steps))
+    def flip(n, m):
+        res = dict(real(n, m))
         for i, key in enumerate(zip(n, m)):
             if key in flipped:
                 res["d_plus"][i] = 1 - res["d_plus"][i]
@@ -340,15 +335,36 @@ def test_numeric_table_integrates_once(monkeypatch):
     assert calls == {"index_numerical": 1, "integrate_log_ode": 1, "fit_exponent": 1}
 
 
-def test_numeric_steps_are_bounded_before_any_grid(monkeypatch):
+def test_numeric_labels_are_bounded_before_any_grid(monkeypatch):
     def no_grid(*args):
         raise AssertionError("the grid was allocated")
 
     monkeypatch.setattr(index_engine, "simpson_abscissas", no_grid)
-    for steps in (index_engine.MAX_STEPS + 1, 10 ** 9, 9999):
-        with pytest.raises(IndexError_, match="steps = %d must lie in \\[10000, %d\\]"
-                           % (steps, index_engine.MAX_STEPS)):
-            index_numerical(1, 1, steps=steps)
+    bound = index_engine.MAX_LABEL
+    # past the bound by one, in either label and either sign, at int64 and beyond it
+    for n, m in ((bound + 1, 0), (0, -bound - 1), (-bound - 1, bound), (10 ** 400, 3),
+                 (84103, -84103)):
+        message = ("block (%d, %d) is past the oracle's label bound |n|, |m| <= MAX_LABEL = %d"
+                   % (n, m, bound))
+        with pytest.raises(IndexError_, match="^%s$" % re.escape(message)):
+            index_numerical(n, m)
+    with pytest.raises(IndexError_, match=re.escape("block (%d, 0) is past" % (bound + 1))):
+        build_index_table(range(bound - 1, bound + 2), range(0, 1), method="numeric")
+
+
+def test_oracle_is_right_or_refuses_up_to_the_bound():
+    # along (L, +-L), (L, 0) and (0, L) every block within MAX_LABEL gets the
+    # closed form's dimensions or an ExponentFitError, never a wrong table
+    refused = 0
+    for size in range(0, index_engine.MAX_LABEL + 1, 1024):
+        for n, m in ((size, -size), (-size, size), (size, size), (size, 0), (0, size)):
+            try:
+                res = index_numerical(n, m)
+            except index_engine.ExponentFitError:
+                refused += 1
+                continue
+            assert (res["d_plus"], res["d_minus"]) == kernel_dims_closed_form(n, m), (n, m)
+    assert refused > 0
 
 
 def test_both_routes_agree_on_a_wide_table():
@@ -367,9 +383,3 @@ def test_empty_range_is_rejected_before_the_other_range_is_built():
         with pytest.raises(IndexError_, match="^empty block range$"):
             build_index_table(*ranges)
 
-
-def test_oracle_defaults_are_named_once():
-    assert (index_engine.DEFAULT_EPS, index_engine.DEFAULT_STEPS) == (1e-3, 10000)
-    for fn in (index_numerical, build_index_table):
-        defaults = fn.__defaults__[-2:]
-        assert defaults == (index_engine.DEFAULT_EPS, index_engine.DEFAULT_STEPS)

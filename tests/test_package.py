@@ -5,6 +5,7 @@ import inspect
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -89,6 +90,26 @@ def test_readme_name_check_flags_a_stale_name():
     assert _cited_names("`_DISTINCT` and `f(x, y)`, not `a b` or `(n, d)`") == ["_DISTINCT", "f"]
     assert _resolves("np.broadcast_to") and _resolves("index_engine.build_index_table")
     assert not _resolves("np.no_such_name") and not _resolves("no_module.build_index_table")
+
+
+def test_claims_ledger_commands_run_and_its_names_exist(capsys):
+    from transdirac import cli
+
+    text = README.read_text(encoding="utf-8")
+    ledger = re.search(r"^## Paper claims and what is checked\n(.*?)^## ", text,
+                       flags=re.S | re.M).group(1)
+    commands = [shlex.split(span)[1:] for span in re.findall(r"`(transdirac [^`]+)`", ledger)]
+    assert len(commands) == 7
+    for argv in commands:
+        assert cli.main(argv) == 0, argv
+    capsys.readouterr()
+    # a cited test_* is a test function; any other name belongs to a module
+    tests = "".join(path.read_text(encoding="utf-8") for path in README.parent.glob("tests/*.py"))
+    known = set().union(*(_known_names(importlib.import_module("transdirac." + name))
+                          for name in _module_texts()))
+    missing = [name for name in _cited_names(ledger)
+               if not ("def %s(" % name in tests if name.startswith("test_") else name in known)]
+    assert missing == [], missing
 
 
 def _loaded_submodules(code: str, *args) -> list:

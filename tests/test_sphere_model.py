@@ -19,8 +19,6 @@ from transdirac.sphere_model import (
     clutching_check,
     compare_block_reductions,
     lifted_vector_fields,
-    matched_global_section,
-    orbit_field_components,
     pde_residual,
     pushforward_components,
     quotient_operator,
@@ -33,6 +31,7 @@ from transdirac.sphere_model import E1, E2, ET
 from transdirac.transverse_operator import (
     FirstOrderOperator,
     SingularPointError,
+    principal_symbol,
     restrict_to_mode,
     symbol_smallest_singular_value,
 )
@@ -195,16 +194,14 @@ def test_pushforward_detects_the_far_pole(chart, generator):
     for phi in (np.pi, np.array([0.7, np.pi])):
         with pytest.raises(SingularPointError, match="phi=3.14159"):
             pushforward_components(chart, 0.3, phi, generator)
-    with pytest.raises(SingularPointError, match="phi=3.14159"):
-        orbit_field_components(chart, 0.3, np.pi)
 
 
 def test_orbit_field_is_alpha_plus_theta():
     # the rotation action moves alpha and theta together; the alpha component
     # flips sign on the lower chart (orientation of the chart pole)
-    t = orbit_field_components(UPPER, 0.7, 0.9)
+    t = pushforward_components(UPPER, 0.7, 0.9, ET)
     assert np.max(np.abs(t - np.array([1.0, 1.0, 0.0]))) < 1e-12
-    t = orbit_field_components(LOWER, 0.7, 0.9)
+    t = pushforward_components(LOWER, 0.7, 0.9, ET)
     assert np.max(np.abs(t - np.array([-1.0, 1.0, 0.0]))) < 1e-12
 
 
@@ -414,13 +411,13 @@ def test_matched_sections_clutch():
     for n, m in ((0, 0), (1, 1), (2, 3), (2, -3), (3, -3)):
         for chirality in CHIRALITIES:
             block = SphereBlock(n=n, m=m, chirality=chirality)
-            upper, lower = matched_global_section(block)
+            upper, lower = (closed_form_kernel_section(block, chart) for chart in CHARTS)
             assert clutching_check(n, upper, lower)
 
 
 def test_clutching_detects_mismatch():
     block = SphereBlock(n=2, m=0, chirality="+")
-    upper, lower = matched_global_section(block)
+    upper, lower = (closed_form_kernel_section(block, chart) for chart in CHARTS)
     assert not clutching_check(3, upper, lower)  # wrong weight
 
 
@@ -474,6 +471,23 @@ def test_quotient_operator_elliptic_inside_hemisphere():
             assert symbol_smallest_singular_value(op, x, xi) > 0.5
 
 
+@pytest.mark.parametrize("chart", CHARTS)
+def test_chart_operator_symbol_is_skew_and_squares_to_minus_w_squared(chart):
+    # sigma(xi) = [[0, -conj(w(xi))], [w(xi), 0]], w(xi) = sum_k xi_k (V_1 + i V_2)_k,
+    # is skew-Hermitian with sigma^2 = -|w(xi)|^2 I; kernels and residuals do
+    # not change when the '-' chirality's field changes sign, but this does
+    rng = np.random.default_rng(8)
+    pts = np.column_stack([rng.uniform(0, 2 * np.pi, (2, 200)).T,
+                           rng.uniform(0.05, np.pi / 2, 200)])
+    v1, v2 = lifted_vector_fields(chart, pts[:, 1], pts[:, 2])
+    for xi in rng.standard_normal((5, 3)):
+        sigma = principal_symbol(chart_operator(chart), pts, xi)
+        w_squared = np.abs((v1 + 1j * v2) @ xi) ** 2
+        assert np.max(np.abs(sigma + np.conj(np.swapaxes(sigma, -1, -2)))) < 1e-12
+        square_gap = np.abs(sigma @ sigma + w_squared[:, None, None] * np.eye(2))
+        assert np.max(square_gap / (1.0 + w_squared[:, None, None])) < 1e-12
+
+
 def test_upper_quotient_closed_form():
     # d_alpha -> -i m - d_theta on the upper chart, where T = (1, 1, 0): the
     # coefficients of d_theta and d_phi are -i e^{i theta}/sin(phi) and
@@ -500,12 +514,12 @@ def test_upper_quotient_closed_form():
 
 def test_quotient_is_the_chart_operator_with_d_alpha_substituted():
     # A_theta - A_alpha T_theta / T_alpha, A_phi - A_alpha T_phi / T_alpha and
-    # -i m A_alpha / T_alpha, from chart_operator and orbit_field_components
+    # -i m A_alpha / T_alpha, from chart_operator and the pushforward of ET
     rng = np.random.default_rng(6)
     theta, phi = rng.uniform(0, 2 * np.pi, 50), rng.uniform(0.05, np.pi / 2, 50)
     pts = np.column_stack([theta, phi])
     for chart, orbit in ((UPPER, [1.0, 1.0, 0.0]), (LOWER, [-1.0, 1.0, 0.0])):
-        t = orbit_field_components(chart, theta, phi)
+        t = pushforward_components(chart, theta, phi, ET)
         assert np.max(np.abs(t - orbit)) < 1e-14
         a = chart_operator(chart).coefficients_at(np.column_stack([np.zeros(50), pts]))
         along_t = a[0] / t[:, :1, None]
