@@ -9,7 +9,7 @@ is held as columns, one entry per block in row-major order.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,48 +132,15 @@ def index_numerical(n, m) -> dict:
 
 @dataclass(frozen=True, eq=False)
 class IndexTable:
-    """The blocks of a table as row-major columns: block i is (n[i], m[i]),
-    with int arrays of its kernel dimensions; `indices` = dim_ker_plus -
-    dim_ker_minus is derived from them. The label columns are int64 arrays
-    when every label has |label| < 2**63, otherwise both are object arrays
-    of exact Python ints."""
+    """build_index_table's blocks as row-major columns: block i is (n[i],
+    m[i]); its kernel dimensions and indices = dim_ker_plus - dim_ker_minus
+    are int64, its labels int64 when every |label| < 2**63, else both label
+    columns hold exact Python ints."""
     n: np.ndarray
     m: np.ndarray
     dim_ker_plus: np.ndarray
     dim_ker_minus: np.ndarray
-    indices: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        n, m = _exact_labels(self.n), _exact_labels(self.m)
-        if n.dtype != m.dtype:  # one column leaves int64: both hold Python ints
-            n, m = n.astype(object), m.astype(object)
-        d_plus = np.asarray(self.dim_ker_plus, dtype=np.int64)
-        d_minus = np.asarray(self.dim_ker_minus, dtype=np.int64)
-        if not len(n) == len(m) == len(d_plus) == len(d_minus):
-            raise IndexError_("columns of unequal length")
-        for name, dims in (("dim_ker_plus", d_plus), ("dim_ker_minus", d_minus)):
-            bad = (dims != 0) & (dims != 1)
-            if np.any(bad):
-                row = int(np.argmax(bad))
-                raise IndexError_("%s out of range at (%d, %d)" % (name, n[row], m[row]))
-        # both dimensions in {0, 1}: every index lies in {-1, 0, 1}
-        for name, column in (("n", n), ("m", m), ("dim_ker_plus", d_plus),
-                             ("dim_ker_minus", d_minus), ("indices", d_plus - d_minus)):
-            object.__setattr__(self, name, column)
-
-    def _row(self, n: int, m: int) -> int:
-        try:
-            # as Python ints: numpy 1.24 compares int64 with 2**63 as floats
-            return list(zip(self.n.tolist(), self.m.tolist())).index((n, m))
-        except ValueError:
-            raise KeyError((n, m)) from None
-
-    def index(self, n: int, m: int) -> int:
-        return int(self.indices[self._row(n, m)])
-
-    def total_kernel(self, n: int, m: int) -> int:
-        row = self._row(n, m)
-        return int(self.dim_ker_plus[row] + self.dim_ker_minus[row])
+    indices: np.ndarray
 
 
 def build_index_table(n_range, m_range, method: str = "closed") -> IndexTable:
@@ -195,6 +162,8 @@ def build_index_table(n_range, m_range, method: str = "closed") -> IndexTable:
 
     n_column = np.repeat(_exact_labels(n_values), len(m_values))
     m_column = np.tile(_exact_labels(m_values), len(n_values))
+    if n_column.dtype != m_column.dtype:  # one column leaves int64: both hold Python ints
+        n_column, m_column = n_column.astype(object), m_column.astype(object)
     if method != "numeric":
         closed = kernel_dims_closed_form(n_column, m_column)
     if method != "closed":
@@ -209,4 +178,4 @@ def build_index_table(n_range, m_range, method: str = "closed") -> IndexTable:
             raise IndexError_("route disagreement at (%d, %d): %s vs %s"
                               % (n_column[row], m_column[row], entry(closed), entry(numeric)))
     dims = numeric if method == "numeric" else closed
-    return IndexTable(n=n_column, m=m_column, dim_ker_plus=dims[0], dim_ker_minus=dims[1])
+    return IndexTable(n_column, m_column, *dims, dims[0] - dims[1])

@@ -203,24 +203,20 @@ def _n_eff(n: int, chart: str) -> int:
 
 
 def _weights(block: SphereBlock, chart: str):
-    """(n_eff, m) of the block on the chart. Int labels stay Python ints; a
-    batch comes back as int64 arrays, once n, m and n_eff - m, and so their
-    negatives, are known to fit int64 for every label pair: at once for
-    int64 labels inside (-2**62, 2**62), else from exact Python integers."""
+    """(n_eff, m) of the block on the chart. Int labels stay Python ints, exact at
+    any size; a batch must be int64 arrays inside (-2**62, 2**62), where n_eff - m
+    and all negatives fit int64, else SphereModelError names its first pair."""
     _check_chart(chart)
     if np.ndim(block.n) == 0 and np.ndim(block.m) == 0:
         return _n_eff(block.n, chart), block.m
     n, m = np.broadcast_arrays(np.asarray(block.n), np.asarray(block.m))
-    if n.dtype == m.dtype == np.int64 and all(
-            v.size == 0 or -2 ** 62 < v.min() and v.max() < 2 ** 62 for v in (n, m)):
-        return _n_eff(n, chart), m
-    n, m = np.broadcast_arrays(np.asarray(block.n, dtype=object), np.asarray(block.m, dtype=object))
-    bad = np.any([abs(v) >= 2 ** 63 for v in (n, m, _n_eff(n, chart) - m)], axis=0)
+    bad = ~((-2 ** 62 < n) & (n < 2 ** 62) & (-2 ** 62 < m) & (m < 2 ** 62)
+            & (n.dtype == m.dtype == np.int64))
     if np.any(bad):
         at = np.argmax(bad)
-        raise SphereModelError("label pair (n, m) = (%d, %d) leaves int64 on the %s chart"
-                               % (n.flat[at], m.flat[at], chart))
-    return _n_eff(n.astype(np.int64), chart), m.astype(np.int64)
+        raise SphereModelError("label pair (n, m) = (%s, %s) is not an int64 pair inside "
+                               "(-2**62, 2**62)" % (n.flat[at], m.flat[at]))
+    return _n_eff(n, chart), m
 
 
 def theta_weight(block: SphereBlock, chart: str) -> int:
@@ -321,12 +317,9 @@ def pde_residual(n, m, chart, phi_values) -> np.ndarray:
     return out[0] if isinstance(chart, str) else out
 
 
-def clutching_check(n: int, psi_upper: Callable, psi_lower: Callable,
-                    thetas=None, tol: float = 1e-10) -> bool:
-    """Equator matching psi1(theta, pi/2) = e^{2 i n theta} psi2(theta, pi/2)."""
-    if thetas is None:
-        thetas = np.linspace(0.0, 2.0 * np.pi, 17)[:-1]
-    thetas = np.asarray(thetas, dtype=float)
+def clutching_check(n: int, psi_upper: Callable, psi_lower: Callable, tol: float = 1e-10) -> bool:
+    """Equator matching psi1(theta, pi/2) = e^{2 i n theta} psi2(theta, pi/2), 16 thetas."""
+    thetas = np.linspace(0.0, 2.0 * np.pi, 17)[:-1]
     upper = psi_upper(thetas, 0.5 * np.pi)
     gap = np.abs(upper - np.exp(2j * n * thetas) * psi_lower(thetas, 0.5 * np.pi))
     return bool(np.all(gap <= tol * max(np.max(np.abs(upper)), 1e-300)))
@@ -336,7 +329,7 @@ def clutching_check(n: int, psi_upper: Callable, psi_lower: Callable,
 # 2x2 operators on the hemisphere
 
 
-def _pair_operator(name: str, fields: Callable) -> FirstOrderOperator:
+def _pair_operator(fields: Callable) -> FirstOrderOperator:
     """The 2x2 first-order operator in (alpha, theta, phi) with each
     chirality's field in its PAIR_SLOTS entry, without zeroth-order term,
     where fields(theta, phi) gives the (npts, 3, 2) coefficients of the chiral
@@ -349,7 +342,7 @@ def _pair_operator(name: str, fields: Callable) -> FirstOrderOperator:
         out[..., rows, columns] = pair
         return out, np.zeros((len(pts), 2, 2), dtype=complex)
 
-    return FirstOrderOperator(chart=name, dim=3, fiber_dim=2, terms=terms)
+    return FirstOrderOperator(dim=3, fiber_dim=2, terms=terms)
 
 
 def chart_operator(chart: str) -> FirstOrderOperator:
@@ -358,8 +351,7 @@ def chart_operator(chart: str) -> FirstOrderOperator:
     which the frame rotation acts, so restrict_to_mode(op, 0, n) is its
     weight-n reduction in (theta, phi)."""
     _check_chart(chart)
-    return _pair_operator("sphere-" + chart,
-                          lambda theta, phi: chiral_pair(*lifted_vector_fields(chart, theta, phi)))
+    return _pair_operator(lambda theta, phi: chiral_pair(*lifted_vector_fields(chart, theta, phi)))
 
 
 def quotient_operator(chart: str, m: int) -> FirstOrderOperator:
@@ -377,7 +369,7 @@ def quotient_operator(chart: str, m: int) -> FirstOrderOperator:
         along_t = pair[..., :1, :] / t[..., :1, :]
         return np.concatenate([along_t, pair[..., 1:, :] - along_t * t[..., 1:, :]], axis=-2)
 
-    return restrict_to_mode(_pair_operator("quotient-" + chart, fields), 0, m)
+    return restrict_to_mode(_pair_operator(fields), 0, m)
 
 
 def _quotient_fits(chart: str):

@@ -90,8 +90,7 @@ def full_chart_frames(geom: TorusGeometry, along: str = "Q") -> FrameField:
         return out
 
     samples = [np.array([0.3, y]) for y in np.linspace(0.0, 2.0 * np.pi, 7)]
-    return FrameField(chart="torus", dim=2, q=1, components=components, coframe=coframe,
-                      samples=samples)
+    return FrameField(dim=2, q=1, components=components, coframe=coframe, samples=samples)
 
 
 def operator_AQ_full(geom: TorusGeometry, along: str = "Q") -> FirstOrderOperator:

@@ -43,7 +43,6 @@ class FirstOrderOperator:
     of both stacks, and drop the npts axis for a single point.
     """
 
-    chart: str
     dim: int
     fiber_dim: int
     terms: Callable
@@ -93,7 +92,6 @@ class FrameField:
     the stack shape noted below; a constant field may return one matrix.
     """
 
-    chart: str
     dim: int
     q: int
     components: Callable  # -> (npts, q, dim) real, rows are f_j
@@ -135,8 +133,7 @@ def assemble_AQ(frames: FrameField, mod: CliffordModule) -> FirstOrderOperator:
         coeffs = clifford_matrix(mod, np.moveaxis(rows, 2, 0))
         return coeffs, np.zeros((len(pts), mod.fiber_dim, mod.fiber_dim), dtype=complex)
 
-    return FirstOrderOperator(chart=frames.chart, dim=frames.dim, fiber_dim=mod.fiber_dim,
-                              terms=terms)
+    return FirstOrderOperator(dim=frames.dim, fiber_dim=mod.fiber_dim, terms=terms)
 
 
 def assemble_DQ(frames: FrameField, mod: CliffordModule, mean_curvature: Callable) -> FirstOrderOperator:
@@ -151,7 +148,7 @@ def assemble_DQ(frames: FrameField, mod: CliffordModule, mean_curvature: Callabl
         coeffs, zeroth = aq.terms(pts)
         return coeffs, zeroth - 0.5 * clifford_matrix(mod, mean_curvature(pts))
 
-    return FirstOrderOperator(chart=aq.chart, dim=aq.dim, fiber_dim=aq.fiber_dim, terms=terms)
+    return FirstOrderOperator(dim=aq.dim, fiber_dim=aq.fiber_dim, terms=terms)
 
 
 def restrict_to_mode(op: FirstOrderOperator, axis: int, n: int) -> FirstOrderOperator:
@@ -171,8 +168,7 @@ def restrict_to_mode(op: FirstOrderOperator, axis: int, n: int) -> FirstOrderOpe
         coeffs, zeroth = op.terms(np.insert(pts, axis, 0.0, axis=1))
         return np.delete(coeffs, axis, axis=0), zeroth + (-1j * n) * coeffs[axis]
 
-    return FirstOrderOperator(chart=op.chart, dim=op.dim - 1, fiber_dim=op.fiber_dim,
-                              terms=terms)
+    return FirstOrderOperator(dim=op.dim - 1, fiber_dim=op.fiber_dim, terms=terms)
 
 
 def principal_symbol(op: FirstOrderOperator, x, xi) -> np.ndarray:

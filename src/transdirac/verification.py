@@ -25,6 +25,7 @@ from transdirac.frame_geometry import (
     mean_curvature_L,
     metric_frame_data,
     rotate_L_frame,
+    torus_frame_data,
 )
 from transdirac.sphere_model import (
     CHARTS,
@@ -149,6 +150,9 @@ def suite_connection(trials: int = 100, seed: int = 7, tol: float = 1e-10) -> di
             check(p, q)
     for p, q in list(filled):
         check(p, q)
+    # torus_model's H^Q = -g' d_y is H^L with Q and L swapped; unswapped it is 0
+    torus = max(abs(mean_curvature_L(torus_frame_data(g_prime, swap=swap))[0] + swap * g_prime)
+                for g_prime in rng.uniform(-2.0, 2.0, 4) for swap in (False, True))
     checks = [
         _check("two B_X formulas agree", worst["form"], 1e-12),
         _check("B_X skew-Hermitian", worst["skew"], 1e-12),
@@ -156,6 +160,7 @@ def suite_connection(trials: int = 100, seed: int = 7, tol: float = 1e-10) -> di
         _check("L-frame rotation invariance", worst["rot"], 1e-12),
         _check("linearity in X", worst["lin"], 1e-12),
         _check("mean curvature L-frame invariance", worst["mean"], 1e-12),
+        _check("torus mean curvature H = -g'", torus, 1e-12),
     ]
     return _report("connection", checks)
 
@@ -187,10 +192,9 @@ def suite_residual(tol: float = RESIDUAL_TOL) -> dict:
     return _report("residual", checks)
 
 
-def suite_quotient(n_max: int = 4, m_max: int = 4, tol: float = 1e-12) -> dict:
-    worst = reduction_gaps(n_max, m_max)[2].max()
-    checks = [_check("reduced-operator coefficient gap (|n|<=%d, |m|<=%d)" % (n_max, m_max),
-                     worst, tol)]
+def suite_quotient(tol: float = 1e-12) -> dict:
+    worst = reduction_gaps(4, 4)[2].max()
+    checks = [_check("reduced-operator coefficient gap (|n|<=4, |m|<=4)", worst, tol)]
     return _report("quotient", checks)
 
 

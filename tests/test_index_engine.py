@@ -80,11 +80,6 @@ def test_index_table_label_columns():
     assert table.n.dtype == table.m.dtype == np.int64
     assert table.n.tolist() == [n for n in range(-3, 4) for _ in range(2)]
     assert table.m.tolist() == [big - 3, big - 2] * 7
-    # a query one past int64 matches no int64 label (numpy 1.24 would
-    # compare big - 2 and big as equal floats)
-    for n, m in ((0, big), (0, big - 1), (big, 0), (4, big - 3)):
-        with pytest.raises(KeyError):
-            table.index(n, m)
     ranges = ((range(big - 1, big + 1), range(-1, 1)), (range(-1, 1), range(big - 1, big + 1)),
               (range(-big, 2 - big), range(0, 2)), (range(-2, 0), range(-10 ** 20, 2 - 10 ** 20)))
     for n_range, m_range in ranges:
@@ -93,17 +88,10 @@ def test_index_table_label_columns():
         assert {type(label) for label in [*table.n, *table.m]} == {int}
         assert table.n.tolist() == [n for n in n_range for _ in m_range]
         assert table.m.tolist() == list(m_range) * len(n_range)
-        for n in n_range:
-            for m in m_range:
-                assert table.index(n, m) == index_closed_form(n, m) == reference_index(n, m)
-                assert table.total_kernel(n, m) == sum(kernel_dims_closed_form(n, m))
-    # built directly: a list beside an int64 array, one of them beyond int64
-    table = IndexTable(n=np.array([0, 1]), m=[big, -big], dim_ker_plus=[0, 1],
-                       dim_ker_minus=[1, 0])
-    assert table.n.dtype == table.m.dtype == object
-    assert table.index(1, -big) == 1 and table.total_kernel(0, big) == 1
-    table = IndexTable(n=[0, 1], m=np.array([2, 3]), dim_ker_plus=[0, 0], dim_ker_minus=[1, 1])
-    assert table.n.dtype == table.m.dtype == np.int64 and table.index(np.int64(1), 3) == -1
+        blocks = list(zip(table.n.tolist(), table.m.tolist()))
+        assert table.indices.tolist() == [reference_index(n, m) for n, m in blocks]
+        assert (table.dim_ker_plus + table.dim_ker_minus).tolist() == [
+            sum(kernel_dims_closed_form(n, m)) for n, m in blocks]
 
 
 def test_index_examples():
@@ -203,47 +191,39 @@ def test_numerical_batch_matches_single_blocks():
 
 def test_table_row_n2():
     table = build_index_table(range(2, 3), range(-6, 7))
-    row = [table.index(2, m) for m in range(-6, 7)]
-    assert row == [1, 1, 1, 1, 1, 0, 0, 0, -1, -1, -1, -1, -1]
+    assert table.indices.tolist() == [1, 1, 1, 1, 1, 0, 0, 0, -1, -1, -1, -1, -1]
 
 
 def test_table_column_m0():
     table = build_index_table(range(-5, 6), range(0, 1))
-    for n in range(-5, 6):
-        assert table.total_kernel(n, 0) == (2 if n == 0 else 0)
+    total = table.dim_ker_plus + table.dim_ker_minus
+    assert total.tolist() == [2 if n == 0 else 0 for n in range(-5, 6)]
 
 
 def test_table_symmetries():
-    table = build_index_table(range(-4, 5), range(-4, 5))
-    for n in range(-4, 5):
-        for m in range(-4, 5):
-            assert table.index(n, m) == table.index(-n, m)
-            if m != 0:
-                assert table.index(n, -m) == -table.index(n, m)
+    # the index on the (n, m) grid is even in n and, off m = 0, odd in m
+    grid = build_index_table(range(-4, 5), range(-4, 5)).indices.reshape(9, 9)
+    assert np.array_equal(grid, grid[::-1])
+    flipped = -grid[:, ::-1]
+    flipped[:, 4] = grid[:, 4]
+    assert np.array_equal(grid, flipped)
 
 
 def test_table_structural_bounds():
     # for fixed n every large |m| contributes +-1; for fixed m the kernel
     # support in n is exactly {|n| <= |m|}
     table = build_index_table(range(-3, 4), range(-6, 7))
-    for n in range(-3, 4):
-        cutoff = max(abs(n), 1)
-        for m in range(-6, 7):
-            if m >= cutoff:
-                assert table.index(n, m) == -1
-            if m <= -cutoff:
-                assert table.index(n, m) == 1
-    for m in range(-6, 7):
-        support = [n for n in range(-3, 4) if table.total_kernel(n, m) > 0]
-        expected = [n for n in range(-3, 4) if abs(n) <= abs(m) and m != 0]
-        if m == 0:
-            expected = [0]
-        assert support == expected
+    n, m, index = (column.reshape(7, 13) for column in (table.n, table.m, table.indices))
+    cutoff = np.maximum(abs(n), 1)
+    assert np.all(index[m >= cutoff] == -1) and np.all(index[m <= -cutoff] == 1)
+    support = (table.dim_ker_plus + table.dim_ker_minus).reshape(7, 13) > 0
+    assert np.array_equal(support, (abs(n) <= abs(m)) & (m != 0) | (n == 0) & (m == 0))
 
 
 def test_method_both_enforces_agreement():
     table = build_index_table(range(-2, 3), range(-2, 3), method="both")
-    assert table.index(2, 2) == -1
+    assert table.indices.tolist() == [reference_index(n, m) for n in range(-2, 3)
+                                      for m in range(-2, 3)]
 
 
 def test_method_both_names_the_first_disagreement(monkeypatch):
@@ -265,18 +245,21 @@ def test_method_both_names_the_first_disagreement(monkeypatch):
     assert str(info.value) == message
     # the numeric route alone takes its own word for it
     table = build_index_table(range(-2, 3), range(-2, 3), method="numeric")
-    assert table.index(-1, 2) == 0 and table.index(1, -2) == 0
+    assert table.indices.tolist() == [0 if (n, m) in flipped else reference_index(n, m)
+                                      for n in range(-2, 3) for m in range(-2, 3)]
 
 
 def test_table_invariant_validation():
-    # the index column is derived, so only the dimension columns can be wrong
-    for d_plus, d_minus in (([2], [1]), ([0], [-1]), ([1, 0], [0])):
-        with pytest.raises(IndexError_):
-            IndexTable(n=[0], m=[0], dim_ker_plus=d_plus, dim_ker_minus=d_minus)
-    table = IndexTable(n=[0, 1], m=[0, 0], dim_ker_plus=[1, 0], dim_ker_minus=[1, 0])
-    assert table.indices.tolist() == [0, 0] and table.total_kernel(0, 0) == 2
-    with pytest.raises(KeyError):
-        table.index(2, 0)
+    # a plain record: build_index_table alone fills it, with columns of one
+    # length, kernel dimensions in {0, 1} and indices = dim_ker_plus - dim_ker_minus
+    assert [f.name for f in dataclasses.fields(IndexTable)] == [
+        "n", "m", "dim_ker_plus", "dim_ker_minus", "indices"]
+    for method in ("closed", "numeric", "both"):
+        table = build_index_table(range(-3, 4), range(-4, 5), method=method)
+        columns = (table.n, table.m, table.dim_ker_plus, table.dim_ker_minus, table.indices)
+        assert [(len(c), c.dtype) for c in columns] == [(63, np.int64)] * 5
+        assert set(table.dim_ker_plus.tolist() + table.dim_ker_minus.tolist()) == {0, 1}
+        assert np.array_equal(table.indices, table.dim_ker_plus - table.dim_ker_minus)
     with pytest.raises(IndexError_):
         build_index_table([], range(0, 1))
     with pytest.raises(IndexError_):
@@ -285,9 +268,8 @@ def test_table_invariant_validation():
 
 def test_numeric_table_matches_closed_form_small_blocks():
     table = build_index_table(range(-1, 2), range(-1, 2), method="numeric")
-    for n in range(-1, 2):
-        for m in range(-1, 2):
-            assert table.index(n, m) == index_closed_form(n, m)
+    assert table.indices.tolist() == [index_closed_form(n, m) for n in range(-1, 2)
+                                      for m in range(-1, 2)]
 
 
 def test_table_block_count_is_bounded(monkeypatch):

@@ -372,35 +372,30 @@ def test_residual_over_charts_stacks_the_per_chart_calls():
 
 
 def test_batched_labels_must_fit_int64():
-    # n - m = 2**63 on the upper chart, -n = 2**63 on the lower one
-    for n, m, chart in ((2 ** 62, -2 ** 62, UPPER), (-2 ** 63, 0, LOWER)):
-        block = SphereBlock(n=np.array([0, n]), m=np.array([0, m]))
+    # a batch is int64 labels inside (-2**62, 2**62); an object array, a label
+    # at +-2**62 and a float array each raise, naming the first such pair
+    big = 2 ** 62
+    for n, m, pair in ((np.array([1, 2], dtype=object), np.array([3, 4]), "(1, 3)"),
+                       (np.array([0, big]), np.array([0, -5]), "(%d, -5)" % big),
+                       (np.array([0, 7]), np.array([0, -big]), "(7, %d)" % -big),
+                       (np.array([0.0, 1.0]), np.array([2, 3]), "(0.0, 2)")):
         for fn in (reduce_block, closed_form_kernel_section, theta_weight):
-            with pytest.raises(SphereModelError, match=re.escape("(n, m) = (%d, %d)" % (n, m))):
-                fn(block, chart)
-    # the largest pair that fits: n - m = 2**63 - 1, whose negative fits too
-    n, m = 2 ** 62 - 1, -2 ** 62
-    for chirality in CHIRALITIES:
-        batch = reduce_block(SphereBlock(np.array([n]), np.array([m]), chirality), UPPER)
-        single = reduce_block(SphereBlock(n, m, chirality), UPPER)
-        assert batch.exponent.tolist() == [single.exponent]
-
-
-def test_int64_labels_skip_the_exact_range_check_with_the_same_weights():
-    # int64 labels inside (-2**62, 2**62) are used as they are; the same labels
-    # as Python ints take the exact check, and every weight agrees
-    big = 2 ** 62 - 1
-    n = np.array([0, big, -big, big, 7, -3])
-    m = np.array([0, -big, big, big, -2, 5])
-    exact_n, exact_m = n.astype(object), m.astype(object)
+            for chart in CHARTS:
+                with pytest.raises(SphereModelError, match=re.escape("(n, m) = " + pair)):
+                    fn(SphereBlock(n=n, m=m), chart)
+    # just inside the bound, a batch gets the weights of the same labels as Python ints
+    labels = [(0, 0), (big - 1, 1 - big), (1 - big, big - 1), (big - 1, big - 1), (7, -2)]
+    n, m = np.array(labels).T
     for chart in CHARTS:
         for chirality in CHIRALITIES:
-            fast = reduce_block(SphereBlock(n, m, chirality), chart)
-            exact = reduce_block(SphereBlock(exact_n, exact_m, chirality), chart)
-            for a, b in ((fast.p, exact.p), (fast.q, exact.q), (fast.exponent, exact.exponent)):
-                assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
-        assert np.array_equal(theta_weight(SphereBlock(n, m), chart),
-                              theta_weight(SphereBlock(exact_n, exact_m), chart))
+            batch = reduce_block(SphereBlock(n, m, chirality), chart)
+            singles = [reduce_block(SphereBlock(a, b, chirality), chart) for a, b in labels]
+            for name in ("p", "q", "exponent"):
+                column = getattr(batch, name)
+                assert column.dtype == np.int64
+                assert column.tolist() == [getattr(single, name) for single in singles]
+        assert theta_weight(SphereBlock(n, m), chart).tolist() == [
+            theta_weight(SphereBlock(a, b), chart) for a, b in labels]
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +595,7 @@ def test_comparison_evaluates_the_quotient_once_per_chart(monkeypatch):
             calls.append((chart, m, pts.shape))
             return op.terms(pts)
 
-        return FirstOrderOperator(chart=op.chart, dim=op.dim, fiber_dim=op.fiber_dim, terms=terms)
+        return FirstOrderOperator(dim=op.dim, fiber_dim=op.fiber_dim, terms=terms)
 
     def closed_form_forbidden(*args):
         raise AssertionError("the comparison read the closed form")

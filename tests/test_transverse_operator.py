@@ -40,7 +40,7 @@ def test_frame_orthonormality_enforced():
     def components(x):
         return np.array([[2.0, 0.0]])  # not unit length for the flat metric
 
-    frames = FrameField(chart="flat", dim=2, q=1,
+    frames = FrameField(dim=2, q=1,
                         components=components,
                         coframe=lambda x: np.eye(2),
                         samples=[np.zeros(2)])
@@ -64,7 +64,7 @@ def test_symbol_squares_to_minus_q_norm():
     def components(x):
         return np.eye(2)
 
-    frames = FrameField(chart="flat", dim=2, q=2,
+    frames = FrameField(dim=2, q=2,
                         components=components,
                         coframe=lambda x: np.eye(2),
                         samples=[np.zeros(2)])
@@ -125,7 +125,7 @@ def test_singular_coefficient_raises():
         return out
 
     op = FirstOrderOperator(
-        chart="test", dim=1, fiber_dim=1,
+        dim=1, fiber_dim=1,
         terms=lambda x: (inverse(x)[None], np.zeros((len(x), 1, 1))),
     )
     with pytest.raises(SingularPointError):
@@ -134,7 +134,7 @@ def test_singular_coefficient_raises():
 
 def test_singular_point_named_in_a_stack():
     op = FirstOrderOperator(
-        chart="test", dim=1, fiber_dim=1,
+        dim=1, fiber_dim=1,
         terms=lambda x: (np.where(x < 0.0, np.inf, 1.0)[None, :, :, None],
                          np.zeros((len(x), 1, 1))),
     )
@@ -156,13 +156,13 @@ def test_coefficients_on_a_stack_match_single_points():
 
 
 def test_coefficient_shape_contract_enforced():
-    op = FirstOrderOperator(chart="test", dim=1, fiber_dim=1,
+    op = FirstOrderOperator(dim=1, fiber_dim=1,
                             terms=lambda x: (np.ones((1, 1)), np.zeros((len(x), 1, 1))))
     with pytest.raises(OperatorError):
         op.coefficients_at(np.zeros((3, 1)))
     with pytest.raises(OperatorError):
         op.zeroth_at(np.zeros((3, 2)))
-    op = FirstOrderOperator(chart="test", dim=1, fiber_dim=1,
+    op = FirstOrderOperator(dim=1, fiber_dim=1,
                             terms=lambda x: (np.ones((1, len(x), 1, 1)), np.zeros((1, 1))))
     with pytest.raises(OperatorError, match="zeroth-order term returned shape"):
         op.zeroth_at(np.zeros((3, 1)))
@@ -181,7 +181,7 @@ def test_discretization_evaluates_each_coefficient_once_per_grid():
             calls.append(pts.shape)
             return full.terms(pts)
 
-        counted = FirstOrderOperator(chart=full.chart, dim=2, fiber_dim=1, terms=terms)
+        counted = FirstOrderOperator(dim=2, fiber_dim=1, terms=terms)
         op, base = (restrict_to_mode(o, 0, 3) for o in (counted, full))
         assert np.array_equal(discretize(op, grid), discretize(base, grid))
         assert calls == [(32, 2)]
@@ -199,7 +199,7 @@ def test_discretization_with_fiber_dim_two_matches_blockwise_split_form():
         return np.moveaxis(a, 2, 0)[None], np.moveaxis(b, 2, 0).astype(complex)
 
     n, d = 16, 2
-    op = FirstOrderOperator(chart="test", dim=1, fiber_dim=d, terms=terms)
+    op = FirstOrderOperator(dim=1, fiber_dim=d, terms=terms)
     grid = periodic_grid(n, 0.2 * np.cos(2.0 * np.pi * np.arange(n) / n))
     a, b = op.coefficients_at(grid.points[:, None], with_zeroth=True)
     a = a[0]
@@ -227,7 +227,7 @@ def test_diagonal_discretization_refuses_a_derivative_part():
 def test_dimension_mismatch_rejected():
     # one derivative coefficient for a 2-dimensional operator: no check can see
     # what the callable returns before it runs, so the first evaluation raises
-    op = FirstOrderOperator(chart="test", dim=2, fiber_dim=1,
+    op = FirstOrderOperator(dim=2, fiber_dim=1,
                             terms=lambda x: (np.ones((1, len(x), 1, 1)), np.zeros((1, 1))))
     with pytest.raises(OperatorError):
         op.coefficients_at(np.zeros(2))
@@ -261,14 +261,14 @@ def test_frame_checked_where_finite():
         return np.stack([[[np.exp(-800.0 * p[0]), 0.0]] for p in pts])
 
     samples = [np.zeros(2), np.ones(2)]
-    frames = FrameField(chart="flat", dim=2, q=1, components=components,
+    frames = FrameField(dim=2, q=1, components=components,
                         coframe=coframe, samples=samples)
     assemble_AQ(frames, build_standard_module(1))
-    frames = FrameField(chart="flat", dim=2, q=1, components=lambda pts: 2.0 * components(pts),
+    frames = FrameField(dim=2, q=1, components=lambda pts: 2.0 * components(pts),
                         coframe=coframe, samples=samples)
     with pytest.raises(OperatorError, match=r"not orthonormal at \[0\. 0\.\]"):
         assemble_AQ(frames, build_standard_module(1))
-    frames = FrameField(chart="flat", dim=2, q=1, components=components,
+    frames = FrameField(dim=2, q=1, components=components,
                         coframe=coframe, samples=samples[1:])
     with pytest.raises(OperatorError, match="not finite at any sample"):
         assemble_AQ(frames, build_standard_module(1))

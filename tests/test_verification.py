@@ -16,6 +16,7 @@ from transdirac.frame_geometry import (
     mean_curvature_L,
     random_frame_data,
     rotate_L_frame,
+    torus_frame_data,
     verify_compatibility,
 )
 from transdirac.verification import suite_clifford, suite_connection
@@ -49,7 +50,12 @@ def reference_connection(trials, seed):
             combined = b_l + compute_BX_Lframe(data, mod, x2)
             lin_gap = max(lin_gap, np.max(np.abs(
                 compute_BX_Lframe(LocalFrameData(p=p, q=q, conn=summed), mod, x) - combined)))
-    return [form, skew, residual, rot_gap, lin_gap, mean_gap]
+    # after the trials, four torus slopes g': H^L = -g' swapped, 0 unswapped
+    torus = 0.0
+    for g_prime in rng.uniform(-2.0, 2.0, 4):
+        torus = max(torus, abs(mean_curvature_L(torus_frame_data(g_prime, swap=True))[0] + g_prime),
+                    abs(mean_curvature_L(torus_frame_data(g_prime))[0]))
+    return [form, skew, residual, rot_gap, lin_gap, mean_gap, torus]
 
 
 def reference_pairing(trials, seed):
@@ -79,7 +85,8 @@ def values(report):
 def test_connection_suite_matches_per_trial_loop(seed, trials):
     report = suite_connection(trials=trials, seed=seed)
     assert report["passed"]
-    assert [c["name"] for c in report["checks"]][-1] == "mean curvature L-frame invariance"
+    assert [c["name"] for c in report["checks"]][-2:] == [
+        "mean curvature L-frame invariance", "torus mean curvature H = -g'"]
     assert np.max(np.abs(np.subtract(values(report), reference_connection(trials, seed)))) <= 1e-14
 
 
@@ -105,6 +112,17 @@ def test_mean_curvature_check_catches_one_direction_mutant(monkeypatch):
     report = suite_connection(trials=100, seed=7)
     failed = [c["name"] for c in report["checks"] if not c["passed"]]
     assert not report["passed"] and failed == ["mean curvature L-frame invariance"]
+
+
+@pytest.mark.parametrize("seed", (1, 3, 7))
+def test_torus_mean_curvature_check_catches_halved_mean_curvature(monkeypatch, seed):
+    # half of H^L is still invariant under L-frame rotations; only the torus
+    # closed form H^Q = -g' sees it
+    real = verification.mean_curvature_L
+    monkeypatch.setattr(verification, "mean_curvature_L", lambda data: 0.5 * real(data))
+    report = verification.run_suite("connection", trials=100, seed=seed)
+    failed = [c["name"] for c in report["checks"] if not c["passed"]]
+    assert not report["passed"] and failed == ["torus mean curvature H = -g'"]
 
 
 def test_connection_suite_memory_does_not_grow_with_trials():
