@@ -286,7 +286,6 @@ def cmd_sphere_kernel(args):
         CHIRALITIES,
         RESIDUAL_PHIS,
         RESIDUAL_TOL,
-        SphereBlock,
         closed_form_kernel_section,
         pde_residual,
         reduce_block,
@@ -295,16 +294,16 @@ def cmd_sphere_kernel(args):
     numeric = index_numerical(args.n, args.m)
     residuals, charts = pde_residual(args.n, args.m, CHARTS, RESIDUAL_PHIS).tolist(), []
     for chart, chart_residuals in zip(CHARTS, residuals):
-        for chirality, residual in zip(CHIRALITIES, chart_residuals):
-            block = SphereBlock(n=args.n, m=args.m, chirality=chirality)
-            section = closed_form_kernel_section(block, chart)
+        section = closed_form_kernel_section(args.n, args.m, chart)
+        ode = reduce_block(args.n, args.m, chart)
+        for c, (chirality, residual) in enumerate(zip(CHIRALITIES, chart_residuals)):
             charts.append({
                 "chart": chart,
                 "chirality": chirality,
-                "theta_weight": section.theta_weight,
-                "sin_power": section.sin_power,
-                "one_plus_cos_power": section.cos_power,
-                "indicial_exponent": reduce_block(block, chart).exponent,
+                "theta_weight": section.theta_weight[c],
+                "sin_power": section.sin_power[c],
+                "one_plus_cos_power": section.cos_power[c],
+                "indicial_exponent": ode.exponent[c],
                 "estimated_exponent": numeric["estimated_exponents"][(chart, chirality)],
                 "pde_residual": residual,
             })
@@ -423,7 +422,7 @@ def main(argv=None) -> int:
         if not isinstance(document, str):
             document = render_json({"schema_version": SCHEMA_VERSION, **document})
         _emit(document, args.out)
-    except (ValueError, OverflowError, OSError) as exc:
+    except (ValueError, OverflowError, OSError, MemoryError) as exc:
         sys.stderr.write(render_json({"schema_version": SCHEMA_VERSION, "error": str(exc)}))
         return 1
     return 0 if passed else 1

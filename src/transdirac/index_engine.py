@@ -18,7 +18,6 @@ from transdirac.sphere_model import (
     CHARTS,
     CHIRALITIES,
     MAX_BLOCKS,
-    SphereBlock,
     reduce_block,
 )
 
@@ -106,10 +105,9 @@ def index_numerical(n, m) -> dict:
                               window[0], ORACLE_EPS, ORACLE_STEPS - first)
     s_csc, s_cot = fit_exponent(np.log(sin[0::2]), basis)
     keys = [(chart, chirality) for chirality in CHIRALITIES for chart in CHARTS]
-    slopes = np.empty((len(keys), len(n)))
-    for row, (chart, chirality) in enumerate(keys):
-        ode = reduce_block(SphereBlock(n=n, m=m, chirality=chirality), chart)
-        slopes[row] = ode.p * s_csc - ode.q * s_cot
+    # one reduction per chart, both chiralities on its last axis; rows in the order of keys
+    slopes = np.stack([ode.p * s_csc - ode.q * s_cot for ode in (
+        reduce_block(n, m, chart) for chart in CHARTS)], axis=1).T.reshape(len(keys), -1)
     snapped = np.round(slopes)
     bad = ~(np.abs(slopes - snapped) <= 0.1)
     if np.any(bad):

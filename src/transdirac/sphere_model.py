@@ -29,6 +29,9 @@ UPPER = "upper"
 LOWER = "lower"
 CHARTS = (UPPER, LOWER)
 CHIRALITIES = ("+", "-")
+# each chirality's sign on the radial table and the section powers, in the order of CHIRALITIES
+CHIRAL_SIGNS = np.array([1, -1])
+CHIRAL_SIGNS.flags.writeable = False
 # the (row, column) entry of the 2x2 chart operator that holds each
 # chirality's field, in the order of CHIRALITIES: '+' below the diagonal
 PAIR_SLOTS = ((1, 0), (0, 1))
@@ -74,28 +77,14 @@ def _check_chart(chart: str) -> str:
 
 
 @dataclass(frozen=True)
-class SphereBlock:
-    """Isotypic label: frame-rotation weight n, lifted-rotation weight m; for
-    a batch, n and m are integer arrays of one shape (reduce_block is elementwise)."""
-
-    n: int
-    m: int
-    chirality: str = "+"
-
-    def __post_init__(self):
-        if self.chirality not in CHIRALITIES:
-            raise SphereModelError("chirality must be '+' or '-'")
-
-
-@dataclass(frozen=True)
 class RadialODE:
     """d_phi psi = r(phi) psi with r(phi) = (p - q cos phi) / sin phi; the
-    indicial exponent at the pole phi = 0 is p - q. For a batched block, p, q
-    and exponent are integer arrays of the labels' shape."""
+    indicial exponent at the pole phi = 0 is p - q. Each field is an int64
+    array of the labels' shape and a last axis over CHIRALITIES."""
 
-    p: int
-    q: int
-    exponent: int
+    p: np.ndarray
+    q: np.ndarray
+    exponent: np.ndarray
 
     def r(self, phi):
         return (self.p - self.q * np.cos(phi)) / np.sin(phi)
@@ -197,49 +186,44 @@ def lifted_vector_fields(chart, theta, phi):
 # isotypic reduction to radial ODEs
 
 
-def _n_eff(n: int, chart: str) -> int:
-    # the lower chart sees the frame weight with flipped sign (clutching)
-    return n if chart == UPPER else -n
-
-
-def _weights(block: SphereBlock, chart: str):
-    """(n_eff, m) of the block on the chart. Int labels stay Python ints, exact at
-    any size; a batch must be int64 arrays inside (-2**62, 2**62), where n_eff - m
-    and all negatives fit int64, else SphereModelError names its first pair."""
+def _weights(n, m, chart: str):
+    """(n_eff, m) on the chart, int64 arrays of the labels' broadcast shape; the
+    lower chart flips the frame weight (clutching). Ints and arrays alike must
+    be int64 inside (-2**62, 2**62), where n_eff - m and all negatives fit
+    int64, else SphereModelError names the first pair that is not."""
     _check_chart(chart)
-    if np.ndim(block.n) == 0 and np.ndim(block.m) == 0:
-        return _n_eff(block.n, chart), block.m
-    n, m = np.broadcast_arrays(np.asarray(block.n), np.asarray(block.m))
+    n, m = np.broadcast_arrays(np.asarray(n), np.asarray(m))
     bad = ~((-2 ** 62 < n) & (n < 2 ** 62) & (-2 ** 62 < m) & (m < 2 ** 62)
             & (n.dtype == m.dtype == np.int64))
     if np.any(bad):
         at = np.argmax(bad)
         raise SphereModelError("label pair (n, m) = (%s, %s) is not an int64 pair inside "
                                "(-2**62, 2**62)" % (n.flat[at], m.flat[at]))
-    return _n_eff(n, chart), m
+    return (n if chart == UPPER else -n), m
 
 
-def theta_weight(block: SphereBlock, chart: str) -> int:
-    """Angular weight k with psi(theta, phi) = e^{i k theta} psi(0, phi)."""
-    ne, m = _weights(block, chart)
+def theta_weight(n, m, chart: str):
+    """Angular weight k with psi(theta, phi) = e^{i k theta} psi(0, phi) of both chiralities."""
+    ne, m = _weights(n, m, chart)
     return ne - m
 
 
-def reduce_block(block: SphereBlock, chart: str) -> RadialODE:
-    """Radial reduction d_phi psi = r(phi) psi of the kernel equation."""
-    ne, m = _weights(block, chart)
-    sign = 1 if block.chirality == "+" else -1
-    return RadialODE(p=sign * ne, q=sign * m, exponent=sign * (ne - m))
+def reduce_block(n, m, chart: str) -> RadialODE:
+    """Radial reduction d_phi psi = r(phi) psi of the kernel equation, both chiralities."""
+    ne, m = _weights(n, m, chart)
+    ne, m = ne[..., None], m[..., None]
+    return RadialODE(p=CHIRAL_SIGNS * ne, q=CHIRAL_SIGNS * m, exponent=CHIRAL_SIGNS * (ne - m))
 
 
 @dataclass(frozen=True)
 class KernelSection:
     """Closed-form kernel solution sin(phi)^sin_power (1 + cos(phi))^cos_power
-    e^{i theta_weight theta} (C = 1); may be unbounded at the pole."""
+    e^{i theta_weight theta} (C = 1); may be unbounded at the pole. Fields as
+    RadialODE's: theta and phi broadcast against the last axis."""
 
-    sin_power: int
-    cos_power: int
-    theta_weight: int
+    sin_power: np.ndarray
+    cos_power: np.ndarray
+    theta_weight: np.ndarray
 
     def __call__(self, theta, phi):
         return (np.sin(phi) ** self.sin_power * (np.cos(phi) + 1.0) ** self.cos_power
@@ -251,11 +235,13 @@ class KernelSection:
                 self.sin_power / np.tan(phi) - self.cos_power * np.sin(phi) / (1.0 + np.cos(phi)))
 
 
-def closed_form_kernel_section(block: SphereBlock, chart: str) -> KernelSection:
-    """The block's kernel section on the chart, from the weights, not reduce_block."""
-    ne, m = _weights(block, chart)
-    sign = 1 if block.chirality == "+" else -1
-    return KernelSection(sin_power=sign * (ne - m), cos_power=-sign * ne, theta_weight=ne - m)
+def closed_form_kernel_section(n, m, chart: str) -> KernelSection:
+    """Both chiralities' kernel sections on the chart, from the weights, not reduce_block."""
+    ne, m = _weights(n, m, chart)
+    k, ne = (ne - m)[..., None], ne[..., None]
+    sin_power = CHIRAL_SIGNS * k
+    return KernelSection(sin_power=sin_power, cos_power=-CHIRAL_SIGNS * ne,
+                         theta_weight=np.broadcast_to(k, sin_power.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -308,21 +294,20 @@ def pde_residual(n, m, chart, phi_values) -> np.ndarray:
     n, m = np.broadcast_arrays(np.asarray(n)[..., None, None], np.asarray(m)[..., None, None])
     theta = np.linspace(0.0, 2.0 * np.pi, 7)[:-1, None][(None,) * (n.ndim - 2)]
     phi = phi_values[None, :]
-    logs = [[closed_form_kernel_section(SphereBlock(n, m, chirality), c).log_derivatives(phi)
-             for chirality in CHIRALITIES] for c in charts]
-    d_theta, d_phi = (np.stack([np.stack([pair[i] for pair in row], axis=-1) for row in logs])
-                      for i in (0, 1))
+    d_theta, d_phi = map(np.stack, zip(*(closed_form_kernel_section(n, m, c).log_derivatives(
+        phi[..., None]) for c in charts)))
     out = apply_chart_operator(n[..., None], charts, 1.0, d_theta, d_phi, theta, phi)
     out = np.moveaxis(np.max(np.abs(out), axis=(-3, -2)), -1, 1)
     return out[0] if isinstance(chart, str) else out
 
 
-def clutching_check(n: int, psi_upper: Callable, psi_lower: Callable, tol: float = 1e-10) -> bool:
-    """Equator matching psi1(theta, pi/2) = e^{2 i n theta} psi2(theta, pi/2), 16 thetas."""
-    thetas = np.linspace(0.0, 2.0 * np.pi, 17)[:-1]
+def clutching_check(n: int, psi_upper: Callable, psi_lower: Callable) -> float:
+    """Worst relative gap |psi1 - e^{2 i n theta} psi2| / max |psi1| of the equator matching
+    at phi = pi/2 and 16 thetas, per entry of the sections' last (chirality) axis."""
+    thetas = np.linspace(0.0, 2.0 * np.pi, 17)[:-1, None]
     upper = psi_upper(thetas, 0.5 * np.pi)
     gap = np.abs(upper - np.exp(2j * n * thetas) * psi_lower(thetas, 0.5 * np.pi))
-    return bool(np.all(gap <= tol * max(np.max(np.abs(upper)), 1e-300)))
+    return float(np.max(gap / np.maximum(np.max(np.abs(upper), axis=0), 1e-300)))
 
 
 # ---------------------------------------------------------------------------
@@ -396,19 +381,22 @@ def compare_block_reductions(n, m):
     a_m m and q_1 = b_k k + b_m m (k = theta_weight; a, b from _quotient_fits);
     route 2 is reduce_block's (p, q). A block's discrepancy is the fit
     residual plus the largest |p_1 - p| + |q_1 - q| over charts and
-    chiralities: a float for int n and m, else an array of their shape."""
+    chiralities: a float for int n and m, else an array of their shape. Sums
+    are int64: labels or fits that could wrap them raise SphereModelError."""
     shape = np.broadcast_shapes(np.shape(n), np.shape(m))
     n, m = (np.broadcast_to(v, shape).ravel() for v in (n, m))
     fits, gap = [_quotient_fits(chart) for chart in CHARTS], 0
     for chart, (rows, _) in zip(CHARTS, fits):
-        for ((a_k, a_m), (b_k, b_m)), chirality in zip(rows, CHIRALITIES):
-            ode = reduce_block(SphereBlock(n, m, chirality), chart)
-            labels = [theta_weight(SphereBlock(n, m), chart), m, ode.p, ode.q]
-            size = max(int(np.max(np.abs(v), initial=1)) for v in labels)
-            # int64 while the sums below stay under 2**63, else exact Python ints
-            exact = (abs(a_k) + abs(a_m) + abs(b_k) + abs(b_m) + 2) * size < 2 ** 63
-            k, m_, p, q = labels if exact else [v.astype(object) for v in labels]
-            gap = np.maximum(gap, abs(a_k * k + a_m * m_ - p) + abs(b_k * k + b_m * m_ - q))
+        ode, k = reduce_block(n, m, chart), theta_weight(n, m, chart)[:, None]
+        size = max(int(np.max(np.abs(v), initial=1)) for v in (k, m, ode.p, ode.q))
+        weight = max(sum(abs(c) for pair in row for c in pair) for row in rows) + 2
+        if weight * size >= 2 ** 63:
+            raise SphereModelError("labels up to %d with fitted integers summing to %d leave "
+                                   "int64 in the reduction comparison" % (size, weight - 2))
+        # each fitted integer as an array over CHIRALITIES
+        (a_k, a_m), (b_k, b_m) = np.moveaxis(np.array(rows, dtype=np.int64), 0, -1)
+        gap = np.maximum(gap, np.max(np.abs(a_k * k + a_m * m[:, None] - ode.p)
+                                     + np.abs(b_k * k + b_m * m[:, None] - ode.q), axis=-1))
     worst = np.asarray(max(residual for _, residual in fits) + gap, dtype=float)
     return worst.reshape(shape) if shape else float(worst[0])
 

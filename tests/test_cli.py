@@ -596,6 +596,37 @@ def test_route_disagreement_exits_one(capsys, monkeypatch):
     assert json.loads(captured.err)["error"].startswith("route disagreement at (-1, 0): ")
 
 
+@pytest.mark.parametrize("signs", [(1, 1), (-1, 1)])
+def test_chirality_sign_mutants_fail_the_checks(capsys, monkeypatch, signs):
+    # the chirality signs are written once, in CHIRAL_SIGNS: a wrong sign on
+    # either chirality fails the residual suite (through the sections), the
+    # numeric route against the closed form and the quotient comparison
+    # (through the reductions). The clutching suite cannot see it: on the
+    # equator sin(phi) = 1 and cos(phi) = 0, so the signed powers drop out
+    monkeypatch.setattr(sphere_model, "CHIRAL_SIGNS", np.array(signs))
+    for argv in (["verify", "--suite", "residual"],
+                 ["sphere-index", "--n-min", "-2", "--n-max", "2", "--m-min", "-3", "--m-max", "3",
+                  "--method", "both"],
+                 ["compare-quotient", "--n-max", "2", "--m-max", "2"]):
+        assert main(argv) == 1, argv
+        capsys.readouterr()
+    assert main(["verify", "--suite", "clutching"]) == 0
+
+
+def test_allocation_failure_exits_one_with_the_json_error(capsys, monkeypatch):
+    # numpy's "Unable to allocate" error is a MemoryError: main reports it as
+    # the JSON error, with no traceback
+    def spectrum_DL(geom, mode, n_points):
+        raise MemoryError("Unable to allocate 64.0 GiB for an array")
+
+    monkeypatch.setattr(torus_model, "spectrum_DL", spectrum_DL)
+    code = main(["torus-spectrum", "--op", "DL", "--N", "65536"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert json.loads(captured.err) == {"schema_version": 1,
+                                        "error": "Unable to allocate 64.0 GiB for an array"}
+
+
 def test_compare_quotient_records_match_dict_blocks(capsys):
     # the bytes of the report rendered with a dict per block, as at commit 29b4c54
     code, out = run_cli(capsys, "compare-quotient", "--n-max", "6", "--m-max", "3")

@@ -21,7 +21,7 @@ from transdirac.spectral import (
     integrate_log_ode,
     simpson_abscissas,
 )
-from transdirac.sphere_model import SphereBlock, SphereModelError, chart_operator
+from transdirac.sphere_model import SphereModelError, chart_operator
 from transdirac.torus_model import TorusError, TorusGeometry, full_chart_frames
 from transdirac.verification import run_suite
 
@@ -71,9 +71,6 @@ CASES = {
     "sphere chart": (
         lambda: chart_operator("middle"),
         SphereModelError, "unknown chart 'middle'"),
-    "sphere chirality": (
-        lambda: SphereBlock(n=0, m=0, chirality="0"),
-        SphereModelError, "chirality must be '+' or '-'"),
     "torus frame": (
         lambda: full_chart_frames(TorusGeometry(), along="X"),
         TorusError, "along must be 'Q' or 'L'"),

@@ -14,7 +14,7 @@ from transdirac.index_engine import (
     kernel_dims_closed_form,
 )
 from transdirac.spectral import fit_exponent, integrate_log_ode, simpson_abscissas
-from transdirac.sphere_model import CHARTS, CHIRALITIES, SphereBlock, reduce_block
+from transdirac.sphere_model import CHARTS, CHIRALITIES, reduce_block
 from transdirac.verification import BRANCH_BLOCKS
 
 
@@ -135,9 +135,9 @@ def test_oracle_never_reads_the_closed_form(monkeypatch):
     expected = {(n, m): index_numerical(n, m)["estimated_exponents"] for n, m in BRANCH_BLOCKS}
     reduced = []
 
-    def wrong_exponent(block, chart):
-        reduced.append((block, chart))
-        ode = reduce_block(block, chart)
+    def wrong_exponent(n, m, chart):
+        reduced.append((n, m, chart))
+        ode = reduce_block(n, m, chart)
         return dataclasses.replace(ode, exponent=ode.exponent + 7)
 
     def closed_form_forbidden(n, m):
@@ -147,7 +147,8 @@ def test_oracle_never_reads_the_closed_form(monkeypatch):
     monkeypatch.setattr(index_engine, "kernel_dims_closed_form", closed_form_forbidden)
     for n, m in BRANCH_BLOCKS:
         assert index_numerical(n, m)["estimated_exponents"] == expected[(n, m)]
-    assert len(reduced) == 4 * len(BRANCH_BLOCKS)
+    # one reduction per chart carries both chiralities
+    assert len(reduced) == len(CHARTS) * len(BRANCH_BLOCKS)
 
 
 def callable_slopes(n, m):
@@ -158,11 +159,12 @@ def callable_slopes(n, m):
     window = phis <= 10.0 * eps
     slopes = {}
     for chart in CHARTS:
-        for chirality in CHIRALITIES:
-            ode = reduce_block(SphereBlock(n=n, m=m, chirality=chirality), chart)
-            log_psi = integrate_log_ode(ode.r, 0.25 * np.pi, eps, steps)
+        ode = reduce_block(n, m, chart)
+        for c, chirality in enumerate(CHIRALITIES):
+            log_psi = integrate_log_ode(lambda phi: ode.r(phi[..., None])[..., c],
+                                        0.25 * np.pi, eps, steps)
             slopes[(chart, chirality)] = (
-                fit_exponent(np.log(np.sin(phis[window])), log_psi[window]), ode.exponent)
+                fit_exponent(np.log(np.sin(phis[window])), log_psi[window]), ode.exponent[c])
     return slopes
 
 

@@ -10,7 +10,6 @@ from transdirac.sphere_model import (
     MAX_BLOCKS,
     UPPER,
     RadialODE,
-    SphereBlock,
     SphereModelError,
     apply_chart_operator,
     chart_matrix,
@@ -122,24 +121,24 @@ def test_batched_fields_match_per_point():
 
 
 def test_batched_chart_operator_matches_per_point():
-    block = SphereBlock(n=2, m=-3, chirality="-")
     thetas = np.linspace(0.0, 2 * np.pi, 5)[:-1]
     phis = np.array([0.3, 0.9, 1.4])
     for chart in CHARTS:
-        section = closed_form_kernel_section(block, chart)
+        section = closed_form_kernel_section(2, -3, chart)
 
         def apply(theta, phi):
-            value = section(theta, phi)[..., None]  # broadcasts over the chirality axis
-            log_d_theta, log_d_phi = section.log_derivatives(np.asarray(phi)[..., None])
-            both = apply_chart_operator(2, chart, value, log_d_theta * value,
-                                        log_d_phi * value, theta, phi)
-            return both[..., CHIRALITIES.index("-")]
+            # the angles broadcast against the section's chirality axis
+            theta, phi = np.asarray(theta)[..., None], np.asarray(phi)[..., None]
+            value = section(theta, phi)
+            log_d_theta, log_d_phi = section.log_derivatives(phi)
+            return apply_chart_operator(2, chart, value, log_d_theta * value,
+                                        log_d_phi * value, theta[..., 0], phi[..., 0])
 
         mesh = apply(thetas[:, None], phis[None, :])
-        assert mesh.shape == (4, 3)
-        for i, j in np.ndindex(mesh.shape):
+        assert mesh.shape == (4, 3, len(CHIRALITIES))
+        for i, j in np.ndindex(mesh.shape[:2]):
             single = apply(thetas[i], phis[j])
-            assert abs(mesh[i, j] - single) < 1e-12 * max(abs(single), 1.0)
+            assert np.all(np.abs(mesh[i, j] - single) < 1e-12 * np.maximum(np.abs(single), 1.0))
 
 
 def test_pushforward_recombines_chart_partials():
@@ -210,45 +209,46 @@ def test_orbit_field_is_alpha_plus_theta():
 
 
 def test_radial_table_upper():
-    # chirality +: r = n csc(phi) - m cot(phi), indicial exponent n - m
-    ode = reduce_block(SphereBlock(n=2, m=3, chirality="+"), UPPER)
+    # chirality +: r = n csc(phi) - m cot(phi), indicial exponent n - m; the
+    # negatives for chirality -, on the last axis in the order of CHIRALITIES
+    ode = reduce_block(2, 3, UPPER)
     phi = 0.8
-    assert abs(ode.r(phi) - (2 / np.sin(phi) - 3 / np.tan(phi))) < 1e-12
-    assert ode.exponent == -1
-    ode = reduce_block(SphereBlock(n=2, m=3, chirality="-"), UPPER)
-    assert abs(ode.r(phi) - (3 / np.tan(phi) - 2 / np.sin(phi))) < 1e-12
-    assert ode.exponent == 1
+    plus, minus = CHIRALITIES.index("+"), CHIRALITIES.index("-")
+    assert ode.p.shape == ode.q.shape == ode.exponent.shape == (len(CHIRALITIES),)
+    assert abs(ode.r(phi)[plus] - (2 / np.sin(phi) - 3 / np.tan(phi))) < 1e-12
+    assert ode.exponent[plus] == -1
+    assert abs(ode.r(phi)[minus] - (3 / np.tan(phi) - 2 / np.sin(phi))) < 1e-12
+    assert ode.exponent[minus] == 1
 
 
 def test_lower_exponents_flip_n():
     # the clutching weight flip: lower-chart table is the upper one at -n
     for n in range(-3, 4):
         for m in range(-3, 4):
-            for chirality in CHIRALITIES:
-                lower = reduce_block(SphereBlock(n=n, m=m, chirality=chirality), LOWER)
-                flipped = reduce_block(SphereBlock(n=-n, m=m, chirality=chirality), UPPER)
-                assert lower.exponent == flipped.exponent
-                assert abs(lower.r(0.6) - flipped.r(0.6)) < 1e-12
+            lower, flipped = reduce_block(n, m, LOWER), reduce_block(-n, m, UPPER)
+            assert lower.exponent.tolist() == flipped.exponent.tolist()
+            assert np.max(np.abs(lower.r(0.6) - flipped.r(0.6))) < 1e-12
 
 
 def test_theta_weight():
-    block = SphereBlock(n=2, m=3, chirality="+")
-    assert theta_weight(block, UPPER) == -1
-    assert theta_weight(block, LOWER) == -5
+    assert theta_weight(2, 3, UPPER) == -1
+    assert theta_weight(2, 3, LOWER) == -5
+    # the sections of both chiralities carry it
+    for chart in CHARTS:
+        section = closed_form_kernel_section(2, 3, chart)
+        assert section.theta_weight.tolist() == [theta_weight(2, 3, chart)] * len(CHIRALITIES)
 
 
 def test_closed_forms_solve_radial_ode():
     h = 1e-6
     for n, m in ((0, 0), (2, 3), (1, -2), (3, 1)):
         for chart in CHARTS:
-            for chirality in CHIRALITIES:
-                block = SphereBlock(n=n, m=m, chirality=chirality)
-                section = closed_form_kernel_section(block, chart)
-                ode = reduce_block(block, chart)
-                for phi in (0.4, 1.0, 1.5):
-                    deriv = (section(0.0, phi + h) - section(0.0, phi - h)) / (2 * h)
-                    expect = ode.r(phi) * section(0.0, phi)
-                    assert abs(deriv - expect) < 1e-6 * max(abs(expect), 1.0)
+            section, ode = closed_form_kernel_section(n, m, chart), reduce_block(n, m, chart)
+            for phi in (0.4, 1.0, 1.5):
+                deriv = (section(0.0, phi + h) - section(0.0, phi - h)) / (2 * h)
+                expect = ode.r(phi) * section(0.0, phi)
+                assert deriv.shape == expect.shape == (len(CHIRALITIES),)
+                assert np.all(np.abs(deriv - expect) < 1e-6 * np.maximum(np.abs(expect), 1.0))
 
 
 def test_closed_forms_satisfy_full_pde():
@@ -263,9 +263,8 @@ def test_mode_reduction_consistency():
     # angular factor reproduces the radial operator
     for n, m in ((1, 2), (2, -1)):
         for chart in CHARTS:
-            block = SphereBlock(n=n, m=m, chirality="+")
-            k = theta_weight(block, chart)
-            ode = reduce_block(block, chart)
+            k = theta_weight(n, m, chart)
+            r = reduce_block(n, m, chart).r(0.7)[CHIRALITIES.index("+")]
             theta, phi = 0.9, 0.7
             f = np.exp(np.sin(phi))  # arbitrary smooth radial profile
             df = np.cos(phi) * f
@@ -276,7 +275,7 @@ def test_mode_reduction_consistency():
             # an overall chart-dependent sign
             radial = out / np.exp(1j * (k + 1) * theta)
             sign = -1.0 if chart == UPPER else 1.0
-            expect = sign * (df - ode.r(phi) * f)
+            expect = sign * (df - r * f)
             assert abs(radial - expect) < 1e-12 * max(abs(expect), 1.0)
 
 
@@ -295,15 +294,15 @@ def test_section_log_derivatives_match_the_section():
     h = 1e-6
     for n, m in ((0, 0), (2, 3), (1, -2), (3, 1)):
         for chart in CHARTS:
-            for chirality in CHIRALITIES:
-                section = closed_form_kernel_section(SphereBlock(n, m, chirality), chart)
-                for theta, phi in ((0.3, 0.4), (2.0, 1.0), (5.0, 1.5)):
-                    value = section(theta, phi)
-                    d_theta = (section(theta + h, phi) - section(theta - h, phi)) / (2 * h)
-                    d_phi = (section(theta, phi + h) - section(theta, phi - h)) / (2 * h)
-                    log_d_theta, log_d_phi = section.log_derivatives(phi)
-                    assert abs(d_theta - log_d_theta * value) < 1e-6 * max(abs(value), 1.0)
-                    assert abs(d_phi - log_d_phi * value) < 1e-6 * max(abs(value), 1.0)
+            section = closed_form_kernel_section(n, m, chart)
+            for theta, phi in ((0.3, 0.4), (2.0, 1.0), (5.0, 1.5)):
+                value = section(theta, phi)
+                d_theta = (section(theta + h, phi) - section(theta - h, phi)) / (2 * h)
+                d_phi = (section(theta, phi + h) - section(theta, phi - h)) / (2 * h)
+                log_d_theta, log_d_phi = section.log_derivatives(phi)
+                scale = np.maximum(np.abs(value), 1.0)
+                assert np.all(np.abs(d_theta - log_d_theta * value) < 1e-6 * scale)
+                assert np.all(np.abs(d_phi - log_d_phi * value) < 1e-6 * scale)
 
 
 def test_residual_grid_must_avoid_pole():
@@ -334,11 +333,12 @@ def test_residual_rows_follow_chiralities():
         for chart in CHARTS:
             v1, v2 = lifted_vector_fields(chart, thetas, phis[None, :])
             rows = pde_residual(n, m, chart, phis)
-            for chirality, row in zip(CHIRALITIES, rows):
+            log_d_theta, log_d_phi = closed_form_kernel_section(n, m, chart).log_derivatives(
+                phis[None, :, None])
+            for c, (chirality, row) in enumerate(zip(CHIRALITIES, rows)):
                 w = v1 + 1j * v2 if chirality == "+" else -np.conj(v1 + 1j * v2)
-                section = closed_form_kernel_section(SphereBlock(n, m, chirality), chart)
-                log_d_theta, log_d_phi = section.log_derivatives(phis[None, :])
-                out = w[..., 0] * (-1j * n) + w[..., 1] * log_d_theta + w[..., 2] * log_d_phi
+                out = (w[..., 0] * (-1j * n) + w[..., 1] * log_d_theta[..., c]
+                       + w[..., 2] * log_d_phi[..., c])
                 assert abs(np.max(np.abs(out)) - row) < 1e-13
 
 
@@ -371,31 +371,35 @@ def test_residual_over_charts_stacks_the_per_chart_calls():
     assert pde_residual(2, 3, CHARTS, phis).shape == (len(CHARTS), len(CHIRALITIES))
 
 
-def test_batched_labels_must_fit_int64():
-    # a batch is int64 labels inside (-2**62, 2**62); an object array, a label
-    # at +-2**62 and a float array each raise, naming the first such pair
+def test_labels_must_fit_int64():
+    # one rule for ints and batches: int64 labels inside (-2**62, 2**62). An
+    # object array, a label at +-2**62, a float array and Python ints past
+    # int64 (which become uint64 or object arrays) each raise, naming the
+    # first such pair
     big = 2 ** 62
     for n, m, pair in ((np.array([1, 2], dtype=object), np.array([3, 4]), "(1, 3)"),
                        (np.array([0, big]), np.array([0, -5]), "(%d, -5)" % big),
                        (np.array([0, 7]), np.array([0, -big]), "(7, %d)" % -big),
-                       (np.array([0.0, 1.0]), np.array([2, 3]), "(0.0, 2)")):
+                       (np.array([0.0, 1.0]), np.array([2, 3]), "(0.0, 2)"),
+                       (big, 0, "(%d, 0)" % big), (3, -big, "(3, %d)" % -big),
+                       (2 ** 63, 1, "(%d, 1)" % 2 ** 63), (2 ** 64, 1, "(%d, 1)" % 2 ** 64),
+                       (0, -2 ** 63 - 1, "(0, %d)" % (-2 ** 63 - 1))):
         for fn in (reduce_block, closed_form_kernel_section, theta_weight):
             for chart in CHARTS:
                 with pytest.raises(SphereModelError, match=re.escape("(n, m) = " + pair)):
-                    fn(SphereBlock(n=n, m=m), chart)
-    # just inside the bound, a batch gets the weights of the same labels as Python ints
+                    fn(n, m, chart)
+    # just inside the bound, a batch gets the weights of the same labels one by one
     labels = [(0, 0), (big - 1, 1 - big), (1 - big, big - 1), (big - 1, big - 1), (7, -2)]
     n, m = np.array(labels).T
     for chart in CHARTS:
-        for chirality in CHIRALITIES:
-            batch = reduce_block(SphereBlock(n, m, chirality), chart)
-            singles = [reduce_block(SphereBlock(a, b, chirality), chart) for a, b in labels]
-            for name in ("p", "q", "exponent"):
-                column = getattr(batch, name)
-                assert column.dtype == np.int64
-                assert column.tolist() == [getattr(single, name) for single in singles]
-        assert theta_weight(SphereBlock(n, m), chart).tolist() == [
-            theta_weight(SphereBlock(a, b), chart) for a, b in labels]
+        batch = reduce_block(n, m, chart)
+        singles = [reduce_block(a, b, chart) for a, b in labels]
+        for name in ("p", "q", "exponent"):
+            column = getattr(batch, name)
+            assert column.dtype == np.int64 and column.shape == (len(labels), len(CHIRALITIES))
+            assert column.tolist() == [getattr(single, name).tolist() for single in singles]
+        assert theta_weight(n, m, chart).tolist() == [
+            theta_weight(a, b, chart) for a, b in labels]
 
 
 # ---------------------------------------------------------------------------
@@ -403,17 +407,22 @@ def test_batched_labels_must_fit_int64():
 
 
 def test_matched_sections_clutch():
+    # the worst relative gap over 16 thetas and both chiralities is rounding
     for n, m in ((0, 0), (1, 1), (2, 3), (2, -3), (3, -3)):
-        for chirality in CHIRALITIES:
-            block = SphereBlock(n=n, m=m, chirality=chirality)
-            upper, lower = (closed_form_kernel_section(block, chart) for chart in CHARTS)
-            assert clutching_check(n, upper, lower)
+        upper, lower = (closed_form_kernel_section(n, m, chart) for chart in CHARTS)
+        assert 0 <= clutching_check(n, upper, lower) <= 1e-14
 
 
 def test_clutching_detects_mismatch():
-    block = SphereBlock(n=2, m=0, chirality="+")
-    upper, lower = (closed_form_kernel_section(block, chart) for chart in CHARTS)
-    assert not clutching_check(3, upper, lower)  # wrong weight
+    upper, lower = (closed_form_kernel_section(2, 0, chart) for chart in CHARTS)
+    # a wrong weight leaves a gap of order 1 on both chiralities
+    assert clutching_check(3, upper, lower) > 1.0
+    for c in range(len(CHIRALITIES)):
+        one = [lambda theta, phi, s=s: s(theta, phi)[..., c] for s in (upper, lower)]
+        assert clutching_check(3, *one) > 1.0
+    # a gap on one chirality alone is reported
+    skewed = lambda theta, phi: lower(theta, phi) * np.array([1.0, 1.0 + 1e-6])
+    assert 0.9e-6 < clutching_check(2, upper, skewed) < 1.1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -555,24 +564,46 @@ def test_reductions_checked_on_the_lower_chart(monkeypatch):
     # a radial table that is wrong only on the lower chart must fail the comparison
     real = sphere_model.reduce_block
 
-    def shifted(block, chart):
-        ode = real(block, chart)
+    def shifted(n, m, chart):
+        ode = real(n, m, chart)
         return RadialODE(ode.p + 1, ode.q, ode.exponent) if chart == LOWER else ode
 
     monkeypatch.setattr(sphere_model, "reduce_block", shifted)
     assert min(reduction_gaps(2, 2)[2]) > 1e-12
     assert compare_block_reductions(0, 0) > 1e-12
-    # p + 1 is as visible at 2**61, where one ulp of the float r is far above 1
-    assert compare_block_reductions(2 ** 61, 1) >= 1
+    # p + 1 is as visible at 2**59 and 10**15, where one ulp of the float r is far above 1
+    assert compare_block_reductions(2 ** 59, 1) >= 1
+    assert compare_block_reductions(10 ** 15, 10 ** 15) >= 1
+    with pytest.raises(SphereModelError, match="leave int64"):
+        compare_block_reductions(2 ** 61, 1)
 
 
 def test_reductions_agree_at_large_labels():
     # the gap of a float r grew with |n|: 1.54e-11 at |n| = 2000, 1.7e4 at 2**61
-    for n, m in ((2 ** 61, 3), (-2 ** 61, -7), (10 ** 15, 10 ** 15)):
+    for n, m in ((2 ** 59, 3), (-2 ** 59, -7), (10 ** 15, 10 ** 15)):
         assert compare_block_reductions(n, m) <= 1e-12
-    gaps = compare_block_reductions(np.array([2 ** 61, -2 ** 61, 10 ** 15, 5]),
+    gaps = compare_block_reductions(np.array([2 ** 59, -2 ** 59, 10 ** 15, 5]),
                                     np.array([3, -7, 10 ** 15, -2]))
     assert np.all(gaps <= 1e-12)
+    # at 2**61 the sums (|a_k| + |a_m| + |b_k| + |b_m| + 2) 2**61 could wrap int64
+    for n, m in ((2 ** 61, 3), (-2 ** 61, -7), (np.array([5, 2 ** 61]), np.array([-2, 3]))):
+        with pytest.raises(SphereModelError, match="leave int64"):
+            compare_block_reductions(n, m)
+
+
+def test_reductions_refuse_fitted_integers_that_could_wrap(monkeypatch):
+    # a fitted integer of 2**62 times a label of 3 wraps int64; the comparison
+    # must raise rather than report the wrapped sum
+    real = sphere_model._quotient_fits
+
+    def huge(chart):
+        rows, residual = real(chart)
+        return [[[2 ** 62, a_m], b] for (_, a_m), b in rows], residual
+
+    monkeypatch.setattr(sphere_model, "_quotient_fits", huge)
+    for n, m in ((1, 2), (np.arange(-3, 4), 0)):
+        with pytest.raises(SphereModelError, match="leave int64"):
+            compare_block_reductions(n, m)
 
 
 def test_quotient_fits_are_integers_on_both_charts():

@@ -1,5 +1,6 @@
 """The batched connection and Clifford suites against per-trial reference
-loops, the mean-curvature check against a mutant, and the suites' memory."""
+loops, the mean-curvature check against a mutant, the clutching checks'
+reported gap, and the suites' memory."""
 
 import tracemalloc
 
@@ -19,6 +20,7 @@ from transdirac.frame_geometry import (
     torus_frame_data,
     verify_compatibility,
 )
+from transdirac.sphere_model import LOWER
 from transdirac.verification import suite_clifford, suite_connection
 
 SEEDS = (5, 11, 826482643)
@@ -123,6 +125,28 @@ def test_torus_mean_curvature_check_catches_halved_mean_curvature(monkeypatch, s
     report = verification.run_suite("connection", trials=100, seed=seed)
     failed = [c["name"] for c in report["checks"] if not c["passed"]]
     assert not report["passed"] and failed == ["torus mean curvature H = -g'"]
+
+
+def test_clutching_checks_report_their_gap_against_the_suite_tol():
+    for tol, gate in ((None, 1e-10), (1e-13, 1e-13)):
+        checks = verification.run_suite("clutching", tol=tol)["checks"]
+        sections = [c for c in checks if c["name"].startswith("section clutching")]
+        assert len(sections) == 5
+        assert all(c["tol"] == gate and 0 <= c["value"] <= gate and c["passed"] for c in sections)
+    # below the rounding gaps, exactly the checks with a non-zero gap fail
+    sections = verification.run_suite("clutching", tol=1e-30)["checks"][1:]
+    assert [c["passed"] for c in sections] == [c["value"] == 0 for c in sections]
+    assert not all(c["passed"] for c in sections)
+
+
+def test_clutching_checks_catch_a_wrong_lower_weight(monkeypatch):
+    # the lower chart's sections of n + 1: a gap of order 1 on every block
+    real = verification.closed_form_kernel_section
+    monkeypatch.setattr(verification, "closed_form_kernel_section",
+                        lambda n, m, chart: real(n + (chart == LOWER), m, chart))
+    report = verification.run_suite("clutching")
+    assert [c["passed"] for c in report["checks"]] == [True] + [False] * 5
+    assert all(c["value"] > 0.5 for c in report["checks"][1:])
 
 
 def test_connection_suite_memory_does_not_grow_with_trials():
