@@ -286,7 +286,6 @@ def cmd_sphere_kernel(args):
         CHIRALITIES,
         RESIDUAL_PHIS,
         RESIDUAL_TOL,
-        closed_form_kernel_section,
         pde_residual,
         reduce_block,
     )
@@ -294,16 +293,16 @@ def cmd_sphere_kernel(args):
     numeric = index_numerical(args.n, args.m)
     residuals, charts = pde_residual(args.n, args.m, CHARTS, RESIDUAL_PHIS).tolist(), []
     for chart, chart_residuals in zip(CHARTS, residuals):
-        section = closed_form_kernel_section(args.n, args.m, chart)
         ode = reduce_block(args.n, args.m, chart)
+        exponents = ode.exponent
         for c, (chirality, residual) in enumerate(zip(CHIRALITIES, chart_residuals)):
             charts.append({
                 "chart": chart,
                 "chirality": chirality,
-                "theta_weight": section.theta_weight[c],
-                "sin_power": section.sin_power[c],
-                "one_plus_cos_power": section.cos_power[c],
-                "indicial_exponent": ode.exponent[c],
+                "theta_weight": ode.theta_weight[c],
+                "sin_power": exponents[c],
+                "one_plus_cos_power": -ode.p[c],
+                "indicial_exponent": exponents[c],
                 "estimated_exponent": numeric["estimated_exponents"][(chart, chirality)],
                 "pde_residual": residual,
             })

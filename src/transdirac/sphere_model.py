@@ -12,8 +12,9 @@ chiralities and both charts.
 
 Sections are doubly reduced by the weight n of the fiberwise SO(2) rotation
 and the weight m of the lifted circle action, which collapses each chirality
-component to a radial ODE d_phi psi = r(phi) psi on (0, pi/2]; the quotient
-gives r linear in the labels, so the two reductions are compared exactly.
+component to a radial ODE d_phi psi = r(phi) psi on (0, pi/2], the block's one
+closed form, solved by its kernel sections; the quotient gives r linear in
+the labels, so the two reductions are compared exactly.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ UPPER = "upper"
 LOWER = "lower"
 CHARTS = (UPPER, LOWER)
 CHIRALITIES = ("+", "-")
-# each chirality's sign on the radial table and the section powers, in the order of CHIRALITIES
+# each chirality's sign on the radial table (p, q), in the order of CHIRALITIES
 CHIRAL_SIGNS = np.array([1, -1])
 CHIRAL_SIGNS.flags.writeable = False
 # the (row, column) entry of the 2x2 chart operator that holds each
@@ -78,16 +79,35 @@ def _check_chart(chart: str) -> str:
 
 @dataclass(frozen=True)
 class RadialODE:
-    """d_phi psi = r(phi) psi with r(phi) = (p - q cos phi) / sin phi; the
-    indicial exponent at the pole phi = 0 is p - q. Each field is an int64
-    array of the labels' shape and a last axis over CHIRALITIES."""
+    """d_phi psi = r(phi) psi with r(phi) = (p - q cos phi) / sin phi, a
+    block's closed form: its solution sin(phi)^(p - q) (1 + cos(phi))^(-p)
+    e^{i theta_weight theta} (C = 1) is the kernel section, which may be
+    unbounded at the pole, and the indicial exponent at phi = 0 is p - q. p
+    and q are int64 arrays of the labels' shape and a last axis over
+    CHIRALITIES; theta and phi broadcast against that axis."""
 
     p: np.ndarray
     q: np.ndarray
-    exponent: np.ndarray
+
+    @property
+    def exponent(self):
+        return self.p - self.q
+
+    @property
+    def theta_weight(self):
+        return CHIRAL_SIGNS * self.exponent
 
     def r(self, phi):
         return (self.p - self.q * np.cos(phi)) / np.sin(phi)
+
+    def __call__(self, theta, phi):
+        return (np.sin(phi) ** self.exponent * (np.cos(phi) + 1.0) ** -self.p
+                * np.exp(1j * self.theta_weight * theta))
+
+    def log_derivatives(self, phi):
+        """(d_theta s / s, d_phi s / s) of the section s at phi, exact and free of overflow."""
+        return (1j * self.theta_weight,
+                self.exponent / np.tan(phi) + self.p * np.sin(phi) / (1.0 + np.cos(phi)))
 
 
 # ---------------------------------------------------------------------------
@@ -212,36 +232,7 @@ def reduce_block(n, m, chart: str) -> RadialODE:
     """Radial reduction d_phi psi = r(phi) psi of the kernel equation, both chiralities."""
     ne, m = _weights(n, m, chart)
     ne, m = ne[..., None], m[..., None]
-    return RadialODE(p=CHIRAL_SIGNS * ne, q=CHIRAL_SIGNS * m, exponent=CHIRAL_SIGNS * (ne - m))
-
-
-@dataclass(frozen=True)
-class KernelSection:
-    """Closed-form kernel solution sin(phi)^sin_power (1 + cos(phi))^cos_power
-    e^{i theta_weight theta} (C = 1); may be unbounded at the pole. Fields as
-    RadialODE's: theta and phi broadcast against the last axis."""
-
-    sin_power: np.ndarray
-    cos_power: np.ndarray
-    theta_weight: np.ndarray
-
-    def __call__(self, theta, phi):
-        return (np.sin(phi) ** self.sin_power * (np.cos(phi) + 1.0) ** self.cos_power
-                * np.exp(1j * self.theta_weight * theta))
-
-    def log_derivatives(self, phi):
-        """(d_theta s / s, d_phi s / s) at phi, exact and free of overflow."""
-        return (1j * self.theta_weight,
-                self.sin_power / np.tan(phi) - self.cos_power * np.sin(phi) / (1.0 + np.cos(phi)))
-
-
-def closed_form_kernel_section(n, m, chart: str) -> KernelSection:
-    """Both chiralities' kernel sections on the chart, from the weights, not reduce_block."""
-    ne, m = _weights(n, m, chart)
-    k, ne = (ne - m)[..., None], ne[..., None]
-    sin_power = CHIRAL_SIGNS * k
-    return KernelSection(sin_power=sin_power, cos_power=-CHIRAL_SIGNS * ne,
-                         theta_weight=np.broadcast_to(k, sin_power.shape))
+    return RadialODE(p=CHIRAL_SIGNS * ne, q=CHIRAL_SIGNS * m)
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +266,10 @@ def apply_chart_operator(n, chart, value, d_theta, d_phi, theta, phi):
 
 
 def pde_residual(n, m, chart, phi_values) -> np.ndarray:
-    """Max relative residual |Ds|/|s| of the closed-form kernel sections s of
-    the blocks (n, m) under the full chartwise operator on the mesh of six
-    thetas by the given phis, away from the poles; D acts on s/s = 1 with the
-    exact log-derivatives of s, so s (which can overflow) is never formed.
+    """Max relative residual |Ds|/|s| of the kernel sections s of the blocks
+    (n, m), reduce_block's solutions, under the full chartwise operator on the
+    mesh of six thetas by the given phis, off both poles; D acts on s/s = 1
+    with the exact log-derivatives of s, so s (which can overflow) is never formed.
 
     n and m are ints or integer arrays of one broadcast shape; the result has
     shape (len(CHIRALITIES),) + that shape after the chart axis, if any: both
@@ -288,13 +279,13 @@ def pde_residual(n, m, chart, phi_values) -> np.ndarray:
     phi_values = np.atleast_1d(np.asarray(phi_values, dtype=float))
     if phi_values.size == 0:
         raise SphereModelError("empty phi grid")
-    if np.min(phi_values) < POLE_EPS:
+    if np.min(phi_values) < POLE_EPS or np.max(phi_values) > np.pi - POLE_EPS:
         raise SphereModelError("grid touches the coordinate pole")
     # the chart, the labels, the (theta, phi) mesh, then the chirality
     n, m = np.broadcast_arrays(np.asarray(n)[..., None, None], np.asarray(m)[..., None, None])
     theta = np.linspace(0.0, 2.0 * np.pi, 7)[:-1, None][(None,) * (n.ndim - 2)]
     phi = phi_values[None, :]
-    d_theta, d_phi = map(np.stack, zip(*(closed_form_kernel_section(n, m, c).log_derivatives(
+    d_theta, d_phi = map(np.stack, zip(*(reduce_block(n, m, c).log_derivatives(
         phi[..., None]) for c in charts)))
     out = apply_chart_operator(n[..., None], charts, 1.0, d_theta, d_phi, theta, phi)
     out = np.moveaxis(np.max(np.abs(out), axis=(-3, -2)), -1, 1)
@@ -360,8 +351,8 @@ def quotient_operator(chart: str, m: int) -> FirstOrderOperator:
 def _quotient_fits(chart: str):
     """On a block's sections the quotient reads d_phi psi = (k P_k + m P_m) psi,
     P_k = -i C_theta / C_phi and P_m = -Z / C_phi off quotient_operator(chart,
-    1) at QUOTIENT_THETA on QUOTIENT_PHIS. Returns the integers ((a_k, a_m), (b_k,
-    b_m)) of sin(phi) P = a - b cos(phi) per chirality, and the largest fit residual."""
+    1) at QUOTIENT_THETA on QUOTIENT_PHIS. Returns the int64 integers ((a_k, a_m), (b_k,
+    b_m)) of sin(phi) P = a - b cos(phi), chiralities last, and the largest fit residual."""
     phi = QUOTIENT_PHIS
     (c_theta, c_phi), zeroth = quotient_operator(chart, 1).coefficients_at(
         np.column_stack([np.full_like(phi, QUOTIENT_THETA), phi]), with_zeroth=True)
@@ -372,7 +363,7 @@ def _quotient_fits(chart: str):
     design = np.column_stack([np.ones_like(phi), -np.cos(phi)])
     fit = np.rint(np.linalg.lstsq(design, sin_p.real.reshape(-1, 4), rcond=None)[0])
     residual = float(np.max(np.abs(sin_p.reshape(-1, 4) - design @ fit)))
-    return fit.reshape(2, 2, 2).swapaxes(0, 1).astype(np.int64).tolist(), residual
+    return fit.reshape(2, 2, 2).transpose(0, 2, 1).astype(np.int64), residual
 
 
 def compare_block_reductions(n, m):
@@ -386,15 +377,14 @@ def compare_block_reductions(n, m):
     shape = np.broadcast_shapes(np.shape(n), np.shape(m))
     n, m = (np.broadcast_to(v, shape).ravel() for v in (n, m))
     fits, gap = [_quotient_fits(chart) for chart in CHARTS], 0
-    for chart, (rows, _) in zip(CHARTS, fits):
+    for chart, (ints, _) in zip(CHARTS, fits):
         ode, k = reduce_block(n, m, chart), theta_weight(n, m, chart)[:, None]
         size = max(int(np.max(np.abs(v), initial=1)) for v in (k, m, ode.p, ode.q))
-        weight = max(sum(abs(c) for pair in row for c in pair) for row in rows) + 2
+        weight = int(np.max(np.sum(np.abs(ints), axis=(0, 1)))) + 2
         if weight * size >= 2 ** 63:
             raise SphereModelError("labels up to %d with fitted integers summing to %d leave "
                                    "int64 in the reduction comparison" % (size, weight - 2))
-        # each fitted integer as an array over CHIRALITIES
-        (a_k, a_m), (b_k, b_m) = np.moveaxis(np.array(rows, dtype=np.int64), 0, -1)
+        (a_k, a_m), (b_k, b_m) = ints
         gap = np.maximum(gap, np.max(np.abs(a_k * k + a_m * m[:, None] - ode.p)
                                      + np.abs(b_k * k + b_m * m[:, None] - ode.q), axis=-1))
     worst = np.asarray(max(residual for _, residual in fits) + gap, dtype=float)

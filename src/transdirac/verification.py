@@ -35,9 +35,9 @@ from transdirac.sphere_model import (
     UPPER,
     chart_matrix,
     check_tol,
-    closed_form_kernel_section,
     clutching_check,
     pde_residual,
+    reduce_block,
     reduction_gaps,
 )
 
@@ -171,9 +171,9 @@ def suite_clutching(tol: float = 1e-10) -> dict:
                           - chart_matrix(LOWER, thetas, 0.5 * np.pi, alphas - 2.0 * thetas)))
     checks.append(_check("chart equator matching", worst, 1e-12))
     for n, m in ((0, 0), (1, 1), (2, 3), (2, -3), (3, -3)):
-        # with C = 1 both sections are 1 at theta = 0 on the equator, so they
-        # need no rescaling to be matched there; the gap is over both chiralities
-        upper, lower = (closed_form_kernel_section(n, m, chart) for chart in (UPPER, LOWER))
+        # with C = 1 both charts' sections are 1 at theta = 0 on the equator, so
+        # they need no rescaling to be matched; the gap is over both chiralities
+        upper, lower = (reduce_block(n, m, chart) for chart in (UPPER, LOWER))
         checks.append(_check("section clutching (n=%d, m=%d)" % (n, m),
                              clutching_check(n, upper, lower), tol))
     return _report("clutching", checks)

@@ -9,7 +9,7 @@ import pytest
 
 from transdirac import cli, index_engine, sphere_model, torus_model, verification
 from transdirac.cli import Records, main, parse_g_spec, render_json
-from transdirac.sphere_model import MAX_BLOCKS, reduction_gaps
+from transdirac.sphere_model import LOWER, MAX_BLOCKS, RadialODE, reduction_gaps
 
 
 def as_dicts(records):
@@ -611,6 +611,48 @@ def test_chirality_sign_mutants_fail_the_checks(capsys, monkeypatch, signs):
         assert main(argv) == 1, argv
         capsys.readouterr()
     assert main(["verify", "--suite", "clutching"]) == 0
+
+
+# reduce_block's RadialODE is the one closed form that the residual, the
+# clutching suite and compare-quotient read: (name, the edit to a block's
+# (p, q) on a chart, the checks the edit must fail). Only the quotient sees m
+# apart from n, and only the clutching factor e^{2 i n theta} relates the charts
+REDUCTION_MUTANTS = [
+    # the lower sections no longer solve the PDE, their theta weight leaves
+    # the upper one's, and the quotient's (p, q) differs
+    ("p + 1 on the lower chart", lambda ode, chart: RadialODE(ode.p + (chart == LOWER), ode.q),
+     {"residual", "clutching", "quotient"}),
+    # the residual cannot see it: the lower sections become those of block
+    # (n, m - 1) for '+' and (n, m + 1) for '-', and the weight-n chart
+    # operator annihilates the sections of every m
+    ("q + 1 on the lower chart", lambda ode, chart: RadialODE(ode.p, ode.q + (chart == LOWER)),
+     {"clutching", "quotient"}),
+    # neither can see it: on both charts the sections are those of block
+    # (n, -m), which solve the same weight-n PDE and clutch by the same e^{2 i n theta}
+    ("sign flip of q", lambda ode, chart: RadialODE(ode.p, -ode.q), {"quotient"}),
+    # the clutching suite cannot see it: both charts' theta weights move by
+    # the same +-1, which the gap psi_1 - e^{2 i n theta} psi_2 cancels, and at
+    # phi = pi / 2 the powers of sin and 1 + cos drop out
+    ("p + 1 on both charts", lambda ode, chart: RadialODE(ode.p + 1, ode.q),
+     {"residual", "quotient"}),
+]
+
+
+@pytest.mark.parametrize("edit, failing", [row[1:] for row in REDUCTION_MUTANTS],
+                         ids=[row[0] for row in REDUCTION_MUTANTS])
+def test_reduction_mutants_fail_exactly_their_checks(capsys, monkeypatch, edit, failing):
+    real = sphere_model.reduce_block
+
+    def mutant(n, m, chart):
+        return edit(real(n, m, chart), chart)
+
+    monkeypatch.setattr(sphere_model, "reduce_block", mutant)
+    monkeypatch.setattr(verification, "reduce_block", mutant)
+    for check, argv in (("residual", ["verify", "--suite", "residual"]),
+                        ("clutching", ["verify", "--suite", "clutching"]),
+                        ("quotient", ["compare-quotient", "--n-max", "2", "--m-max", "2"])):
+        assert main(argv) == int(check in failing), argv
+        capsys.readouterr()
 
 
 def test_allocation_failure_exits_one_with_the_json_error(capsys, monkeypatch):

@@ -21,7 +21,7 @@ from transdirac.spectral import (
     integrate_log_ode,
     simpson_abscissas,
 )
-from transdirac.sphere_model import SphereModelError, chart_operator
+from transdirac.sphere_model import SphereModelError, chart_operator, pde_residual
 from transdirac.torus_model import TorusError, TorusGeometry, full_chart_frames
 from transdirac.verification import run_suite
 
@@ -71,6 +71,9 @@ CASES = {
     "sphere chart": (
         lambda: chart_operator("middle"),
         SphereModelError, "unknown chart 'middle'"),
+    "sphere residual far pole": (
+        lambda: pde_residual(2, 3, "upper", [0.3, np.pi - 1e-9]),
+        SphereModelError, "grid touches the coordinate pole"),
     "torus frame": (
         lambda: full_chart_frames(TorusGeometry(), along="X"),
         TorusError, "along must be 'Q' or 'L'"),

@@ -14,7 +14,7 @@ from transdirac.index_engine import (
     kernel_dims_closed_form,
 )
 from transdirac.spectral import fit_exponent, integrate_log_ode, simpson_abscissas
-from transdirac.sphere_model import CHARTS, CHIRALITIES, reduce_block
+from transdirac.sphere_model import CHARTS, CHIRALITIES, RadialODE, reduce_block
 from transdirac.verification import BRANCH_BLOCKS
 
 
@@ -135,15 +135,25 @@ def test_oracle_never_reads_the_closed_form(monkeypatch):
     expected = {(n, m): index_numerical(n, m)["estimated_exponents"] for n, m in BRANCH_BLOCKS}
     reduced = []
 
-    def wrong_exponent(n, m, chart):
+    class OnlyPQ(RadialODE):
+        # the closed form's derived fields: the oracle integrates r from p and q
+        @property
+        def exponent(self):
+            raise AssertionError("the oracle read the indicial exponent")
+
+        @property
+        def theta_weight(self):
+            raise AssertionError("the oracle read the theta weight")
+
+    def only_pq(n, m, chart):
         reduced.append((n, m, chart))
         ode = reduce_block(n, m, chart)
-        return dataclasses.replace(ode, exponent=ode.exponent + 7)
+        return OnlyPQ(ode.p, ode.q)
 
     def closed_form_forbidden(n, m):
         raise AssertionError("the oracle consulted the closed form")
 
-    monkeypatch.setattr(index_engine, "reduce_block", wrong_exponent)
+    monkeypatch.setattr(index_engine, "reduce_block", only_pq)
     monkeypatch.setattr(index_engine, "kernel_dims_closed_form", closed_form_forbidden)
     for n, m in BRANCH_BLOCKS:
         assert index_numerical(n, m)["estimated_exponents"] == expected[(n, m)]

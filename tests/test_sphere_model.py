@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -14,7 +15,6 @@ from transdirac.sphere_model import (
     apply_chart_operator,
     chart_matrix,
     chart_operator,
-    closed_form_kernel_section,
     clutching_check,
     compare_block_reductions,
     lifted_vector_fields,
@@ -124,7 +124,7 @@ def test_batched_chart_operator_matches_per_point():
     thetas = np.linspace(0.0, 2 * np.pi, 5)[:-1]
     phis = np.array([0.3, 0.9, 1.4])
     for chart in CHARTS:
-        section = closed_form_kernel_section(2, -3, chart)
+        section = reduce_block(2, -3, chart)
 
         def apply(theta, phi):
             # the angles broadcast against the section's chirality axis
@@ -214,6 +214,7 @@ def test_radial_table_upper():
     ode = reduce_block(2, 3, UPPER)
     phi = 0.8
     plus, minus = CHIRALITIES.index("+"), CHIRALITIES.index("-")
+    assert [field.name for field in dataclasses.fields(ode)] == ["p", "q"]
     assert ode.p.shape == ode.q.shape == ode.exponent.shape == (len(CHIRALITIES),)
     assert abs(ode.r(phi)[plus] - (2 / np.sin(phi) - 3 / np.tan(phi))) < 1e-12
     assert ode.exponent[plus] == -1
@@ -233,20 +234,22 @@ def test_lower_exponents_flip_n():
 def test_theta_weight():
     assert theta_weight(2, 3, UPPER) == -1
     assert theta_weight(2, 3, LOWER) == -5
-    # the sections of both chiralities carry it
+    # the sections of both chiralities carry it: the reduction's theta_weight
+    # is the signed exponent +-(p - q), read off (p, q), not the labels
     for chart in CHARTS:
-        section = closed_form_kernel_section(2, 3, chart)
-        assert section.theta_weight.tolist() == [theta_weight(2, 3, chart)] * len(CHIRALITIES)
+        ode = reduce_block(2, 3, chart)
+        assert ode.theta_weight.tolist() == [theta_weight(2, 3, chart)] * len(CHIRALITIES)
 
 
 def test_closed_forms_solve_radial_ode():
     h = 1e-6
     for n, m in ((0, 0), (2, 3), (1, -2), (3, 1)):
         for chart in CHARTS:
-            section, ode = closed_form_kernel_section(n, m, chart), reduce_block(n, m, chart)
+            # the section sin(phi)^(p - q) (1 + cos(phi))^(-p) that the ODE evaluates
+            ode = reduce_block(n, m, chart)
             for phi in (0.4, 1.0, 1.5):
-                deriv = (section(0.0, phi + h) - section(0.0, phi - h)) / (2 * h)
-                expect = ode.r(phi) * section(0.0, phi)
+                deriv = (ode(0.0, phi + h) - ode(0.0, phi - h)) / (2 * h)
+                expect = ode.r(phi) * ode(0.0, phi)
                 assert deriv.shape == expect.shape == (len(CHIRALITIES),)
                 assert np.all(np.abs(deriv - expect) < 1e-6 * np.maximum(np.abs(expect), 1.0))
 
@@ -294,7 +297,7 @@ def test_section_log_derivatives_match_the_section():
     h = 1e-6
     for n, m in ((0, 0), (2, 3), (1, -2), (3, 1)):
         for chart in CHARTS:
-            section = closed_form_kernel_section(n, m, chart)
+            section = reduce_block(n, m, chart)
             for theta, phi in ((0.3, 0.4), (2.0, 1.0), (5.0, 1.5)):
                 value = section(theta, phi)
                 d_theta = (section(theta + h, phi) - section(theta - h, phi)) / (2 * h)
@@ -308,6 +311,13 @@ def test_section_log_derivatives_match_the_section():
 def test_residual_grid_must_avoid_pole():
     with pytest.raises(SphereModelError):
         pde_residual(1, 1, UPPER, [1e-5, 0.3])
+    # the far pole too: at pi - 1e-9, 1 + cos(phi) is 0, and at pi - 1e-6
+    # the residual read 355.6, a number without meaning
+    for phi in (np.pi - 1e-9, np.pi - 1e-6, np.pi):
+        for chart in (UPPER, CHARTS):
+            with pytest.raises(SphereModelError, match="grid touches the coordinate pole"):
+                pde_residual(2, 3, chart, [0.3, phi])
+    assert np.all(pde_residual(2, 3, UPPER, [0.3, np.pi - 2e-3]) < 1e-6)
     with pytest.raises(SphereModelError, match="empty phi grid"):
         pde_residual(1, 1, UPPER, [])
 
@@ -333,7 +343,7 @@ def test_residual_rows_follow_chiralities():
         for chart in CHARTS:
             v1, v2 = lifted_vector_fields(chart, thetas, phis[None, :])
             rows = pde_residual(n, m, chart, phis)
-            log_d_theta, log_d_phi = closed_form_kernel_section(n, m, chart).log_derivatives(
+            log_d_theta, log_d_phi = reduce_block(n, m, chart).log_derivatives(
                 phis[None, :, None])
             for c, (chirality, row) in enumerate(zip(CHIRALITIES, rows)):
                 w = v1 + 1j * v2 if chirality == "+" else -np.conj(v1 + 1j * v2)
@@ -384,7 +394,7 @@ def test_labels_must_fit_int64():
                        (big, 0, "(%d, 0)" % big), (3, -big, "(3, %d)" % -big),
                        (2 ** 63, 1, "(%d, 1)" % 2 ** 63), (2 ** 64, 1, "(%d, 1)" % 2 ** 64),
                        (0, -2 ** 63 - 1, "(0, %d)" % (-2 ** 63 - 1))):
-        for fn in (reduce_block, closed_form_kernel_section, theta_weight):
+        for fn in (reduce_block, theta_weight):
             for chart in CHARTS:
                 with pytest.raises(SphereModelError, match=re.escape("(n, m) = " + pair)):
                     fn(n, m, chart)
@@ -394,7 +404,7 @@ def test_labels_must_fit_int64():
     for chart in CHARTS:
         batch = reduce_block(n, m, chart)
         singles = [reduce_block(a, b, chart) for a, b in labels]
-        for name in ("p", "q", "exponent"):
+        for name in ("p", "q", "exponent", "theta_weight"):
             column = getattr(batch, name)
             assert column.dtype == np.int64 and column.shape == (len(labels), len(CHIRALITIES))
             assert column.tolist() == [getattr(single, name).tolist() for single in singles]
@@ -409,12 +419,12 @@ def test_labels_must_fit_int64():
 def test_matched_sections_clutch():
     # the worst relative gap over 16 thetas and both chiralities is rounding
     for n, m in ((0, 0), (1, 1), (2, 3), (2, -3), (3, -3)):
-        upper, lower = (closed_form_kernel_section(n, m, chart) for chart in CHARTS)
+        upper, lower = (reduce_block(n, m, chart) for chart in CHARTS)
         assert 0 <= clutching_check(n, upper, lower) <= 1e-14
 
 
 def test_clutching_detects_mismatch():
-    upper, lower = (closed_form_kernel_section(2, 0, chart) for chart in CHARTS)
+    upper, lower = (reduce_block(2, 0, chart) for chart in CHARTS)
     # a wrong weight leaves a gap of order 1 on both chiralities
     assert clutching_check(3, upper, lower) > 1.0
     for c in range(len(CHIRALITIES)):
@@ -566,7 +576,7 @@ def test_reductions_checked_on_the_lower_chart(monkeypatch):
 
     def shifted(n, m, chart):
         ode = real(n, m, chart)
-        return RadialODE(ode.p + 1, ode.q, ode.exponent) if chart == LOWER else ode
+        return RadialODE(ode.p + 1, ode.q) if chart == LOWER else ode
 
     monkeypatch.setattr(sphere_model, "reduce_block", shifted)
     assert min(reduction_gaps(2, 2)[2]) > 1e-12
@@ -597,8 +607,10 @@ def test_reductions_refuse_fitted_integers_that_could_wrap(monkeypatch):
     real = sphere_model._quotient_fits
 
     def huge(chart):
-        rows, residual = real(chart)
-        return [[[2 ** 62, a_m], b] for (_, a_m), b in rows], residual
+        ints, residual = real(chart)
+        ints = ints.copy()
+        ints[0, 0] = 2 ** 62  # a_k of both chiralities
+        return ints, residual
 
     monkeypatch.setattr(sphere_model, "_quotient_fits", huge)
     for n, m in ((1, 2), (np.arange(-3, 4), 0)):
@@ -608,10 +620,12 @@ def test_reductions_refuse_fitted_integers_that_could_wrap(monkeypatch):
 
 def test_quotient_fits_are_integers_on_both_charts():
     # sin(phi) P_k = 1 and sin(phi) P_m = 1 - cos(phi) for '+', their negatives
-    # for '-': (p, q) = +-(k + m, m), which reduce_block gives as +-(n_eff, m)
+    # for '-': (p, q) = +-(k + m, m), which reduce_block gives as +-(n_eff, m).
+    # The integers ((a_k, a_m), (b_k, b_m)) carry the chiralities on a last axis
     for chart in CHARTS:
         ints, residual = sphere_model._quotient_fits(chart)
-        assert ints == [[[1, 1], [0, 1]], [[-1, -1], [0, -1]]]
+        assert ints.dtype == np.int64
+        assert ints.tolist() == [[[1, -1], [1, -1]], [[0, 0], [1, -1]]]
         assert residual <= 1e-12
 
 
@@ -628,11 +642,13 @@ def test_comparison_evaluates_the_quotient_once_per_chart(monkeypatch):
 
         return FirstOrderOperator(dim=op.dim, fiber_dim=op.fiber_dim, terms=terms)
 
-    def closed_form_forbidden(*args):
-        raise AssertionError("the comparison read the closed form")
+    def theta_weight_forbidden(self):
+        raise AssertionError("the comparison took k from the reduction, not the labels")
 
     monkeypatch.setattr(sphere_model, "quotient_operator", counted)
-    monkeypatch.setattr(sphere_model, "closed_form_kernel_section", closed_form_forbidden)
+    # k comes from theta_weight(n, m, chart): read off reduce_block's (p, q),
+    # it would shift with a wrong p, and the gap would hide that
+    monkeypatch.setattr(RadialODE, "theta_weight", property(theta_weight_forbidden))
     for n, m in ((3, -2), (np.arange(-200, 201)[:, None], np.arange(-1, 2))):
         calls.clear()
         assert np.all(compare_block_reductions(n, m) <= 1e-12)

@@ -141,8 +141,8 @@ def test_clutching_checks_report_their_gap_against_the_suite_tol():
 
 def test_clutching_checks_catch_a_wrong_lower_weight(monkeypatch):
     # the lower chart's sections of n + 1: a gap of order 1 on every block
-    real = verification.closed_form_kernel_section
-    monkeypatch.setattr(verification, "closed_form_kernel_section",
+    real = verification.reduce_block
+    monkeypatch.setattr(verification, "reduce_block",
                         lambda n, m, chart: real(n + (chart == LOWER), m, chart))
     report = verification.run_suite("clutching")
     assert [c["passed"] for c in report["checks"]] == [True] + [False] * 5
