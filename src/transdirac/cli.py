@@ -291,30 +291,23 @@ def cmd_sphere_kernel(args):
     )
 
     numeric = index_numerical(args.n, args.m)
-    residuals, charts = pde_residual(args.n, args.m, CHARTS, RESIDUAL_PHIS).tolist(), []
-    for chart, chart_residuals in zip(CHARTS, residuals):
-        ode = reduce_block(args.n, args.m, chart)
-        exponents = ode.exponent
-        for c, (chirality, residual) in enumerate(zip(CHIRALITIES, chart_residuals)):
-            charts.append({
-                "chart": chart,
-                "chirality": chirality,
-                "theta_weight": ode.theta_weight[c],
-                "sin_power": exponents[c],
-                "one_plus_cos_power": -ode.p[c],
-                "indicial_exponent": exponents[c],
-                "estimated_exponent": numeric["estimated_exponents"][(chart, chirality)],
-                "pde_residual": residual,
-            })
-    passed = all(c["indicial_exponent"] == c["estimated_exponent"]
-                 and c["pde_residual"] < RESIDUAL_TOL for c in charts)
+    ode = reduce_block(args.n, args.m)
+    residuals = pde_residual(args.n, args.m, CHARTS, RESIDUAL_PHIS)
+    # one section per (chart, chirality) entry of the reduction, charts outermost
+    charts, chiralities = np.broadcast_arrays(np.array(CHARTS)[:, None], np.array(CHIRALITIES))
+    exponents, estimated = ode.exponent.ravel(), numeric["estimated_exponents"].ravel()
+    sections = Records(("chart", "chirality", "theta_weight", "sin_power", "one_plus_cos_power",
+                        "indicial_exponent", "estimated_exponent", "pde_residual"),
+                       (charts.ravel(), chiralities.ravel(), ode.theta_weight.ravel(), exponents,
+                        -ode.p.ravel(), exponents, estimated, residuals.ravel()))
+    passed = bool(np.all(exponents == estimated) and np.all(residuals < RESIDUAL_TOL))
     return {
         "n": args.n,
         "m": args.m,
         "dim_ker_plus": numeric["d_plus"],
         "dim_ker_minus": numeric["d_minus"],
         "index": numeric["index"],
-        "sections": charts,
+        "sections": sections,
     }, passed
 
 

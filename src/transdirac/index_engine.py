@@ -14,12 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from transdirac.spectral import fit_exponent, integrate_log_ode, simpson_abscissas
-from transdirac.sphere_model import (
-    CHARTS,
-    CHIRALITIES,
-    MAX_BLOCKS,
-    reduce_block,
-)
+from transdirac.sphere_model import MAX_BLOCKS, reduce_block
 
 
 class IndexError_(ValueError):
@@ -34,9 +29,15 @@ class ExponentFitError(IndexError_):
 def _exact_labels(values):
     """Integer labels (a sequence or an integer array) as an array on which
     -|label| is exact: int64 when every label satisfies |label| < 2**63,
-    otherwise an object array of Python ints."""
+    otherwise an object array of Python ints. A label that is not an integer
+    raises IndexError_, naming the first."""
     if not isinstance(values, np.ndarray):
         values = np.array(values, dtype=object)
+    if values.dtype.kind not in "iu":
+        for label in values.flat:
+            if not isinstance(label, (int, np.integer)):
+                raise IndexError_("label %s is a %s, not an integer"
+                                  % (label, type(label).__name__))
     fits = values.size == 0 or -2 ** 63 < int(values.min()) and int(values.max()) < 2 ** 63
     return values.astype(np.int64 if fits else object, copy=False)
 
@@ -77,9 +78,10 @@ def index_numerical(n, m) -> dict:
     """ODE oracle for one block (int labels) or a batch (integer arrays of
     one shape): integrate each radial equation toward the pole, snap the
     log-log slope to an integer exponent, and count a kernel dimension for a
-    chirality iff it is regular in both charts. The raw slopes are returned
-    alongside the snapped exponents; each value has the labels' shape. A
-    label with |label| > MAX_LABEL is an error, raised before any integration.
+    chirality iff it is regular in both charts. The dimensions and the index
+    have the labels' shape; the snapped exponents and the raw slopes add
+    reduce_block's last axes (chart, chirality). A label with |label| >
+    MAX_LABEL is an error, raised before any integration.
 
     A least-squares slope ignores an additive constant, so only the fit
     window phi <= 10 ORACLE_EPS of the Simpson grid of [pi/4, ORACLE_EPS] is
@@ -104,27 +106,24 @@ def index_numerical(n, m) -> dict:
     basis = integrate_log_ode(np.stack([1.0 / sin, np.cos(window) / sin]),
                               window[0], ORACLE_EPS, ORACLE_STEPS - first)
     s_csc, s_cot = fit_exponent(np.log(sin[0::2]), basis)
-    keys = [(chart, chirality) for chirality in CHIRALITIES for chart in CHARTS]
-    # one reduction per chart, both chiralities on its last axis; rows in the order of keys
-    slopes = np.stack([ode.p * s_csc - ode.q * s_cot for ode in (
-        reduce_block(n, m, chart) for chart in CHARTS)], axis=1).T.reshape(len(keys), -1)
+    # one reduction: slopes, like p and q, have last axes (chart, chirality)
+    ode = reduce_block(n, m)
+    slopes = ode.p * s_csc - ode.q * s_cot
     snapped = np.round(slopes)
     bad = ~(np.abs(slopes - snapped) <= 0.1)
     if np.any(bad):
-        block = int(np.argmax(np.any(bad, axis=0)))
-        row = int(np.argmax(bad[:, block]))
+        block = int(np.argmax(np.any(bad, axis=(1, 2))))
         raise ExponentFitError("slope %.4f too far from an integer for block (%d, %d)"
-                               % (slopes[row, block], n[block], m[block]))
+                               % (slopes[block][bad[block]][0], n[block], m[block]))
     exponents = snapped.astype(np.int64)
-    regular = (exponents >= 0).reshape(len(CHIRALITIES), len(CHARTS), -1).all(axis=1)
-    d_plus, d_minus = regular.astype(np.int64)
-    out = lambda values: values.reshape(shape)[()]
+    d_plus, d_minus = np.all(exponents >= 0, axis=1).T.astype(np.int64)
+    out = lambda values: values.reshape(shape + values.shape[1:])[()]
     return {
         "d_plus": out(d_plus),
         "d_minus": out(d_minus),
         "index": out(d_plus - d_minus),
-        "estimated_exponents": {key: out(e) for key, e in zip(keys, exponents)},
-        "slopes": {key: out(s) for key, s in zip(keys, slopes)},
+        "estimated_exponents": out(exponents),
+        "slopes": out(slopes),
     }
 
 

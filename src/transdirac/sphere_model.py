@@ -29,6 +29,9 @@ from transdirac.transverse_operator import FirstOrderOperator, SingularPointErro
 UPPER = "upper"
 LOWER = "lower"
 CHARTS = (UPPER, LOWER)
+# each chart's sign on the frame weight n, in the order of CHARTS (clutching)
+CHART_SIGNS = np.array([1, -1])
+CHART_SIGNS.flags.writeable = False
 CHIRALITIES = ("+", "-")
 # each chirality's sign on the radial table (p, q), in the order of CHIRALITIES
 CHIRAL_SIGNS = np.array([1, -1])
@@ -83,8 +86,8 @@ class RadialODE:
     block's closed form: its solution sin(phi)^(p - q) (1 + cos(phi))^(-p)
     e^{i theta_weight theta} (C = 1) is the kernel section, which may be
     unbounded at the pole, and the indicial exponent at phi = 0 is p - q. p
-    and q are int64 arrays of the labels' shape and a last axis over
-    CHIRALITIES; theta and phi broadcast against that axis."""
+    and q are int64 arrays of the labels' shape and last axes (chart,
+    chirality); theta and phi broadcast against both."""
 
     p: np.ndarray
     q: np.ndarray
@@ -206,12 +209,11 @@ def lifted_vector_fields(chart, theta, phi):
 # isotypic reduction to radial ODEs
 
 
-def _weights(n, m, chart: str):
-    """(n_eff, m) on the chart, int64 arrays of the labels' broadcast shape; the
-    lower chart flips the frame weight (clutching). Ints and arrays alike must
+def _weights(n, m):
+    """(n_eff, m), int64 arrays of the labels' broadcast shape and a last axis
+    over CHARTS: n_eff is n signed by CHART_SIGNS. Ints and arrays alike must
     be int64 inside (-2**62, 2**62), where n_eff - m and all negatives fit
     int64, else SphereModelError names the first pair that is not."""
-    _check_chart(chart)
     n, m = np.broadcast_arrays(np.asarray(n), np.asarray(m))
     bad = ~((-2 ** 62 < n) & (n < 2 ** 62) & (-2 ** 62 < m) & (m < 2 ** 62)
             & (n.dtype == m.dtype == np.int64))
@@ -219,20 +221,19 @@ def _weights(n, m, chart: str):
         at = np.argmax(bad)
         raise SphereModelError("label pair (n, m) = (%s, %s) is not an int64 pair inside "
                                "(-2**62, 2**62)" % (n.flat[at], m.flat[at]))
-    return (n if chart == UPPER else -n), m
+    return np.broadcast_arrays(CHART_SIGNS * n[..., None], m[..., None])
 
 
-def theta_weight(n, m, chart: str):
-    """Angular weight k with psi(theta, phi) = e^{i k theta} psi(0, phi) of both chiralities."""
-    ne, m = _weights(n, m, chart)
+def theta_weight(n, m):
+    """Angular weight k of both chiralities' e^{i k theta}, on a last axis over CHARTS."""
+    ne, m = _weights(n, m)
     return ne - m
 
 
-def reduce_block(n, m, chart: str) -> RadialODE:
-    """Radial reduction d_phi psi = r(phi) psi of the kernel equation, both chiralities."""
-    ne, m = _weights(n, m, chart)
-    ne, m = ne[..., None], m[..., None]
-    return RadialODE(p=CHIRAL_SIGNS * ne, q=CHIRAL_SIGNS * m)
+def reduce_block(n, m) -> RadialODE:
+    """Radial reduction d_phi psi = r(phi) psi of the kernel equation, per chart and chirality."""
+    ne, m = _weights(n, m)
+    return RadialODE(p=CHIRAL_SIGNS * ne[..., None], q=CHIRAL_SIGNS * m[..., None])
 
 
 # ---------------------------------------------------------------------------
@@ -276,28 +277,32 @@ def pde_residual(n, m, chart, phi_values) -> np.ndarray:
     chiralities of every block on every chart from one field evaluation.
     """
     charts = (chart,) if isinstance(chart, str) else chart
+    rows = [CHARTS.index(_check_chart(c)) for c in charts]
     phi_values = np.atleast_1d(np.asarray(phi_values, dtype=float))
     if phi_values.size == 0:
         raise SphereModelError("empty phi grid")
-    if np.min(phi_values) < POLE_EPS or np.max(phi_values) > np.pi - POLE_EPS:
+    # NaN lies in no interval, so it fails this as well
+    if not np.all((POLE_EPS <= phi_values) & (phi_values <= np.pi - POLE_EPS)):
         raise SphereModelError("grid touches the coordinate pole")
-    # the chart, the labels, the (theta, phi) mesh, then the chirality
+    # the labels, the (theta, phi) mesh, then the reduction's (chart, chirality)
     n, m = np.broadcast_arrays(np.asarray(n)[..., None, None], np.asarray(m)[..., None, None])
     theta = np.linspace(0.0, 2.0 * np.pi, 7)[:-1, None][(None,) * (n.ndim - 2)]
     phi = phi_values[None, :]
-    d_theta, d_phi = map(np.stack, zip(*(reduce_block(n, m, c).log_derivatives(
-        phi[..., None]) for c in charts)))
+    # the requested charts' rows, moved ahead as apply_chart_operator's chart axis
+    d_theta, d_phi = (np.moveaxis(d[..., rows, :], -2, 0)
+                      for d in reduce_block(n, m).log_derivatives(phi[..., None, None]))
     out = apply_chart_operator(n[..., None], charts, 1.0, d_theta, d_phi, theta, phi)
     out = np.moveaxis(np.max(np.abs(out), axis=(-3, -2)), -1, 1)
     return out[0] if isinstance(chart, str) else out
 
 
-def clutching_check(n: int, psi_upper: Callable, psi_lower: Callable) -> float:
-    """Worst relative gap |psi1 - e^{2 i n theta} psi2| / max |psi1| of the equator matching
-    at phi = pi/2 and 16 thetas, per entry of the sections' last (chirality) axis."""
+def clutching_check(n: int, section: Callable) -> float:
+    """Worst relative gap |psi1 - e^{2 i n theta} psi2| / max |psi1| of the
+    equator matching at phi = pi/2 and 16 thetas, per chirality, of a section
+    psi with last axes (chart, chirality): psi1 and psi2 are its chart rows."""
     thetas = np.linspace(0.0, 2.0 * np.pi, 17)[:-1, None]
-    upper = psi_upper(thetas, 0.5 * np.pi)
-    gap = np.abs(upper - np.exp(2j * n * thetas) * psi_lower(thetas, 0.5 * np.pi))
+    upper, lower = np.moveaxis(section(thetas[..., None], 0.5 * np.pi), -2, 0)
+    gap = np.abs(upper - np.exp(2j * n * thetas) * lower)
     return float(np.max(gap / np.maximum(np.max(np.abs(upper), axis=0), 1e-300)))
 
 
@@ -376,17 +381,18 @@ def compare_block_reductions(n, m):
     are int64: labels or fits that could wrap them raise SphereModelError."""
     shape = np.broadcast_shapes(np.shape(n), np.shape(m))
     n, m = (np.broadcast_to(v, shape).ravel() for v in (n, m))
-    fits, gap = [_quotient_fits(chart) for chart in CHARTS], 0
-    for chart, (ints, _) in zip(CHARTS, fits):
-        ode, k = reduce_block(n, m, chart), theta_weight(n, m, chart)[:, None]
-        size = max(int(np.max(np.abs(v), initial=1)) for v in (k, m, ode.p, ode.q))
-        weight = int(np.max(np.sum(np.abs(ints), axis=(0, 1)))) + 2
-        if weight * size >= 2 ** 63:
-            raise SphereModelError("labels up to %d with fitted integers summing to %d leave "
-                                   "int64 in the reduction comparison" % (size, weight - 2))
-        (a_k, a_m), (b_k, b_m) = ints
-        gap = np.maximum(gap, np.max(np.abs(a_k * k + a_m * m[:, None] - ode.p)
-                                     + np.abs(b_k * k + b_m * m[:, None] - ode.q), axis=-1))
+    fits = [_quotient_fits(chart) for chart in CHARTS]
+    # ((a_k, a_m), (b_k, b_m)) with last axes (chart, chirality), as the reduction's
+    ints = np.stack([chart_ints for chart_ints, _ in fits], axis=-2)
+    ode, k, m = reduce_block(n, m), theta_weight(n, m)[..., None], m[:, None, None]
+    size = max(int(np.max(np.abs(v), initial=1)) for v in (k, m, ode.p, ode.q))
+    weight = int(np.max(np.sum(np.abs(ints), axis=(0, 1)))) + 2
+    if weight * size >= 2 ** 63:
+        raise SphereModelError("labels up to %d with fitted integers summing to %d leave "
+                               "int64 in the reduction comparison" % (size, weight - 2))
+    (a_k, a_m), (b_k, b_m) = ints
+    gap = np.max(np.abs(a_k * k + a_m * m - ode.p) + np.abs(b_k * k + b_m * m - ode.q),
+                 axis=(-2, -1))
     worst = np.asarray(max(residual for _, residual in fits) + gap, dtype=float)
     return worst.reshape(shape) if shape else float(worst[0])
 

@@ -173,9 +173,8 @@ def suite_clutching(tol: float = 1e-10) -> dict:
     for n, m in ((0, 0), (1, 1), (2, 3), (2, -3), (3, -3)):
         # with C = 1 both charts' sections are 1 at theta = 0 on the equator, so
         # they need no rescaling to be matched; the gap is over both chiralities
-        upper, lower = (reduce_block(n, m, chart) for chart in (UPPER, LOWER))
         checks.append(_check("section clutching (n=%d, m=%d)" % (n, m),
-                             clutching_check(n, upper, lower), tol))
+                             clutching_check(n, reduce_block(n, m)), tol))
     return _report("clutching", checks)
 
 

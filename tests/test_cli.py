@@ -596,6 +596,23 @@ def test_route_disagreement_exits_one(capsys, monkeypatch):
     assert json.loads(captured.err)["error"].startswith("route disagreement at (-1, 0): ")
 
 
+# the checks that a mutant of the reductions can fail, each by its exit code
+REDUCTION_CHECKS = {
+    "residual": ["verify", "--suite", "residual"],
+    "clutching": ["verify", "--suite", "clutching"],
+    "quotient suite": ["verify", "--suite", "quotient"],
+    "compare-quotient": ["compare-quotient", "--n-max", "2", "--m-max", "2"],
+    "index": ["sphere-index", "--n-min", "-2", "--n-max", "2", "--m-min", "-3", "--m-max", "3",
+              "--method", "both"],
+}
+
+
+def assert_failing_checks(capsys, checks, failing):
+    for check in checks:
+        assert main(REDUCTION_CHECKS[check]) == int(check in failing), check
+        capsys.readouterr()
+
+
 @pytest.mark.parametrize("signs", [(1, 1), (-1, 1)])
 def test_chirality_sign_mutants_fail_the_checks(capsys, monkeypatch, signs):
     # the chirality signs are written once, in CHIRAL_SIGNS: a wrong sign on
@@ -604,37 +621,35 @@ def test_chirality_sign_mutants_fail_the_checks(capsys, monkeypatch, signs):
     # (through the reductions). The clutching suite cannot see it: on the
     # equator sin(phi) = 1 and cos(phi) = 0, so the signed powers drop out
     monkeypatch.setattr(sphere_model, "CHIRAL_SIGNS", np.array(signs))
-    for argv in (["verify", "--suite", "residual"],
-                 ["sphere-index", "--n-min", "-2", "--n-max", "2", "--m-min", "-3", "--m-max", "3",
-                  "--method", "both"],
-                 ["compare-quotient", "--n-max", "2", "--m-max", "2"]):
-        assert main(argv) == 1, argv
-        capsys.readouterr()
-    assert main(["verify", "--suite", "clutching"]) == 0
+    assert_failing_checks(capsys, ("residual", "index", "compare-quotient", "clutching"),
+                          {"residual", "index", "compare-quotient"})
 
+
+# the lower chart's row of a reduction's (chart, chirality) table: 1 there, 0 on the upper
+ON_LOWER = (np.array(sphere_model.CHARTS) == LOWER)[:, None]
 
 # reduce_block's RadialODE is the one closed form that the residual, the
 # clutching suite and compare-quotient read: (name, the edit to a block's
-# (p, q) on a chart, the checks the edit must fail). Only the quotient sees m
-# apart from n, and only the clutching factor e^{2 i n theta} relates the charts
+# (p, q), the checks the edit must fail). Only the quotient sees m apart from
+# n, and only the clutching factor e^{2 i n theta} relates the charts
 REDUCTION_MUTANTS = [
     # the lower sections no longer solve the PDE, their theta weight leaves
     # the upper one's, and the quotient's (p, q) differs
-    ("p + 1 on the lower chart", lambda ode, chart: RadialODE(ode.p + (chart == LOWER), ode.q),
-     {"residual", "clutching", "quotient"}),
+    ("p + 1 on the lower chart", lambda ode: RadialODE(ode.p + ON_LOWER, ode.q),
+     {"residual", "clutching", "compare-quotient"}),
     # the residual cannot see it: the lower sections become those of block
     # (n, m - 1) for '+' and (n, m + 1) for '-', and the weight-n chart
     # operator annihilates the sections of every m
-    ("q + 1 on the lower chart", lambda ode, chart: RadialODE(ode.p, ode.q + (chart == LOWER)),
-     {"clutching", "quotient"}),
+    ("q + 1 on the lower chart", lambda ode: RadialODE(ode.p, ode.q + ON_LOWER),
+     {"clutching", "compare-quotient"}),
     # neither can see it: on both charts the sections are those of block
     # (n, -m), which solve the same weight-n PDE and clutch by the same e^{2 i n theta}
-    ("sign flip of q", lambda ode, chart: RadialODE(ode.p, -ode.q), {"quotient"}),
+    ("sign flip of q", lambda ode: RadialODE(ode.p, -ode.q), {"compare-quotient"}),
     # the clutching suite cannot see it: both charts' theta weights move by
     # the same +-1, which the gap psi_1 - e^{2 i n theta} psi_2 cancels, and at
     # phi = pi / 2 the powers of sin and 1 + cos drop out
-    ("p + 1 on both charts", lambda ode, chart: RadialODE(ode.p + 1, ode.q),
-     {"residual", "quotient"}),
+    ("p + 1 on both charts", lambda ode: RadialODE(ode.p + 1, ode.q),
+     {"residual", "compare-quotient"}),
 ]
 
 
@@ -643,16 +658,33 @@ REDUCTION_MUTANTS = [
 def test_reduction_mutants_fail_exactly_their_checks(capsys, monkeypatch, edit, failing):
     real = sphere_model.reduce_block
 
-    def mutant(n, m, chart):
-        return edit(real(n, m, chart), chart)
+    def mutant(n, m):
+        return edit(real(n, m))
 
     monkeypatch.setattr(sphere_model, "reduce_block", mutant)
     monkeypatch.setattr(verification, "reduce_block", mutant)
-    for check, argv in (("residual", ["verify", "--suite", "residual"]),
-                        ("clutching", ["verify", "--suite", "clutching"]),
-                        ("quotient", ["compare-quotient", "--n-max", "2", "--m-max", "2"])):
-        assert main(argv) == int(check in failing), argv
-        capsys.readouterr()
+    assert_failing_checks(capsys, ("residual", "clutching", "compare-quotient"), failing)
+
+
+# a wrong chart sign in CHART_SIGNS, and the checks it must fail. Neither
+# quotient check can see one: the comparison reads k = n_eff - m and p =
+# +-n_eff off the same n_eff, and the quotient relates p to k and m alone
+CHART_SIGN_MUTANTS = [
+    # the lower sections keep n: they solve the weight -n equation, their
+    # theta weight is the upper one's, which e^{2 i n theta} does not match,
+    # and the numeric route counts '+' as regular when n - m >= 0 alone
+    ((1, 1), {"residual", "clutching", "index"}),
+    # the charts swap their weights: the index counts a chirality when it is
+    # regular on both charts, which does not depend on their order
+    ((-1, 1), {"residual", "clutching"}),
+]
+
+
+@pytest.mark.parametrize("signs, failing", CHART_SIGN_MUTANTS,
+                         ids=[str(row[0]) for row in CHART_SIGN_MUTANTS])
+def test_chart_sign_mutants_fail_exactly_their_checks(capsys, monkeypatch, signs, failing):
+    monkeypatch.setattr(sphere_model, "CHART_SIGNS", np.array(signs))
+    assert_failing_checks(capsys, REDUCTION_CHECKS, failing)
 
 
 def test_allocation_failure_exits_one_with_the_json_error(capsys, monkeypatch):

@@ -13,7 +13,12 @@ from transdirac.frame_geometry import (
     compute_BX_Lframe,
     rotate_L_frame,
 )
-from transdirac.index_engine import IndexError_, index_numerical
+from transdirac.index_engine import (
+    IndexError_,
+    build_index_table,
+    index_numerical,
+    kernel_dims_closed_form,
+)
 from transdirac.spectral import (
     Grid1D,
     SpectralError,
@@ -21,7 +26,7 @@ from transdirac.spectral import (
     integrate_log_ode,
     simpson_abscissas,
 )
-from transdirac.sphere_model import SphereModelError, chart_operator, pde_residual
+from transdirac.sphere_model import CHARTS, SphereModelError, chart_operator, pde_residual
 from transdirac.torus_model import TorusError, TorusGeometry, full_chart_frames
 from transdirac.verification import run_suite
 
@@ -50,6 +55,16 @@ CASES = {
         lambda: index_numerical(np.array([0, -40000]), np.array([0, 5])),
         IndexError_, "block (-40000, 5) is past the oracle's label bound |n|, |m| <= "
                      "MAX_LABEL = 32768"),
+    # a float label was once truncated to an int64 one, reading another block
+    "index table float label": (
+        lambda: build_index_table(range(1), [1.5, -2.7]),
+        IndexError_, "label 1.5 is a float, not an integer"),
+    "index oracle float label": (
+        lambda: index_numerical(np.array([1.5]), np.array([2])),
+        IndexError_, "label 1.5 is a float64, not an integer"),
+    "index closed form float label": (
+        lambda: kernel_dims_closed_form(np.array([0, 1]), np.array([2.0, -2.7])),
+        IndexError_, "label 2.0 is a float64, not an integer"),
     "grid shapes": (
         lambda: Grid1D(points=np.arange(3.0), log_weight_prime=np.zeros(2)),
         SpectralError, "points/log_weight_prime shape mismatch"),
@@ -73,6 +88,11 @@ CASES = {
         SphereModelError, "unknown chart 'middle'"),
     "sphere residual far pole": (
         lambda: pde_residual(2, 3, "upper", [0.3, np.pi - 1e-9]),
+        SphereModelError, "grid touches the coordinate pole"),
+    # every comparison with NaN is False: the grid must lie inside the
+    # interval, not merely not outside it
+    "sphere residual NaN grid": (
+        lambda: pde_residual(1, 2, CHARTS, [np.nan]),
         SphereModelError, "grid touches the coordinate pole"),
     "torus frame": (
         lambda: full_chart_frames(TorusGeometry(), along="X"),

@@ -110,16 +110,15 @@ def test_closed_form_matches_reference_branches():
 
 def test_numerical_block_2_3():
     res = index_numerical(2, 3)
-    assert res["estimated_exponents"] == {
-        ("upper", "+"): -1, ("lower", "+"): -5,
-        ("upper", "-"): 1, ("lower", "-"): 5,
-    }
+    # rows over CHARTS (upper, lower), columns over CHIRALITIES ('+', '-')
+    assert res["estimated_exponents"].tolist() == [[-1, 1], [-5, 5]]
     assert (res["d_plus"], res["d_minus"], res["index"]) == (0, 1, -1)
 
 
 def test_numerical_block_0_0():
     res = index_numerical(0, 0)
-    assert all(k == 0 for k in res["estimated_exponents"].values())
+    assert res["estimated_exponents"].shape == (len(CHARTS), len(CHIRALITIES))
+    assert not np.any(res["estimated_exponents"])
     assert (res["d_plus"], res["d_minus"], res["index"]) == (1, 1, 0)
 
 
@@ -132,7 +131,8 @@ def test_numerical_route_matches_closed_form_sweep():
 
 
 def test_oracle_never_reads_the_closed_form(monkeypatch):
-    expected = {(n, m): index_numerical(n, m)["estimated_exponents"] for n, m in BRANCH_BLOCKS}
+    expected = {(n, m): index_numerical(n, m)["estimated_exponents"].tolist()
+                for n, m in BRANCH_BLOCKS}
     reduced = []
 
     class OnlyPQ(RadialODE):
@@ -145,9 +145,9 @@ def test_oracle_never_reads_the_closed_form(monkeypatch):
         def theta_weight(self):
             raise AssertionError("the oracle read the theta weight")
 
-    def only_pq(n, m, chart):
-        reduced.append((n, m, chart))
-        ode = reduce_block(n, m, chart)
+    def only_pq(n, m):
+        reduced.append((n, m))
+        ode = reduce_block(n, m)
         return OnlyPQ(ode.p, ode.q)
 
     def closed_form_forbidden(n, m):
@@ -156,35 +156,35 @@ def test_oracle_never_reads_the_closed_form(monkeypatch):
     monkeypatch.setattr(index_engine, "reduce_block", only_pq)
     monkeypatch.setattr(index_engine, "kernel_dims_closed_form", closed_form_forbidden)
     for n, m in BRANCH_BLOCKS:
-        assert index_numerical(n, m)["estimated_exponents"] == expected[(n, m)]
-    # one reduction per chart carries both chiralities
-    assert len(reduced) == len(CHARTS) * len(BRANCH_BLOCKS)
+        assert index_numerical(n, m)["estimated_exponents"].tolist() == expected[(n, m)]
+    # one reduction carries both charts and both chiralities
+    assert len(reduced) == len(BRANCH_BLOCKS)
 
 
 def callable_slopes(n, m):
-    """Reference slopes: each ODE's r(phi) integrated on its own as a
-    callable over the full span, and fitted on the oracle's window."""
+    """Reference slopes and the indicial exponents, on the axes (chart,
+    chirality): each ODE's r(phi) integrated on its own as a callable over
+    the full span, and fitted on the oracle's window."""
     eps, steps = index_engine.ORACLE_EPS, index_engine.ORACLE_STEPS
     phis = simpson_abscissas(0.25 * np.pi, eps, steps)[0::2]
     window = phis <= 10.0 * eps
-    slopes = {}
-    for chart in CHARTS:
-        ode = reduce_block(n, m, chart)
-        for c, chirality in enumerate(CHIRALITIES):
-            log_psi = integrate_log_ode(lambda phi: ode.r(phi[..., None])[..., c],
-                                        0.25 * np.pi, eps, steps)
-            slopes[(chart, chirality)] = (
-                fit_exponent(np.log(np.sin(phis[window])), log_psi[window]), ode.exponent[c])
-    return slopes
+    ode = reduce_block(n, m)
+    slopes = np.empty(ode.p.shape)
+    for entry in np.ndindex(slopes.shape):
+        log_psi = integrate_log_ode(lambda phi: ode.r(phi[..., None, None])[(...,) + entry],
+                                    0.25 * np.pi, eps, steps)
+        slopes[entry] = fit_exponent(np.log(np.sin(phis[window])), log_psi[window])
+    return slopes, ode.exponent
 
 
 def test_shared_grid_slopes_match_callable_integration():
     blocks = BRANCH_BLOCKS + ((40, 7), (40, -7), (-40, 7), (-40, -7), (50, 49), (-50, 50))
     for n, m in blocks:
         slopes = index_numerical(n, m)["slopes"]
-        for key, (reference, exponent) in callable_slopes(n, m).items():
-            assert abs(slopes[key] - reference) <= 1e-9, (n, m, key)
-            assert abs(reference - exponent) < 0.1
+        reference, exponents = callable_slopes(n, m)
+        assert slopes.shape == (len(CHARTS), len(CHIRALITIES))
+        assert np.all(np.abs(slopes - reference) <= 1e-9), (n, m)
+        assert np.all(np.abs(reference - exponents) < 0.1)
 
 
 def test_numerical_batch_matches_single_blocks():
@@ -196,9 +196,9 @@ def test_numerical_batch_matches_single_blocks():
         for name in ("d_plus", "d_minus", "index"):
             assert np.ndim(single[name]) == 0 and not isinstance(single[name], np.ndarray)
             assert batch[name][i, j] == single[name]
-        for key in single["slopes"]:
-            assert batch["estimated_exponents"][key][i, j] == single["estimated_exponents"][key]
-            assert abs(batch["slopes"][key][i, j] - single["slopes"][key]) <= 1e-12
+        assert batch["estimated_exponents"].shape == batch["slopes"].shape == n.shape + (2, 2)
+        assert batch["estimated_exponents"][i, j].tolist() == single["estimated_exponents"].tolist()
+        assert np.all(np.abs(batch["slopes"][i, j] - single["slopes"]) <= 1e-12)
 
 
 def test_table_row_n2():
@@ -297,9 +297,9 @@ def test_table_block_count_is_bounded(monkeypatch):
 def test_superposed_slopes_match_callable_integration_at_large_labels():
     # the superposed slope p s_csc - q s_cot carries the relative rounding of p s_csc
     for n, m in ((3200, -3200), (9000, -9000)):
-        slopes = index_numerical(n, m)["slopes"]
-        for key, (reference, _) in callable_slopes(n, m).items():
-            assert abs(slopes[key] - reference) <= 1e-9 * max(1.0, abs(reference)), (n, m, key)
+        slopes, (reference, _) = index_numerical(n, m)["slopes"], callable_slopes(n, m)
+        scale = np.maximum(1.0, np.abs(reference))
+        assert np.all(np.abs(slopes - reference) <= 1e-9 * scale), (n, m)
 
 
 def test_oracle_range_limit_is_unchanged():

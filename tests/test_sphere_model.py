@@ -123,16 +123,16 @@ def test_batched_fields_match_per_point():
 def test_batched_chart_operator_matches_per_point():
     thetas = np.linspace(0.0, 2 * np.pi, 5)[:-1]
     phis = np.array([0.3, 0.9, 1.4])
-    for chart in CHARTS:
-        section = reduce_block(2, -3, chart)
+    section = reduce_block(2, -3)
+    for row, chart in enumerate(CHARTS):
 
         def apply(theta, phi):
-            # the angles broadcast against the section's chirality axis
-            theta, phi = np.asarray(theta)[..., None], np.asarray(phi)[..., None]
-            value = section(theta, phi)
-            log_d_theta, log_d_phi = section.log_derivatives(phi)
+            # the angles broadcast against the section's (chart, chirality) axes
+            theta, phi = np.asarray(theta)[..., None, None], np.asarray(phi)[..., None, None]
+            value = section(theta, phi)[..., row, :]
+            log_d_theta, log_d_phi = (d[..., row, :] for d in section.log_derivatives(phi))
             return apply_chart_operator(2, chart, value, log_d_theta * value,
-                                        log_d_phi * value, theta[..., 0], phi[..., 0])
+                                        log_d_phi * value, theta[..., 0, 0], phi[..., 0, 0])
 
         mesh = apply(thetas[:, None], phis[None, :])
         assert mesh.shape == (4, 3, len(CHIRALITIES))
@@ -210,48 +210,49 @@ def test_orbit_field_is_alpha_plus_theta():
 
 def test_radial_table_upper():
     # chirality +: r = n csc(phi) - m cot(phi), indicial exponent n - m; the
-    # negatives for chirality -, on the last axis in the order of CHIRALITIES
-    ode = reduce_block(2, 3, UPPER)
+    # negatives for chirality -, on the last axis in the order of CHIRALITIES,
+    # after the chart axis in the order of CHARTS
+    ode = reduce_block(2, 3)
     phi = 0.8
+    upper = CHARTS.index(UPPER)
     plus, minus = CHIRALITIES.index("+"), CHIRALITIES.index("-")
     assert [field.name for field in dataclasses.fields(ode)] == ["p", "q"]
-    assert ode.p.shape == ode.q.shape == ode.exponent.shape == (len(CHIRALITIES),)
-    assert abs(ode.r(phi)[plus] - (2 / np.sin(phi) - 3 / np.tan(phi))) < 1e-12
-    assert ode.exponent[plus] == -1
-    assert abs(ode.r(phi)[minus] - (3 / np.tan(phi) - 2 / np.sin(phi))) < 1e-12
-    assert ode.exponent[minus] == 1
+    assert ode.p.shape == ode.q.shape == ode.exponent.shape == (len(CHARTS), len(CHIRALITIES))
+    assert abs(ode.r(phi)[upper, plus] - (2 / np.sin(phi) - 3 / np.tan(phi))) < 1e-12
+    assert ode.exponent[upper, plus] == -1
+    assert abs(ode.r(phi)[upper, minus] - (3 / np.tan(phi) - 2 / np.sin(phi))) < 1e-12
+    assert ode.exponent[upper, minus] == 1
 
 
 def test_lower_exponents_flip_n():
     # the clutching weight flip: lower-chart table is the upper one at -n
+    upper, lower = CHARTS.index(UPPER), CHARTS.index(LOWER)
     for n in range(-3, 4):
         for m in range(-3, 4):
-            lower, flipped = reduce_block(n, m, LOWER), reduce_block(-n, m, UPPER)
-            assert lower.exponent.tolist() == flipped.exponent.tolist()
-            assert np.max(np.abs(lower.r(0.6) - flipped.r(0.6))) < 1e-12
+            ode, flipped = reduce_block(n, m), reduce_block(-n, m)
+            assert ode.exponent[lower].tolist() == flipped.exponent[upper].tolist()
+            assert np.max(np.abs(ode.r(0.6)[lower] - flipped.r(0.6)[upper])) < 1e-12
 
 
 def test_theta_weight():
-    assert theta_weight(2, 3, UPPER) == -1
-    assert theta_weight(2, 3, LOWER) == -5
+    # on a last axis over CHARTS: upper, then lower
+    assert theta_weight(2, 3).tolist() == [-1, -5]
     # the sections of both chiralities carry it: the reduction's theta_weight
     # is the signed exponent +-(p - q), read off (p, q), not the labels
-    for chart in CHARTS:
-        ode = reduce_block(2, 3, chart)
-        assert ode.theta_weight.tolist() == [theta_weight(2, 3, chart)] * len(CHIRALITIES)
+    ode = reduce_block(2, 3)
+    assert ode.theta_weight.tolist() == [[k] * len(CHIRALITIES) for k in theta_weight(2, 3)]
 
 
 def test_closed_forms_solve_radial_ode():
     h = 1e-6
     for n, m in ((0, 0), (2, 3), (1, -2), (3, 1)):
-        for chart in CHARTS:
-            # the section sin(phi)^(p - q) (1 + cos(phi))^(-p) that the ODE evaluates
-            ode = reduce_block(n, m, chart)
-            for phi in (0.4, 1.0, 1.5):
-                deriv = (ode(0.0, phi + h) - ode(0.0, phi - h)) / (2 * h)
-                expect = ode.r(phi) * ode(0.0, phi)
-                assert deriv.shape == expect.shape == (len(CHIRALITIES),)
-                assert np.all(np.abs(deriv - expect) < 1e-6 * np.maximum(np.abs(expect), 1.0))
+        # the section sin(phi)^(p - q) (1 + cos(phi))^(-p) that the ODE evaluates
+        ode = reduce_block(n, m)
+        for phi in (0.4, 1.0, 1.5):
+            deriv = (ode(0.0, phi + h) - ode(0.0, phi - h)) / (2 * h)
+            expect = ode.r(phi) * ode(0.0, phi)
+            assert deriv.shape == expect.shape == (len(CHARTS), len(CHIRALITIES))
+            assert np.all(np.abs(deriv - expect) < 1e-6 * np.maximum(np.abs(expect), 1.0))
 
 
 def test_closed_forms_satisfy_full_pde():
@@ -265,9 +266,9 @@ def test_mode_reduction_consistency():
     # applying the full operator to e^{ik theta} f(phi) and stripping the
     # angular factor reproduces the radial operator
     for n, m in ((1, 2), (2, -1)):
-        for chart in CHARTS:
-            k = theta_weight(n, m, chart)
-            r = reduce_block(n, m, chart).r(0.7)[CHIRALITIES.index("+")]
+        for row, chart in enumerate(CHARTS):
+            k = theta_weight(n, m)[row]
+            r = reduce_block(n, m).r(0.7)[row, CHIRALITIES.index("+")]
             theta, phi = 0.9, 0.7
             f = np.exp(np.sin(phi))  # arbitrary smooth radial profile
             df = np.cos(phi) * f
@@ -296,16 +297,16 @@ def test_residual_exact_at_large_weights():
 def test_section_log_derivatives_match_the_section():
     h = 1e-6
     for n, m in ((0, 0), (2, 3), (1, -2), (3, 1)):
-        for chart in CHARTS:
-            section = reduce_block(n, m, chart)
-            for theta, phi in ((0.3, 0.4), (2.0, 1.0), (5.0, 1.5)):
-                value = section(theta, phi)
-                d_theta = (section(theta + h, phi) - section(theta - h, phi)) / (2 * h)
-                d_phi = (section(theta, phi + h) - section(theta, phi - h)) / (2 * h)
-                log_d_theta, log_d_phi = section.log_derivatives(phi)
-                scale = np.maximum(np.abs(value), 1.0)
-                assert np.all(np.abs(d_theta - log_d_theta * value) < 1e-6 * scale)
-                assert np.all(np.abs(d_phi - log_d_phi * value) < 1e-6 * scale)
+        section = reduce_block(n, m)
+        for theta, phi in ((0.3, 0.4), (2.0, 1.0), (5.0, 1.5)):
+            value = section(theta, phi)
+            d_theta = (section(theta + h, phi) - section(theta - h, phi)) / (2 * h)
+            d_phi = (section(theta, phi + h) - section(theta, phi - h)) / (2 * h)
+            log_d_theta, log_d_phi = section.log_derivatives(phi)
+            scale = np.maximum(np.abs(value), 1.0)
+            assert value.shape == (len(CHARTS), len(CHIRALITIES))
+            assert np.all(np.abs(d_theta - log_d_theta * value) < 1e-6 * scale)
+            assert np.all(np.abs(d_phi - log_d_phi * value) < 1e-6 * scale)
 
 
 def test_residual_grid_must_avoid_pole():
@@ -340,15 +341,14 @@ def test_residual_rows_follow_chiralities():
     thetas = np.linspace(0.0, 2 * np.pi, 7)[:-1, None]
     phis = np.linspace(0.05, np.pi / 2, 25)
     for n, m in ((2, 3), (1, -2), (-3, 0)):
-        for chart in CHARTS:
+        log_d_theta, log_d_phi = reduce_block(n, m).log_derivatives(phis[None, :, None, None])
+        for chart_row, chart in enumerate(CHARTS):
             v1, v2 = lifted_vector_fields(chart, thetas, phis[None, :])
             rows = pde_residual(n, m, chart, phis)
-            log_d_theta, log_d_phi = reduce_block(n, m, chart).log_derivatives(
-                phis[None, :, None])
             for c, (chirality, row) in enumerate(zip(CHIRALITIES, rows)):
                 w = v1 + 1j * v2 if chirality == "+" else -np.conj(v1 + 1j * v2)
-                out = (w[..., 0] * (-1j * n) + w[..., 1] * log_d_theta[..., c]
-                       + w[..., 2] * log_d_phi[..., c])
+                out = (w[..., 0] * (-1j * n) + w[..., 1] * log_d_theta[..., chart_row, c]
+                       + w[..., 2] * log_d_phi[..., chart_row, c])
                 assert abs(np.max(np.abs(out)) - row) < 1e-13
 
 
@@ -395,21 +395,20 @@ def test_labels_must_fit_int64():
                        (2 ** 63, 1, "(%d, 1)" % 2 ** 63), (2 ** 64, 1, "(%d, 1)" % 2 ** 64),
                        (0, -2 ** 63 - 1, "(0, %d)" % (-2 ** 63 - 1))):
         for fn in (reduce_block, theta_weight):
-            for chart in CHARTS:
-                with pytest.raises(SphereModelError, match=re.escape("(n, m) = " + pair)):
-                    fn(n, m, chart)
+            with pytest.raises(SphereModelError, match=re.escape("(n, m) = " + pair)):
+                fn(n, m)
     # just inside the bound, a batch gets the weights of the same labels one by one
     labels = [(0, 0), (big - 1, 1 - big), (1 - big, big - 1), (big - 1, big - 1), (7, -2)]
     n, m = np.array(labels).T
-    for chart in CHARTS:
-        batch = reduce_block(n, m, chart)
-        singles = [reduce_block(a, b, chart) for a, b in labels]
-        for name in ("p", "q", "exponent", "theta_weight"):
-            column = getattr(batch, name)
-            assert column.dtype == np.int64 and column.shape == (len(labels), len(CHIRALITIES))
-            assert column.tolist() == [getattr(single, name).tolist() for single in singles]
-        assert theta_weight(n, m, chart).tolist() == [
-            theta_weight(a, b, chart) for a, b in labels]
+    batch = reduce_block(n, m)
+    singles = [reduce_block(a, b) for a, b in labels]
+    for name in ("p", "q", "exponent", "theta_weight"):
+        column = getattr(batch, name)
+        assert column.dtype == np.int64
+        assert column.shape == (len(labels), len(CHARTS), len(CHIRALITIES))
+        assert column.tolist() == [getattr(single, name).tolist() for single in singles]
+    assert theta_weight(n, m).shape == (len(labels), len(CHARTS))
+    assert theta_weight(n, m).tolist() == [theta_weight(a, b).tolist() for a, b in labels]
 
 
 # ---------------------------------------------------------------------------
@@ -419,20 +418,20 @@ def test_labels_must_fit_int64():
 def test_matched_sections_clutch():
     # the worst relative gap over 16 thetas and both chiralities is rounding
     for n, m in ((0, 0), (1, 1), (2, 3), (2, -3), (3, -3)):
-        upper, lower = (reduce_block(n, m, chart) for chart in CHARTS)
-        assert 0 <= clutching_check(n, upper, lower) <= 1e-14
+        assert 0 <= clutching_check(n, reduce_block(n, m)) <= 1e-14
 
 
 def test_clutching_detects_mismatch():
-    upper, lower = (reduce_block(2, 0, chart) for chart in CHARTS)
+    section = reduce_block(2, 0)
     # a wrong weight leaves a gap of order 1 on both chiralities
-    assert clutching_check(3, upper, lower) > 1.0
+    assert clutching_check(3, section) > 1.0
     for c in range(len(CHIRALITIES)):
-        one = [lambda theta, phi, s=s: s(theta, phi)[..., c] for s in (upper, lower)]
-        assert clutching_check(3, *one) > 1.0
-    # a gap on one chirality alone is reported
-    skewed = lambda theta, phi: lower(theta, phi) * np.array([1.0, 1.0 + 1e-6])
-    assert 0.9e-6 < clutching_check(2, upper, skewed) < 1.1e-6
+        one = lambda theta, phi, c=c: section(theta, phi)[..., c:c + 1]
+        assert clutching_check(3, one) > 1.0
+    # a gap on one chirality of the lower chart alone is reported
+    skew = np.ones((len(CHARTS), len(CHIRALITIES)))
+    skew[CHARTS.index(LOWER), 1] += 1e-6
+    assert 0.9e-6 < clutching_check(2, lambda theta, phi: section(theta, phi) * skew) < 1.1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -574,9 +573,9 @@ def test_reductions_checked_on_the_lower_chart(monkeypatch):
     # a radial table that is wrong only on the lower chart must fail the comparison
     real = sphere_model.reduce_block
 
-    def shifted(n, m, chart):
-        ode = real(n, m, chart)
-        return RadialODE(ode.p + 1, ode.q) if chart == LOWER else ode
+    def shifted(n, m):
+        ode = real(n, m)
+        return RadialODE(ode.p + (np.array(CHARTS) == LOWER)[:, None], ode.q)
 
     monkeypatch.setattr(sphere_model, "reduce_block", shifted)
     assert min(reduction_gaps(2, 2)[2]) > 1e-12

@@ -20,7 +20,7 @@ from transdirac.frame_geometry import (
     torus_frame_data,
     verify_compatibility,
 )
-from transdirac.sphere_model import LOWER
+from transdirac.sphere_model import CHARTS, LOWER, RadialODE
 from transdirac.verification import suite_clifford, suite_connection
 
 SEEDS = (5, 11, 826482643)
@@ -142,8 +142,13 @@ def test_clutching_checks_report_their_gap_against_the_suite_tol():
 def test_clutching_checks_catch_a_wrong_lower_weight(monkeypatch):
     # the lower chart's sections of n + 1: a gap of order 1 on every block
     real = verification.reduce_block
-    monkeypatch.setattr(verification, "reduce_block",
-                        lambda n, m, chart: real(n + (chart == LOWER), m, chart))
+    lower = (np.array(CHARTS) == LOWER)[:, None]
+
+    def shifted(n, m):
+        ode, next_n = real(n, m), real(n + 1, m)
+        return RadialODE(np.where(lower, next_n.p, ode.p), np.where(lower, next_n.q, ode.q))
+
+    monkeypatch.setattr(verification, "reduce_block", shifted)
     report = verification.run_suite("clutching")
     assert [c["passed"] for c in report["checks"]] == [True] + [False] * 5
     assert all(c["value"] > 0.5 for c in report["checks"][1:])
