@@ -26,6 +26,10 @@ class ExponentFitError(IndexError_):
     MAX_LABEL, the slope's bias passes the tolerance from |n| of about 9,200."""
 
 
+def _not_an_integer(label) -> IndexError_:
+    return IndexError_("label %s is a %s, not an integer" % (label, type(label).__name__))
+
+
 def _exact_labels(values):
     """Integer labels (a sequence or an integer array) as an array on which
     -|label| is exact: int64 when every label satisfies |label| < 2**63,
@@ -36,10 +40,17 @@ def _exact_labels(values):
     if values.dtype.kind not in "iu":
         for label in values.flat:
             if not isinstance(label, (int, np.integer)):
-                raise IndexError_("label %s is a %s, not an integer"
-                                  % (label, type(label).__name__))
+                raise _not_an_integer(label)
     fits = values.size == 0 or -2 ** 63 < int(values.min()) and int(values.max()) < 2 ** 63
     return values.astype(np.int64 if fits else object, copy=False)
+
+
+def _scalar_label(label) -> int:
+    """A scalar label as a Python int; one that is not an integer raises IndexError_."""
+    try:
+        return operator.index(label)
+    except TypeError:
+        raise _not_an_integer(label) from None
 
 
 def kernel_dims_closed_form(n, m):
@@ -48,9 +59,9 @@ def kernel_dims_closed_form(n, m):
     and -n - m for '+', their negatives for '-'), that is iff m <= -|n| for
     '+' and m >= |n| for '-'. Ints give ints; integer arrays (broadcast
     against each other) give int64 arrays of their broadcast shape. Exact for
-    labels of any size."""
+    labels of any size; a label that is not an integer raises IndexError_."""
     if np.ndim(n) == 0 and np.ndim(m) == 0:
-        n, m = operator.index(n), operator.index(m)
+        n, m = _scalar_label(n), _scalar_label(m)
         return int(m <= -abs(n)), int(m >= abs(n))
     n, m = _exact_labels(n), _exact_labels(m)
     return (m <= -abs(n)).astype(np.int64), (m >= abs(n)).astype(np.int64)

@@ -62,6 +62,9 @@ def fourier_diff_matrix(n: int) -> np.ndarray:
     Exact on trigonometric polynomials up to degree n/2 - 1; the Nyquist
     mode is assigned wavenumber -n/2, so -1j * D has integer eigenvalues
     -n/2 .. n/2 - 1 and D is exactly anti-Hermitian.
+
+    D is circulant, and the result is a read-only strided view of its
+    doubled first column: O(n) memory, not n x n. Copy it to write to it.
     """
     k = _wavenumbers(n)
     # D is circulant, D[j, l] = col[(j - l) mod n] with col = ifft(i k);
@@ -69,9 +72,9 @@ def fourier_diff_matrix(n: int) -> np.ndarray:
     col = np.fft.ifft(1j * k)
     col = 0.5 * (col - np.conj(col[-np.arange(n)]))
     # row j is col[j], col[j - 1], ..., col[j + 1]: the window of length n
-    # that starts at col[j] in the reversed doubled column, copied once
+    # that starts at col[j] in the reversed doubled column
     windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((col, col))[::-1], n)
-    return windows[n - 1::-1].copy()
+    return windows[n - 1::-1]
 
 
 def fourier_derivative(values) -> np.ndarray:
@@ -130,9 +133,14 @@ def circulant_symbols(m: np.ndarray, d: int) -> np.ndarray:
     The matrix gets the verdict of check_hermitian, with the same defect and
     message, and must equal its block shift exactly: no tolerance. Raises
     SpectralError naming the first block (row-major) that breaks circulancy.
+    Finiteness is checked on the first block column only: an exactly
+    circulant matrix holds nothing else, and a NaN anywhere breaks the
+    equality. A matrix that fails is checked whole first, so a non-finite
+    entry is reported before a bad shape or a block off the pattern.
     """
-    m = _finite_complex(m)
+    m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or d < 1 or m.shape[0] % d:
+        _finite_complex(m)
         raise SpectralError("need a square matrix of %s x %s blocks, got shape %s"
                             % (d, d, m.shape))
     n = m.shape[0] // d
@@ -143,12 +151,15 @@ def circulant_symbols(m: np.ndarray, d: int) -> np.ndarray:
     col = blocks[:, 0]
     if not all(np.array_equal(m[rows, cols], m[rows_before, cols_before])
                for rows, rows_before in shifts for cols, cols_before in shifts):
+        _finite_complex(m)
         lag = (np.arange(n)[:, None] - np.arange(n)) % n
         j, l = np.argwhere(np.any(blocks != col[lag], axis=(2, 3)))[0]
         raise SpectralError("matrix is not block-circulant: block (%d, %d) differs from "
                             "block (%d, 0)" % (j, l, (j - l) % n))
     # every entry of the matrix and of its conjugate transpose is one of C_j
-    # and C_{-j}^H, so both give the dense matrix's max|m| and defect bit for bit
+    # and C_{-j}^H, so the column gives the dense matrix's finiteness, max|m|
+    # and defect bit for bit
+    _finite_complex(col)
     mirror = np.swapaxes(col[-np.arange(n)], 1, 2).conj()
     _check_defect(col, float(0.5 * np.max(np.abs(col - mirror))))
     return np.fft.fft(col, axis=0)

@@ -205,6 +205,10 @@ def discretize_hermitian(op: FirstOrderOperator, grid: Grid1D) -> np.ndarray:
     missing self-adjointness correction shows up verbatim in the defect.
     A' is spectral, on the periodic grid; w'/w is the grid's exact
     log_weight_prime.
+
+    The read-only O(n) view fourier_diff_matrix gives is multiplied in place
+    into one fresh (n, n, d, d) buffer. For d = 1 that buffer is the result;
+    for d > 1 the block transpose copies it once.
     """
     avals, bvals = _grid_coefficients(op, grid)
     rem = bvals - 0.5 * fourier_derivative(avals) - 0.5 * grid.log_weight_prime[:, None, None] * avals

@@ -65,6 +65,9 @@ CASES = {
     "index closed form float label": (
         lambda: kernel_dims_closed_form(np.array([0, 1]), np.array([2.0, -2.7])),
         IndexError_, "label 2.0 is a float64, not an integer"),
+    "index closed form scalar float label": (
+        lambda: kernel_dims_closed_form(1.5, 2),
+        IndexError_, "label 1.5 is a float, not an integer"),
     "grid shapes": (
         lambda: Grid1D(points=np.arange(3.0), log_weight_prime=np.zeros(2)),
         SpectralError, "points/log_weight_prime shape mismatch"),

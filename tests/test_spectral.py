@@ -94,10 +94,18 @@ def gathered_diff_matrix(n, rows=slice(None)):
     return col[(idx[rows, None] - idx[None, :]) % n]
 
 
+def byte_span(a):
+    """Bytes from the lowest address a view reads to one past the highest."""
+    reach = [(size - 1) * stride for size, stride in zip(a.shape, a.strides)]
+    return sum(r for r in reach if r > 0) - sum(r for r in reach if r < 0) + a.itemsize
+
+
 def test_fourier_diff_strided_build_bit_identical_to_gather():
+    # a read-only circulant view that reads only the doubled column
     for n in (4, 6, 64, 512, 2048):
         d = fourier_diff_matrix(n)
-        assert d.shape == (n, n) and d.dtype == complex and d.flags.c_contiguous
+        assert d.shape == (n, n) and d.dtype == complex and not d.flags.writeable
+        assert byte_span(d) <= 2 * n * d.itemsize
         # the reference in bands of rows keeps its index arrays small
         for start in range(0, n, 256):
             rows = slice(start, start + 256)
@@ -318,6 +326,20 @@ def test_circulant_symbols_hermitian_verdict_matches_dense_check():
     dense = block_circulant(col)
     dense[1, 6] = np.nan
     assert verdict(lambda m: circulant_symbols(m, 2), dense) == verdict(check_hermitian, dense)
+
+
+def test_circulant_symbols_report_non_finite_first():
+    # finiteness is checked on the column only when the matrix is circulant;
+    # a matrix that fails is checked whole before the failure is named
+    bad_shape = np.eye(6)[:5]
+    bad_shape[4, 1] = np.nan
+    with pytest.raises(SpectralError, match="non-finite"):
+        circulant_symbols(bad_shape, 1)
+    # inf == inf, so an inf diagonal passes the circulancy comparison
+    diagonal = block_circulant(hermitian_column(np.random.default_rng(8), 6, 1))
+    np.fill_diagonal(diagonal, np.inf)
+    with pytest.raises(SpectralError, match="non-finite"):
+        circulant_symbols(diagonal, 1)
 
 
 def test_circulant_symbols_reject_bad_shapes():

@@ -82,6 +82,21 @@ def test_dl_matrix_is_i_times_the_differentiation_matrix():
         assert circulant_symbols(dense, 1).shape == (64, 1, 1)
 
 
+def test_dl_discretization_allocates_one_dense_buffer():
+    # a copied differentiation matrix beside the assembled one would be 2 N^2 entries
+    n = 512
+    geom = TorusGeometry(sin_coeffs=(0.3,))
+    op, grid = restrict_to_mode(operator_D_full(geom, "L"), 0, 2), mode_grid(geom, n)
+    discretize_hermitian(op, grid)
+    tracemalloc.start()
+    try:
+        discretize_hermitian(op, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * n * n * 16
+
+
 def test_dl_spectrum_integers_at_n2048():
     geom = TorusGeometry(sin_coeffs=(0.6,), cos_coeffs=(0.0, -0.3))
     ev = spectrum_DL(geom, 1, 2048)
